@@ -7,7 +7,6 @@ sweep, and grouped placement), and provides statistical verification plus
 random-variable accounting for each strategy.
 """
 
-from ._kernels import HAS_NUMBA, active_backend, backend, set_backend
 from .bn import (
     BayesNet,
     BnNode,
@@ -62,11 +61,6 @@ from .samplers import (
     SampleTrace,
     Strategy,
     sample,
-    sample_kpgm_gp,
-    sample_kpgm_naive,
-    sample_mkpgm_ci,
-    sample_mkpgm_dcsd,
-    sample_mkpgm_gp,
 )
 from .verify import (
     ComplexityReport,
@@ -82,10 +76,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "HAS_NUMBA",
-    "active_backend",
-    "backend",
-    "set_backend",
     "BayesNet",
     "BnNode",
     "ancestral_sample",
@@ -131,11 +121,6 @@ __all__ = [
     "SampleTrace",
     "Strategy",
     "sample",
-    "sample_kpgm_gp",
-    "sample_kpgm_naive",
-    "sample_mkpgm_ci",
-    "sample_mkpgm_dcsd",
-    "sample_mkpgm_gp",
     "ComplexityReport",
     "DegreeStats",
     "EquivalenceReport",

@@ -1,118 +1,13 @@
-"""Hot inner loops with two interchangeable backends.
+"""Hot inner loops of the tied-level samplers, vectorized with numpy.
 
-Each kernel has a compiled numba implementation and a vectorized pure-numpy
-implementation.  Both consume pre-drawn uniforms, never a generator, so the
-two backends produce bit-identical results and backend choice cannot change
-sampled networks.
-
-Backend selection: numba is used when importable unless the environment
-variable ``KRONNET_DISABLE_NUMBA`` is set to a truthy value.  Tests and
-benchmarks can override at runtime with :func:`set_backend` /
-:func:`backend`.
+Both kernels consume pre-drawn uniforms, never a generator, so how a kernel
+is written cannot change which draws a sampler makes or the networks it
+returns.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
 import numpy as np
-
-from .errors import BadArgs
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-
-def _env_disabled() -> bool:
-    return os.environ.get("KRONNET_DISABLE_NUMBA", "").strip().lower() not in ("", "0", "false")
-
-
-_ACTIVE_BACKEND = "numba" if (HAS_NUMBA and not _env_disabled()) else "numpy"
-
-
-def active_backend() -> str:
-    """Name of the backend kernels currently dispatch to."""
-    return _ACTIVE_BACKEND
-
-
-def set_backend(name: str) -> str:
-    """Select the kernel backend; returns the previous backend name."""
-    global _ACTIVE_BACKEND
-    if name not in ("numba", "numpy"):
-        raise BadArgs(f"unknown backend {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        raise BadArgs("numba backend requested but numba is not importable")
-    previous = _ACTIVE_BACKEND
-    _ACTIVE_BACKEND = name
-    return previous
-
-
-@contextmanager
-def backend(name: str):
-    """Temporarily switch the kernel backend."""
-    previous = set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(previous)
-
-
-def _expand_active_numpy(rows, cols, uniforms, theta_flat, b):
-    bb = b * b
-    keep = uniforms.reshape(-1, bb) < theta_flat[None, :]
-    parent_idx, block_pos = np.nonzero(keep)
-    child_rows = rows[parent_idx] * b + block_pos // b
-    child_cols = cols[parent_idx] * b + block_pos % b
-    return child_rows, child_cols
-
-
-def _masked_grid_numpy(parent_active, uniforms, theta_flat, b, parent_side):
-    n = uniforms.shape[0]
-    side = parent_side * b
-    r = np.arange(n, dtype=np.int64) // side
-    c = np.arange(n, dtype=np.int64) % side
-    probs = theta_flat[(r % b) * b + c % b] * parent_active[(r // b) * parent_side + c // b]
-    return uniforms < probs
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _expand_active_numba(rows, cols, uniforms, theta_flat, b):  # pragma: no cover - compiled
-        n = rows.shape[0]
-        bb = theta_flat.shape[0]
-        out_r = np.empty(n * bb, np.int64)
-        out_c = np.empty(n * bb, np.int64)
-        m = 0
-        for p in range(n):
-            base_r = rows[p] * b
-            base_c = cols[p] * b
-            off = p * bb
-            for q in range(bb):
-                if uniforms[off + q] < theta_flat[q]:
-                    out_r[m] = base_r + q // b
-                    out_c[m] = base_c + q % b
-                    m += 1
-        return out_r[:m].copy(), out_c[:m].copy()
-
-    @njit(cache=True)
-    def _masked_grid_numba(parent_active, uniforms, theta_flat, b, parent_side):  # pragma: no cover - compiled
-        n = uniforms.shape[0]
-        side = parent_side * b
-        out = np.empty(n, np.bool_)
-        for f in range(n):
-            r = f // side
-            c = f - r * side
-            if parent_active[(r // b) * parent_side + c // b]:
-                out[f] = uniforms[f] < theta_flat[(r % b) * b + (c % b)]
-            else:
-                out[f] = False
-        return out
 
 
 def expand_active(rows, cols, uniforms, theta_flat, b):
@@ -123,9 +18,11 @@ def expand_active(rows, cols, uniforms, theta_flat, b):
     ``uniforms[p*b*b + dr*b + dc] < theta_flat[dr*b + dc]``.  Returns child
     row/column index arrays in that enumeration order.
     """
-    if _ACTIVE_BACKEND == "numba":
-        return _expand_active_numba(rows, cols, uniforms, theta_flat, np.int64(b))
-    return _expand_active_numpy(rows, cols, uniforms, theta_flat, b)
+    keep = uniforms.reshape(-1, b * b) < theta_flat[None, :]
+    parent_idx, block_pos = np.nonzero(keep)
+    child_rows = rows[parent_idx] * b + block_pos // b
+    child_cols = cols[parent_idx] * b + block_pos % b
+    return child_rows, child_cols
 
 
 def masked_grid_select(parent_active, uniforms, theta_flat, b, parent_side):
@@ -135,9 +32,12 @@ def masked_grid_select(parent_active, uniforms, theta_flat, b, parent_side):
     is below ``theta_flat[(r%b)*b + c%b]`` and its parent cell is active;
     dead parents force probability zero but the cell still consumes its
     uniform.  Returns a flat boolean activity array.
+
+    The row-major child grid viewed as (parent row, dr, parent col, dc)
+    lines each cell up with its seed entry and its parent by broadcasting.
     """
-    if _ACTIVE_BACKEND == "numba":
-        return _masked_grid_numba(
-            parent_active, uniforms, theta_flat, np.int64(b), np.int64(parent_side)
-        )
-    return _masked_grid_numpy(parent_active, uniforms, theta_flat, b, parent_side)
+    ps = parent_side
+    active = uniforms.reshape(ps, b, ps, b) < theta_flat.reshape(1, b, 1, b)
+    # In place: one fewer grid-sized temporary per level.
+    np.logical_and(active, parent_active.reshape(ps, 1, ps, 1), out=active)
+    return active.ravel()

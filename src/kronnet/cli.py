@@ -19,9 +19,8 @@ import sys
 import time
 from typing import Any
 
-from . import _kernels
 from .config import DEFAULT_DENSE_CAP, config_to_dict, load_config
-from .errors import BadArgs, CapExceeded, KronnetError
+from .errors import BadArgs, KronnetError
 from .output import (
     dump_json,
     format_table,
@@ -124,11 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated strategies to sweep (default ci,dcsd)",
     )
     ben.add_argument("--samples", type=int, default=3, help="timed runs per point")
-    ben.add_argument(
-        "--compare-backends",
-        action="store_true",
-        help="time both the compiled and pure-numpy kernel backends",
-    )
     return parser
 
 
@@ -277,12 +271,12 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _bench_backends(args: argparse.Namespace) -> list[str]:
-    if args.compare_backends:
-        if _kernels.HAS_NUMBA:
-            return ["numba", "numpy"]
-        return ["numpy"]
-    return [_kernels.active_backend()]
+_BENCH_COLUMNS = ("k", "strategy", "status", "seconds", "rvs_examined", "edges")
+
+
+def _bench_cell(point: dict[str, Any], column: str) -> Any:
+    value = point.get(column, "-")
+    return f"{value:.6f}" if isinstance(value, float) else value
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -302,62 +296,31 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             strategies.append(Strategy(part))
     if args.samples < 1:
         raise BadArgs(f"--samples must be >= 1, got {args.samples}")
-    rows: list[list[Any]] = []
     payload: list[dict[str, Any]] = []
     for levels in levels_list:
         point_cfg = dataclasses.replace(cfg, levels=levels)
         for strategy in strategies:
-            for backend_name in _bench_backends(args):
-                try:
-                    with _kernels.backend(backend_name):
-                        engine = ModelSampler(point_cfg, dense_cap=args.cap)
-                        engine.run(strategy, seed)  # warm-up, also compiles
-                        best = float("inf")
-                        for _ in range(args.samples):
-                            start = time.perf_counter()
-                            net, trace = engine.run(strategy, seed)
-                            best = min(best, time.perf_counter() - start)
-                except KronnetError as exc:
-                    rows.append(
-                        [levels, strategy.value, backend_name, f"refused: {exc}", "-", "-", "-"]
-                    )
-                    payload.append(
-                        {
-                            "k": levels,
-                            "strategy": strategy.value,
-                            "backend": backend_name,
-                            "status": f"refused: {exc}",
-                        }
-                    )
-                    continue
-                rows.append(
-                    [
-                        levels,
-                        strategy.value,
-                        backend_name,
-                        "ok",
-                        f"{best:.6f}",
-                        trace.total_examined,
-                        net.edge_count,
-                    ]
+            point: dict[str, Any] = {"k": levels, "strategy": strategy.value}
+            try:
+                engine = ModelSampler(point_cfg, dense_cap=args.cap)
+                engine.run(strategy, seed)  # warm-up
+                best = float("inf")
+                for _ in range(args.samples):
+                    start = time.perf_counter()
+                    net, trace = engine.run(strategy, seed)
+                    best = min(best, time.perf_counter() - start)
+            except KronnetError as exc:
+                point["status"] = f"refused: {exc}"
+            else:
+                point.update(
+                    status="ok",
+                    seconds=best,
+                    rvs_examined=trace.total_examined,
+                    edges=net.edge_count,
                 )
-                payload.append(
-                    {
-                        "k": levels,
-                        "strategy": strategy.value,
-                        "backend": backend_name,
-                        "status": "ok",
-                        "seconds": best,
-                        "rvs_examined": trace.total_examined,
-                        "edges": net.edge_count,
-                    }
-                )
-    sys.stdout.write(
-        format_table(
-            ["k", "strategy", "backend", "status", "seconds", "rvs_examined", "edges"],
-            rows,
-        )
-    )
+            payload.append(point)
+    rows = [[_bench_cell(point, col) for col in _BENCH_COLUMNS] for point in payload]
+    sys.stdout.write(format_table(list(_BENCH_COLUMNS), rows))
     if args.out:
         save_json(payload, args.out)
     return 0
@@ -376,9 +339,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except CapExceeded as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except KronnetError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -158,11 +158,26 @@ def make_config(
 _JSON_FIELDS = ("b", "theta", "K", "ell", "directed", "self_loops")
 
 
+def _int_field(data: Mapping[str, Any], key: str) -> int:
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadConfig(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _bool_field(data: Mapping[str, Any], key: str) -> bool:
+    value = data.get(key, True)
+    if not isinstance(value, bool):
+        raise BadConfig(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def config_from_dict(data: Mapping[str, Any]) -> ModelConfig:
     """Parse the JSON object form of a config.
 
-    Required keys: "b", "theta", "K", "ell".  Optional: "directed",
-    "self_loops" (both default true).
+    Required keys: "b", "theta", "K", "ell", with integer values (booleans
+    and floats are rejected, not coerced).  Optional: "directed",
+    "self_loops", booleans that default to true.
     """
     unknown = set(data) - set(_JSON_FIELDS)
     if unknown:
@@ -174,16 +189,15 @@ def config_from_dict(data: Mapping[str, Any]) -> ModelConfig:
         theta = ThetaMatrix.from_rows(data["theta"])
     except (TypeError, ValueError) as exc:
         raise BadConfig(f"theta is not a numeric matrix: {exc}") from exc
-    if theta.side != int(data["b"]):
-        raise BadConfig(
-            f"declared b={data['b']} does not match theta side {theta.side}"
-        )
+    b = _int_field(data, "b")
+    if theta.side != b:
+        raise BadConfig(f"declared b={b} does not match theta side {theta.side}")
     cfg = ModelConfig(
         theta=theta,
-        levels=int(data["K"]),
-        untied_levels=int(data["ell"]),
-        directed=bool(data.get("directed", True)),
-        self_loops=bool(data.get("self_loops", True)),
+        levels=_int_field(data, "K"),
+        untied_levels=_int_field(data, "ell"),
+        directed=_bool_field(data, "directed"),
+        self_loops=_bool_field(data, "self_loops"),
     )
     return validate_config(cfg)
 

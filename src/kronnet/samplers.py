@@ -17,26 +17,29 @@ They differ only in which random variables they touch:
 * ``dcsd``: only children of realized cells; dead subtrees are pruned.
 * ``gp``: like dcsd, but each tied level draws one binomial count per
   distinct seed value and places that many children uniformly, instead of
-  per-cell Bernoullis.
+  per-cell Bernoullis.  On the plain model (no tied levels) it draws one
+  binomial count per whole-grid probability group instead of sweeping
+  level 0, unless the grouping exceeds ``group_cap``.
 
 Randomness is consumed per level from ``rng.level_rng(seed, level)`` in a
 documented order (cells row-major; pruned candidates parent-major with
-blocks row-major; groups by descending value, count then placement), which
-makes every run reproducible and lets the full-sweep sampler match the
-Bayesian-network ancestral sampler draw for draw.
+blocks row-major; groups by descending value or probability, count then
+placement), which makes every run reproducible and lets the full-sweep
+sampler match the Bayesian-network ancestral sampler draw for draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._kernels import expand_active, masked_grid_select
 from .config import DEFAULT_DENSE_CAP, I64_MAX, ModelConfig, validate_config
-from .errors import BadArgs, CapExceeded, Overflow
+from .errors import BadArgs, CapExceeded, GroupCapExceeded, Overflow
 from .groups import (
     DEFAULT_GROUP_CAP,
     grid_groups,
@@ -50,6 +53,19 @@ from .rng import check_seed, level_rng
 # Dense level-0 grids are precomputed up to this many entries; larger untied
 # stages are sampled row by row with identical draws and O(side) memory.
 _LEVEL0_DENSE_MAX = 1 << 22
+
+# Dense per-cell draws take their uniforms this many at a time: the same
+# stream, without a fresh grid-sized array (and its page faults) per run.
+_DRAW_CHUNK = 1 << 20
+
+
+def _below(stream: np.random.Generator, probs: np.ndarray) -> np.ndarray:
+    """``stream.random(probs.size) < probs``, drawn in chunks."""
+    out = np.empty(probs.size, dtype=bool)
+    for lo in range(0, probs.size, _DRAW_CHUNK):
+        hi = min(lo + _DRAW_CHUNK, probs.size)
+        np.less(stream.random(hi - lo), probs[lo:hi], out=out[lo:hi])
+    return out
 
 
 class Strategy(str, Enum):
@@ -196,8 +212,9 @@ class ModelSampler:
     """Reusable sampling engine for one configuration.
 
     Precomputes the dense untied-stage probabilities (when small enough),
-    the seed-value classes, and lazily the whole-grid probability groups, so
-    repeated runs (verification, benchmarks) avoid redundant setup.
+    the seed-value classes, and on the first ``gp`` run the whole-grid
+    probability groups, so repeated runs (verification, benchmarks) avoid
+    redundant setup.
     """
 
     def __init__(
@@ -229,7 +246,6 @@ class ModelSampler:
                 cfg.theta, cfg.untied_levels, dense_cap=self.dense_cap
             ).flat
         self._full_probs: np.ndarray | None = None
-        self._grid_tables = None
 
     # -- shared level-0 handling ------------------------------------------
 
@@ -260,7 +276,7 @@ class ModelSampler:
             return idx // side0, idx % side0, examined
         stream = level_rng(seed, 0)
         if self._level0_probs is not None:
-            idx = np.flatnonzero(stream.random(examined) < self._level0_probs)
+            idx = np.flatnonzero(_below(stream, self._level0_probs))
             return idx // side0, idx % side0, examined
         # Row-streamed path: identical draws, memory O(side0).
         rows_acc: list[np.ndarray] = []
@@ -290,7 +306,7 @@ class ModelSampler:
             self._full_probs = kronecker_power(
                 cfg.theta, cfg.levels, dense_cap=self.dense_cap
             ).flat
-        idx = np.flatnonzero(level_rng(seed, 0).random(cells) < self._full_probs)
+        idx = np.flatnonzero(_below(level_rng(seed, 0), self._full_probs))
         rows, cols = idx // n, idx % n
         if states is not None:
             states.append(LevelState(level=0, side=n, rows=rows, cols=cols))
@@ -311,7 +327,7 @@ class ModelSampler:
             active = np.zeros(side * side, dtype=bool)
             active[_normalize_override(override, side)] = True
         else:
-            active = level_rng(seed, 0).random(side * side) < probs0
+            active = _below(level_rng(seed, 0), probs0)
         trace = [(0, side * side, int(active.sum()))]
         if states is not None:
             idx = np.flatnonzero(active)
@@ -354,7 +370,24 @@ class ModelSampler:
                 states.append(LevelState(level=lam, side=side, rows=rows, cols=cols))
         return rows, cols, trace
 
+    @cached_property
+    def _grid_tables(self):
+        """Whole-grid groups for ``gp``, or None to sweep level 0 instead.
+
+        Only the plain model has whole-grid groups.  A grouping above
+        ``group_cap`` falls back to the level-0 sweep, which draws the same
+        per-cell marginals; the choice is made once per engine.
+        """
+        if self.cfg.tied_levels:
+            return None
+        try:
+            return grid_groups(self.cfg, group_cap=self.group_cap)
+        except GroupCapExceeded:
+            return None
+
     def _run_gp(self, seed: int, override, states: list | None):
+        if override is None and self._grid_tables is not None:
+            return self._run_grid_gp(seed, states)
         cfg = self.cfg
         rows, cols, examined0 = self._level0_cells(seed, override)
         trace = [(0, examined0, int(rows.size))]
@@ -403,8 +436,6 @@ class ModelSampler:
 
     def _run_grid_gp(self, seed: int, states: list | None):
         cfg = self.cfg
-        if self._grid_tables is None:
-            self._grid_tables = grid_groups(cfg, group_cap=self.group_cap)
         classes, groups = self._grid_tables
         stream = level_rng(seed, 0)
         cells: list[tuple[int, int]] = []
@@ -435,16 +466,7 @@ class ModelSampler:
         trace = [(0, examined, int(rows.size))]
         return rows, cols, trace
 
-    # -- assembly -----------------------------------------------------------
-
-    def _finish(self, strategy: Strategy, seed: int, rows, cols, trace_entries):
-        net = finalize_edges(self.cfg, rows, cols)
-        trace = SampleTrace(
-            seed=seed,
-            strategy=strategy,
-            per_level=tuple(LevelTrace(*entry) for entry in trace_entries),
-        )
-        return net, trace
+    # -- entry point --------------------------------------------------------
 
     def run(
         self,
@@ -458,7 +480,8 @@ class ModelSampler:
 
         ``level0_override`` is a test-only hook replacing the realized level-0
         cells (given as flat indices) while leaving deeper levels' streams
-        untouched; it is rejected for the naive strategy, which has no levels.
+        untouched; it is rejected for the naive strategy, which has no levels,
+        and makes ``gp`` sweep level 0 even on the plain model.
         With ``keep_states`` the per-level realized cells are returned as a
         third element, a tuple of :class:`LevelState`.
         """
@@ -475,67 +498,15 @@ class ModelSampler:
             rows, cols, trace = self._run_dcsd(seed, level0_override, states)
         else:
             rows, cols, trace = self._run_gp(seed, level0_override, states)
-        net, sample_trace = self._finish(strategy, seed, rows, cols, trace)
+        net = finalize_edges(self.cfg, rows, cols)
+        sample_trace = SampleTrace(
+            seed=seed,
+            strategy=strategy,
+            per_level=tuple(LevelTrace(*entry) for entry in trace),
+        )
         if keep_states:
             return net, sample_trace, tuple(states)
         return net, sample_trace
-
-    def run_grid_gp(self, seed: int, *, keep_states: bool = False):
-        """Sample the plain untied model by whole-grid probability groups."""
-        seed = check_seed(seed)
-        states: list | None = [] if keep_states else None
-        rows, cols, trace = self._run_grid_gp(seed, states)
-        net, sample_trace = self._finish(Strategy.GP, seed, rows, cols, trace)
-        if keep_states:
-            return net, sample_trace, tuple(states)
-        return net, sample_trace
-
-
-def sample_kpgm_naive(
-    cfg: ModelConfig, seed: int, *, dense_cap: int = DEFAULT_DENSE_CAP
-) -> tuple[SampledNetwork, SampleTrace]:
-    """Per-cell Bernoulli over the dense untied probability grid."""
-    return ModelSampler(cfg, dense_cap=dense_cap).run(Strategy.NAIVE, seed)
-
-
-def sample_mkpgm_ci(
-    cfg: ModelConfig,
-    seed: int,
-    *,
-    dense_cap: int = DEFAULT_DENSE_CAP,
-    level0_override: Iterable[int] | None = None,
-) -> tuple[SampledNetwork, SampleTrace]:
-    """Full sweep: every candidate RV at every level is examined."""
-    return ModelSampler(cfg, dense_cap=dense_cap).run(
-        Strategy.CI, seed, level0_override=level0_override
-    )
-
-
-def sample_mkpgm_dcsd(
-    cfg: ModelConfig,
-    seed: int,
-    *,
-    level0_override: Iterable[int] | None = None,
-) -> tuple[SampledNetwork, SampleTrace]:
-    """Pruned sweep: only children of realized cells are examined."""
-    return ModelSampler(cfg).run(Strategy.DCSD, seed, level0_override=level0_override)
-
-
-def sample_mkpgm_gp(
-    cfg: ModelConfig,
-    seed: int,
-    *,
-    level0_override: Iterable[int] | None = None,
-) -> tuple[SampledNetwork, SampleTrace]:
-    """Grouped sampling: per tied level, one binomial count per seed value."""
-    return ModelSampler(cfg).run(Strategy.GP, seed, level0_override=level0_override)
-
-
-def sample_kpgm_gp(
-    cfg: ModelConfig, seed: int, *, group_cap: int = DEFAULT_GROUP_CAP
-) -> tuple[SampledNetwork, SampleTrace]:
-    """Whole-grid grouped sampling of the plain untied model."""
-    return ModelSampler(cfg, group_cap=group_cap).run_grid_gp(seed)
 
 
 def sample(

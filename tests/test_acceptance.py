@@ -28,8 +28,7 @@ from kronnet import (
     grid_groups,
     kronecker_power,
     make_config,
-    sample_mkpgm_ci,
-    sample_mkpgm_dcsd,
+    sample,
 )
 from kronnet.cli import main as cli_main
 from kronnet.verify import complexity_audit, equivalence_test, marginal_test
@@ -220,7 +219,7 @@ def test_criterion_5_bn_oracle():
     bn = build_bn(cfg)
     for seed in (MASTER_SEED, MASTER_SEED + 1, MASTER_SEED + 2):
         net_bn, trace_bn = ancestral_sample(bn, seed)
-        net_ci, trace_ci = sample_mkpgm_ci(cfg, seed)
+        net_ci, trace_ci = sample(cfg, Strategy.CI, seed)
         np.testing.assert_array_equal(net_bn.edges, net_ci.edges)
         assert trace_bn == trace_ci
     assert check_dcsd(bn)
@@ -307,12 +306,12 @@ def test_criterion_7_scaling_demonstration(tmp_path):
     assert cfg.n_nodes == 16_384
     ebound = dcsd_ebound(cfg)
     start = time.perf_counter()
-    net, trace = sample_mkpgm_dcsd(cfg, MASTER_SEED)
+    net, trace = sample(cfg, Strategy.DCSD, MASTER_SEED)
     elapsed = time.perf_counter() - start
 
     refused = False
     try:
-        sample_mkpgm_ci(cfg, MASTER_SEED)
+        sample(cfg, Strategy.CI, MASTER_SEED)
     except CapExceeded:
         refused = True
 

@@ -139,6 +139,17 @@ def test_bad_config_contents(tmp_path, capsys):
     assert main(["generate", "--config", str(path), "--strategy", "dcsd", "--seed", "1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "key,value", [("K", "abc"), ("b", "x"), ("K", 3.7), ("ell", True), ("directed", "false")]
+)
+def test_mistyped_config_field_exit_code(tmp_path, capsys, key, value):
+    data = {"b": 2, "theta": [[0.9, 0.7], [0.5, 0.3]], "K": 3, "ell": 2, key: value}
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(data))
+    assert main(["generate", "--config", str(path), "--strategy", "dcsd", "--seed", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_verify_small_run(cfg_path, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(
@@ -300,31 +311,6 @@ def test_bench_table_and_refusal(cfg_path, tmp_path, capsys):
     assert status[(4, "dcsd")] == "ok"
     ok_rows = [r for r in rows if r["status"] == "ok"]
     assert all("seconds" in r and "rvs_examined" in r for r in ok_rows)
-
-
-def test_bench_compare_backends(cfg_path, capsys):
-    code = main(
-        [
-            "bench",
-            "--config",
-            cfg_path,
-            "--seed",
-            "0",
-            "--k",
-            "4",
-            "--strategies",
-            "dcsd",
-            "--samples",
-            "1",
-            "--compare-backends",
-        ]
-    )
-    text = capsys.readouterr().out
-    assert code == 0
-    from kronnet import HAS_NUMBA
-
-    if HAS_NUMBA:
-        assert "numba" in text and "numpy" in text
 
 
 def test_bench_rejects_bad_k(cfg_path, capsys):

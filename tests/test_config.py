@@ -120,6 +120,33 @@ def test_config_from_dict_rejects_b_mismatch():
         config_from_dict({"b": 3, "theta": [[0.5, 0.5], [0.5, 0.5]], "K": 2, "ell": 1})
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("K", 3.7),
+        ("K", 3.0),
+        ("K", True),
+        ("K", "abc"),
+        ("K", "3"),
+        ("K", None),
+        ("ell", 1.5),
+        ("ell", False),
+        ("b", "x"),
+        ("b", 2.0),
+        ("b", True),
+        ("directed", "false"),
+        ("directed", 0),
+        ("directed", None),
+        ("self_loops", 1),
+        ("self_loops", "true"),
+    ],
+)
+def test_config_from_dict_rejects_mistyped_fields(key, value):
+    data = {"b": 2, "theta": [[0.9, 0.7], [0.5, 0.3]], "K": 3, "ell": 2, key: value}
+    with pytest.raises(BadConfig):
+        config_from_dict(data)
+
+
 def test_config_from_dict_requires_core_keys():
     with pytest.raises(BadConfig):
         config_from_dict({"b": 2, "theta": [[0.5, 0.5], [0.5, 0.5]], "K": 2})

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from kronnet import BadArgs, ModelSampler, Strategy, make_config
 from kronnet import _kernels as kernels
 
 
@@ -17,37 +16,48 @@ def random_case(seed, n_active, b):
     return rows, cols, uniforms, theta_flat
 
 
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_expand_active_backends_identical(seed):
-    rows, cols, uniforms, theta_flat = random_case(seed, n_active=50, b=2)
-    with kernels.backend("numpy"):
-        r_np, c_np = kernels.expand_active(rows, cols, uniforms, theta_flat, 2)
-    with kernels.backend("numba"):
-        r_nb, c_nb = kernels.expand_active(rows, cols, uniforms, theta_flat, 2)
-    np.testing.assert_array_equal(r_np, r_nb)
-    np.testing.assert_array_equal(c_np, c_nb)
+def expand_active_reference(rows, cols, uniforms, theta_flat, b):
+    bb = b * b
+    out = [
+        (rows[p] * b + q // b, cols[p] * b + q % b)
+        for p in range(rows.size)
+        for q in range(bb)
+        if uniforms[p * bb + q] < theta_flat[q]
+    ]
+    return [r for r, _ in out], [c for _, c in out]
 
 
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-@pytest.mark.parametrize("seed", [10, 11])
-def test_masked_grid_backends_identical(seed):
-    rng = np.random.default_rng(seed)
-    parent_side = 16
-    parent_active = (rng.random(parent_side * parent_side) < 0.3).astype(np.uint8)
-    b = 2
+@pytest.mark.parametrize("b,seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
+def test_expand_active_matches_reference(b, seed):
+    rows, cols, uniforms, theta_flat = random_case(seed, n_active=50, b=b)
+    r, c = kernels.expand_active(rows, cols, uniforms, theta_flat, b)
+    ref_r, ref_c = expand_active_reference(rows, cols, uniforms, theta_flat, b)
+    assert r.tolist() == ref_r and c.tolist() == ref_c
+
+
+def masked_grid_reference(parent_active, uniforms, theta_flat, b, parent_side):
+    # one cell at a time, straight from the kernel's definition
     side = parent_side * b
-    uniforms = rng.random(side * side)
+    out = np.zeros(uniforms.shape[0], dtype=bool)
+    for f in range(uniforms.shape[0]):
+        r, c = divmod(f, side)
+        if parent_active[(r // b) * parent_side + c // b]:
+            out[f] = uniforms[f] < theta_flat[(r % b) * b + c % b]
+    return out
+
+
+@pytest.mark.parametrize("b,parent_side,seed", [(2, 16, 10), (2, 5, 11), (3, 7, 12), (3, 4, 13)])
+def test_masked_grid_matches_reference(b, parent_side, seed):
+    rng = np.random.default_rng(seed)
+    parent_active = rng.random(parent_side * parent_side) < 0.4
+    assert 0 < parent_active.sum() < parent_active.size  # dead parents included
+    uniforms = rng.random((parent_side * b) ** 2)
     theta_flat = rng.random(b * b)
-    with kernels.backend("numpy"):
-        mask_np = kernels.masked_grid_select(
-            parent_active, uniforms, theta_flat, b, parent_side
-        )
-    with kernels.backend("numba"):
-        mask_nb = kernels.masked_grid_select(
-            parent_active, uniforms, theta_flat, b, parent_side
-        )
-    np.testing.assert_array_equal(mask_np, mask_nb)
+    mask = kernels.masked_grid_select(parent_active, uniforms, theta_flat, b, parent_side)
+    assert mask.dtype == bool
+    np.testing.assert_array_equal(
+        mask, masked_grid_reference(parent_active, uniforms, theta_flat, b, parent_side)
+    )
 
 
 def test_expand_active_empty_input():
@@ -67,66 +77,3 @@ def test_expand_active_oracle_tiny():
     # kept offsets: 0 (0.5 < 0.9), 1 (0.05 < 0.1), 3 (0.39 < 0.4)
     r, c = kernels.expand_active(rows, cols, uniforms, theta_flat, 2)
     assert list(zip(r.tolist(), c.tolist())) == [(2, 4), (2, 5), (3, 5)]
-
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-def test_samplers_identical_across_backends(worked_cfg):
-    results = {}
-    for name in ("numpy", "numba"):
-        with kernels.backend(name):
-            engine = ModelSampler(worked_cfg)
-            results[name] = {
-                s: engine.run(s, 321)[0].edges for s in (Strategy.CI, Strategy.DCSD)
-            }
-    for strategy in (Strategy.CI, Strategy.DCSD):
-        np.testing.assert_array_equal(
-            results["numpy"][strategy], results["numba"][strategy]
-        )
-
-
-def test_backend_context_restores_previous():
-    before = kernels.active_backend()
-    with kernels.backend("numpy"):
-        assert kernels.active_backend() == "numpy"
-    assert kernels.active_backend() == before
-
-
-def test_set_backend_rejects_unknown():
-    with pytest.raises(BadArgs):
-        kernels.set_backend("fortran")
-
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-def test_env_flag_disables_numba(worked_cfg, monkeypatch, tmp_path):
-    import json
-    import subprocess
-    import sys
-
-    code = (
-        "import kronnet\n"
-        "from kronnet import _kernels\n"
-        "print(_kernels.active_backend())\n"
-    )
-    env_on = {"KRONNET_DISABLE_NUMBA": "1"}
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**_base_env(), **env_on},
-    )
-    assert out.stdout.strip() == "numpy", out.stderr
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=_base_env(),
-    )
-    assert out.stdout.strip() == "numba", out.stderr
-
-
-def _base_env():
-    import os
-
-    env = dict(os.environ)
-    env.pop("KRONNET_DISABLE_NUMBA", None)
-    return env

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 
-from kronnet import SampledNetwork, sample_mkpgm_dcsd
+from kronnet import SampledNetwork, Strategy, sample
 from kronnet.output import (
     dump_json,
     edgelist_lines,
@@ -37,7 +37,7 @@ def test_edgelist_lines_sorted_by_row_then_col():
 
 
 def test_trace_json_schema(worked_cfg):
-    _, trace = sample_mkpgm_dcsd(worked_cfg, 42)
+    _, trace = sample(worked_cfg, Strategy.DCSD, 42)
     payload = trace_to_dict(trace)
     assert payload["seed"] == 42
     assert payload["strategy"] == "dcsd"

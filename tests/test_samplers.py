@@ -18,11 +18,6 @@ from kronnet import (
     kronecker_power,
     make_config,
     sample,
-    sample_kpgm_gp,
-    sample_kpgm_naive,
-    sample_mkpgm_ci,
-    sample_mkpgm_dcsd,
-    sample_mkpgm_gp,
 )
 
 ALL_STRATEGIES = list(Strategy)
@@ -112,12 +107,13 @@ def test_dcsd_examines_no_more_than_ci(worked_cfg):
 
 
 def test_all_strategies_agree_when_every_level_is_untied():
-    # untied_levels == levels leaves nothing tied: the three sweep strategies
-    # reduce to the same single-level draw, and the naive scan consumes the
-    # identical uniform stream over the identical dense grid
+    # untied_levels == levels leaves nothing tied: ci and dcsd reduce to the
+    # same single-level draw, and the naive scan consumes the identical
+    # uniform stream over the identical dense grid; gp groups the whole grid
+    # and draws differently
     cfg = make_config([[0.9, 0.7], [0.5, 0.3]], 3, 3)
     reference = None
-    for strategy in ALL_STRATEGIES:
+    for strategy in (Strategy.NAIVE, Strategy.CI, Strategy.DCSD):
         net, trace = sample(cfg, strategy, 2024)
         assert len(trace.per_level) == 1
         if reference is None:
@@ -127,14 +123,16 @@ def test_all_strategies_agree_when_every_level_is_untied():
 
 
 def test_saturated_matrix_gives_complete_graph():
-    cfg = make_config([[1.0, 1.0], [1.0, 1.0]], 2, 1)
+    ones = [[1.0, 1.0], [1.0, 1.0]]
+    cfg = make_config(ones, 2, 1)
     n = cfg.n_nodes
     everything = {(i, j) for i in range(n) for j in range(n)}
     for strategy in ALL_STRATEGIES:
         net, trace = sample(cfg, strategy, 3)
         assert edges_set(net) == everything
         assert trace.final_active == n * n
-    net, _ = sample_kpgm_gp(cfg, 3)
+    # plain model: gp samples by whole-grid groups
+    net, _ = sample(make_config(ones, 2, 2), Strategy.GP, 3)
     assert edges_set(net) == everything
 
 
@@ -145,7 +143,7 @@ def test_zero_matrix_gives_empty_graph():
         assert net.edge_count == 0
         assert trace.final_active == 0
     # pruned sweep stops examining once nothing is active
-    _, trace = sample_mkpgm_dcsd(cfg, 3)
+    _, trace = sample(cfg, Strategy.DCSD, 3)
     assert trace.per_level[1].rvs_examined == 0
 
 
@@ -170,12 +168,12 @@ def test_no_self_loops_mode_is_a_pure_filter(worked_cfg):
 
 def test_naive_cap_refusal(worked_cfg):
     with pytest.raises(CapExceeded):
-        sample_kpgm_naive(worked_cfg, 0, dense_cap=63)
+        sample(worked_cfg, Strategy.NAIVE, 0, dense_cap=63)
 
 
 def test_ci_cap_refusal(worked_cfg):
     with pytest.raises(CapExceeded) as err:
-        sample_mkpgm_ci(worked_cfg, 0, dense_cap=79)
+        sample(worked_cfg, Strategy.CI, 0, dense_cap=79)
     assert "dcsd" in str(err.value) or "gp" in str(err.value)
 
 
@@ -197,7 +195,7 @@ def test_huge_sparse_grid_samples_fine():
     # 2**40 nodes; pruned sweep touches only realized cells
     rows = [[0.3, 0.1], [0.1, 0.05]]
     cfg = make_config(rows, 40, 2)
-    net, trace = sample_mkpgm_dcsd(cfg, 8)
+    net, trace = sample(cfg, Strategy.DCSD, 8)
     assert net.n_nodes == 2**40
     assert trace.per_level[0].rvs_examined == 16
     if net.edge_count:
@@ -224,7 +222,8 @@ def test_override_rejected_for_naive(worked_cfg):
 
 
 def test_override_empty_level0_dcsd(worked_cfg):
-    net, trace = sample_mkpgm_dcsd(worked_cfg, 17, level0_override=[])
+    engine = ModelSampler(worked_cfg)
+    net, trace = engine.run(Strategy.DCSD, 17, level0_override=[])
     assert net.edge_count == 0
     assert trace.per_level[0].rvs_examined == 16
     assert trace.per_level[0].rvs_active == 0
@@ -234,7 +233,8 @@ def test_override_empty_level0_dcsd(worked_cfg):
 
 
 def test_override_empty_level0_ci_still_examines_everything(worked_cfg):
-    net, trace = sample_mkpgm_ci(worked_cfg, 17, level0_override=[])
+    engine = ModelSampler(worked_cfg)
+    net, trace = engine.run(Strategy.CI, 17, level0_override=[])
     assert net.edge_count == 0
     assert trace.per_level[0].rvs_examined == 16
     assert trace.per_level[1].rvs_examined == 64
@@ -253,18 +253,18 @@ def test_override_with_natural_cells_reproduces_run(worked_cfg):
 
 def test_override_full_level0_saturates_level0(worked_cfg):
     side0 = worked_cfg.b**worked_cfg.untied_levels
-    net, trace = sample_mkpgm_dcsd(
-        worked_cfg, 3, level0_override=range(side0 * side0)
-    )
+    engine = ModelSampler(worked_cfg)
+    net, trace = engine.run(Strategy.DCSD, 3, level0_override=range(side0 * side0))
     assert trace.per_level[0].rvs_active == side0 * side0
     assert trace.per_level[1].rvs_examined == 4 * side0 * side0
 
 
 def test_override_validates_indices(worked_cfg):
+    engine = ModelSampler(worked_cfg)
     with pytest.raises(BadArgs):
-        sample_mkpgm_dcsd(worked_cfg, 3, level0_override=[16])
+        engine.run(Strategy.DCSD, 3, level0_override=[16])
     with pytest.raises(BadArgs):
-        sample_mkpgm_dcsd(worked_cfg, 3, level0_override=[-1])
+        engine.run(Strategy.DCSD, 3, level0_override=[-1])
 
 
 def test_keep_states_invariants(worked_cfg):
@@ -299,6 +299,17 @@ def test_streamed_level0_matches_dense(monkeypatch, worked_cfg):
     assert streamed_engine._level0_probs is None
     for strategy, net in expected.items():
         got, _ = streamed_engine.run(strategy, 9)
+        np.testing.assert_array_equal(got.edges, net.edges)
+
+
+def test_chunked_dense_draws_match_one_shot(monkeypatch, worked_cfg):
+    engine = ModelSampler(worked_cfg)
+    strategies = (Strategy.NAIVE, Strategy.CI, Strategy.DCSD)
+    expected = {s: engine.run(s, 9)[0] for s in strategies}
+    # 64 and 16 cells in chunks of 5: several chunks and a partial last one
+    monkeypatch.setattr(samplers_mod, "_DRAW_CHUNK", 5)
+    for strategy, net in expected.items():
+        got, _ = engine.run(strategy, 9)
         np.testing.assert_array_equal(got.edges, net.edges)
 
 
@@ -357,13 +368,14 @@ def test_gp_placement_uniform_across_parents():
 
 
 def test_grid_gp_examined_and_mean_edges():
-    cfg = make_config([[0.9, 0.7], [0.5, 0.3]], 2, 1)
+    cfg = make_config([[0.9, 0.7], [0.5, 0.3]], 2, 2)
     expected_mass = float(kronecker_power(cfg.theta, 2).probs.sum())
     engine = ModelSampler(cfg)
+    assert engine._grid_tables is not None
     total_edges = 0
     reps = 3000
     for rep in range(reps):
-        net, trace = engine.run_grid_gp(rep)
+        net, trace = engine.run(Strategy.GP, rep)
         assert trace.per_level[0].rvs_examined == 16
         total_edges += net.edge_count
     mean = total_edges / reps
@@ -371,24 +383,36 @@ def test_grid_gp_examined_and_mean_edges():
     assert abs(mean - expected_mass) < 5 * math.sqrt(expected_mass / reps)
 
 
-def test_grid_gp_deterministic(worked_cfg):
-    engine = ModelSampler(worked_cfg)
-    net_a, trace_a = engine.run_grid_gp(4242)
-    net_b, trace_b = engine.run_grid_gp(4242)
+def test_grid_gp_deterministic():
+    cfg = make_config([[0.9, 0.7], [0.5, 0.3]], 3, 3)
+    net_a, trace_a = sample(cfg, Strategy.GP, 4242)
+    net_b, trace_b = ModelSampler(cfg).run(Strategy.GP, 4242)
     np.testing.assert_array_equal(net_a.edges, net_b.edges)
     assert trace_a == trace_b
 
 
-def test_wrapper_functions_match_engine(worked_cfg):
+def test_grid_gp_over_group_cap_sweeps_level0():
+    # 4 distinct values over 3 levels give 20 exponent multisets
+    cfg = make_config([[0.9, 0.7], [0.5, 0.3]], 3, 3)
+    capped = ModelSampler(cfg, group_cap=1)
+    assert capped._grid_tables is None
+    uncapped = ModelSampler(cfg)
+    differs = False
+    for seed in range(20):
+        net_gp, trace_gp = capped.run(Strategy.GP, seed)
+        net_dcsd, trace_dcsd = capped.run(Strategy.DCSD, seed)
+        np.testing.assert_array_equal(net_gp.edges, net_dcsd.edges)
+        assert trace_gp.per_level == trace_dcsd.per_level
+        grouped, _ = uncapped.run(Strategy.GP, seed)
+        differs = differs or not np.array_equal(grouped.edges, net_gp.edges)
+    # without the cap the whole-grid groups draw differently
+    assert differs
+
+
+def test_sample_matches_engine(worked_cfg):
     engine = ModelSampler(worked_cfg)
-    pairs = [
-        (sample_kpgm_naive, Strategy.NAIVE),
-        (sample_mkpgm_ci, Strategy.CI),
-        (sample_mkpgm_dcsd, Strategy.DCSD),
-        (sample_mkpgm_gp, Strategy.GP),
-    ]
-    for func, strategy in pairs:
-        net_a, trace_a = func(worked_cfg, 55)
+    for strategy in ALL_STRATEGIES:
+        net_a, trace_a = sample(worked_cfg, strategy, 55)
         net_b, trace_b = engine.run(strategy, 55)
         np.testing.assert_array_equal(net_a.edges, net_b.edges)
         assert trace_a == trace_b

@@ -134,6 +134,15 @@ def test_equivalence_naive_matches_when_every_level_untied():
         assert report.passed, (other, report.to_dict())
 
 
+def test_whole_grid_gp_passes_verify():
+    # K = ell = 3: gp samples by whole-grid groups, not a level-0 sweep
+    cfg = make_config([[0.9, 0.7], [0.5, 0.3]], 3, 3)
+    marginal = marginal_test(cfg, "gp", 3000, master_seed=12)
+    assert marginal.passed, marginal.flagged_cells
+    report = equivalence_test(cfg, "naive", "gp", 3000, master_seed=12)
+    assert report.passed, report.to_dict()
+
+
 def test_equivalence_deterministic_and_worker_invariant():
     cfg = small_cfg()
     rep_a = equivalence_test(cfg, "ci", "gp", 600, master_seed=8, workers=1)
