@@ -23,7 +23,6 @@ from .config import (
     config_to_dict,
     load_config,
     make_config,
-    validate_config,
 )
 from .errors import (
     BadArgs,
@@ -40,7 +39,6 @@ from .groups import (
     DEFAULT_GROUP_CAP,
     ProbabilityGroup,
     grid_groups,
-    tied_level_groups,
     theta_value_classes,
     unrank_grid_cell,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "config_to_dict",
     "load_config",
     "make_config",
-    "validate_config",
     "BadArgs",
     "BadConfig",
     "BadLevels",
@@ -102,7 +99,6 @@ __all__ = [
     "DEFAULT_GROUP_CAP",
     "ProbabilityGroup",
     "grid_groups",
-    "tied_level_groups",
     "theta_value_classes",
     "unrank_grid_cell",
     "DenseProbMatrix",

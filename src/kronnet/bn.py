@@ -19,7 +19,7 @@ from typing import Any, Iterator, Mapping
 
 import numpy as np
 
-from .config import DEFAULT_DENSE_CAP, ModelConfig, validate_config
+from .config import DEFAULT_DENSE_CAP, ModelConfig
 from .errors import BadArgs, CapExceeded, IndexOutOfRange
 from .kron import ci_rv_count, kronecker_power
 from .rng import check_seed, level_rng
@@ -130,7 +130,6 @@ def build_bn(cfg: ModelConfig, *, dense_cap: int = DEFAULT_DENSE_CAP) -> BayesNe
     Raises:
         CapExceeded: the forest would hold more than ``dense_cap`` nodes.
     """
-    validate_config(cfg)
     total = ci_rv_count(cfg)
     if total > dense_cap:
         raise CapExceeded(

@@ -298,10 +298,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise BadArgs(f"--samples must be >= 1, got {args.samples}")
     payload: list[dict[str, Any]] = []
     for levels in levels_list:
-        point_cfg = dataclasses.replace(cfg, levels=levels)
         for strategy in strategies:
             point: dict[str, Any] = {"k": levels, "strategy": strategy.value}
             try:
+                point_cfg = dataclasses.replace(cfg, levels=levels)
                 engine = ModelSampler(point_cfg, dense_cap=args.cap)
                 engine.run(strategy, seed)  # warm-up
                 best = float("inf")

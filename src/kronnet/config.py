@@ -32,6 +32,10 @@ class ThetaMatrix:
 
     Attributes:
         entries: float64 array of shape (side, side), C-order, read-only.
+
+    Raises:
+        BadConfig: the rows are not a numeric square matrix of side >= 2.
+        EntryOutOfRange: some entry is outside [0, 1].
     """
 
     entries: np.ndarray
@@ -39,10 +43,16 @@ class ThetaMatrix:
     def __post_init__(self) -> None:
         try:
             arr = np.ascontiguousarray(np.asarray(self.entries, dtype=np.float64))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise BadConfig(f"seed matrix is not numeric and rectangular: {exc}") from exc
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise BadConfig(f"seed matrix must be square, got shape {arr.shape}")
+        if arr.shape[0] < 2:
+            raise BadConfig(f"seed matrix side must be >= 2, got {arr.shape[0]}")
+        in_range = (arr >= 0.0) & (arr <= 1.0)  # false for NaN
+        if not in_range.all():
+            bad = arr[~in_range][0]
+            raise EntryOutOfRange(f"seed entry {bad!r} outside [0, 1]")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -52,10 +62,6 @@ class ThetaMatrix:
         return np.array_equal(self.entries, other.entries)
 
     __hash__ = None
-
-    @classmethod
-    def from_rows(cls, rows: Any) -> "ThetaMatrix":
-        return cls(rows)
 
     @property
     def side(self) -> int:
@@ -83,6 +89,16 @@ class ModelConfig:
             the remaining ``levels - untied_levels`` levels share parameters.
         directed: undirected mode keeps only edges with row < col.
         self_loops: in directed mode, whether diagonal cells are retained.
+
+    Every instance is valid: construction, ``dataclasses.replace`` included,
+    checks the invariants below, so no consumer re-checks them.
+
+    Raises:
+        BadConfig: theta is not a :class:`ThetaMatrix`, or a mode flag is
+            not a bool.
+        BadLevels: level counts are not integers (booleans included) or
+            violate 1 <= untied_levels <= levels.
+        Overflow: side**levels is not representable in 64 bits.
     """
 
     theta: ThetaMatrix
@@ -90,6 +106,23 @@ class ModelConfig:
     untied_levels: int
     directed: bool = True
     self_loops: bool = True
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.theta, ThetaMatrix):
+            raise BadConfig("theta must be a ThetaMatrix")
+        if not (isinstance(self.directed, bool) and isinstance(self.self_loops, bool)):
+            raise BadConfig("directed and self_loops must be booleans")
+        if not (_is_int(self.levels) and _is_int(self.untied_levels)):
+            raise BadLevels("levels and untied_levels must be integers")
+        if self.levels < 1 or self.untied_levels < 1 or self.untied_levels > self.levels:
+            raise BadLevels(
+                f"need 1 <= untied_levels <= levels, got untied_levels={self.untied_levels} levels={self.levels}"
+            )
+        # side >= 2, so more than 64 levels overflows without the power
+        if self.levels > 64 or self.theta.side**self.levels > U64_MAX:
+            raise Overflow(
+                f"side**levels = {self.theta.side}**{self.levels} exceeds the 64-bit node range"
+            )
 
     @property
     def b(self) -> int:
@@ -105,36 +138,6 @@ class ModelConfig:
         return self.levels - self.untied_levels
 
 
-def validate_config(cfg: ModelConfig) -> ModelConfig:
-    """Check every invariant; return ``cfg`` unchanged if all hold.
-
-    Raises:
-        EntryOutOfRange: some probability entry is outside [0, 1].
-        BadLevels: level counts violate 1 <= untied_levels <= levels.
-        Overflow: side**levels is not representable in 64 bits.
-        BadConfig: structural problems (non-square matrix, side < 2).
-    """
-    if not isinstance(cfg.theta, ThetaMatrix):
-        raise BadConfig("theta must be a ThetaMatrix")
-    if cfg.theta.side < 2:
-        raise BadConfig(f"seed matrix side must be >= 2, got {cfg.theta.side}")
-    ent = cfg.theta.entries
-    if np.isnan(ent).any() or (ent < 0.0).any() or (ent > 1.0).any():
-        bad = ent[~((ent >= 0.0) & (ent <= 1.0))][0]
-        raise EntryOutOfRange(f"seed entry {bad!r} outside [0, 1]")
-    if not isinstance(cfg.levels, int) or not isinstance(cfg.untied_levels, int):
-        raise BadLevels("levels and untied_levels must be integers")
-    if cfg.levels < 1 or cfg.untied_levels < 1 or cfg.untied_levels > cfg.levels:
-        raise BadLevels(
-            f"need 1 <= untied_levels <= levels, got untied_levels={cfg.untied_levels} levels={cfg.levels}"
-        )
-    if cfg.theta.side**cfg.levels > U64_MAX:
-        raise Overflow(
-            f"side**levels = {cfg.theta.side}**{cfg.levels} exceeds the 64-bit node range"
-        )
-    return cfg
-
-
 def make_config(
     theta_rows: Any,
     levels: int,
@@ -143,24 +146,27 @@ def make_config(
     directed: bool = True,
     self_loops: bool = True,
 ) -> ModelConfig:
-    """Build and validate a config in one call."""
-    cfg = ModelConfig(
-        theta=ThetaMatrix.from_rows(theta_rows),
+    """Build a config from plain rows in one call."""
+    return ModelConfig(
+        theta=ThetaMatrix(theta_rows),
         levels=levels,
         untied_levels=untied_levels,
         directed=directed,
         self_loops=self_loops,
     )
-    return validate_config(cfg)
 
 
 # JSON field names are a fixed external contract; do not rename.
 _JSON_FIELDS = ("b", "theta", "K", "ell", "directed", "self_loops")
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int_field(data: Mapping[str, Any], key: str) -> int:
     value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise BadConfig(f"{key} must be an integer, got {value!r}")
     return value
 
@@ -172,11 +178,23 @@ def _bool_field(data: Mapping[str, Any], key: str) -> bool:
     return value
 
 
+def _theta_field(data: Mapping[str, Any]) -> ThetaMatrix:
+    rows = data["theta"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise BadConfig(f"theta must be a list of rows, got {rows!r}")
+    for row in rows:
+        for value in row:
+            if not (_is_int(value) or isinstance(value, float)):
+                raise BadConfig(f"theta entries must be numbers, got {value!r}")
+    return ThetaMatrix(rows)
+
+
 def config_from_dict(data: Mapping[str, Any]) -> ModelConfig:
     """Parse the JSON object form of a config.
 
-    Required keys: "b", "theta", "K", "ell", with integer values (booleans
-    and floats are rejected, not coerced).  Optional: "directed",
+    Required keys: "b", "K", "ell" with integer values (booleans and floats
+    are rejected, not coerced) and "theta", a list of rows of numbers
+    (booleans, strings and nulls are rejected).  Optional: "directed",
     "self_loops", booleans that default to true.
     """
     unknown = set(data) - set(_JSON_FIELDS)
@@ -185,21 +203,17 @@ def config_from_dict(data: Mapping[str, Any]) -> ModelConfig:
     for key in ("b", "theta", "K", "ell"):
         if key not in data:
             raise BadConfig(f"config missing required key {key!r}")
-    try:
-        theta = ThetaMatrix.from_rows(data["theta"])
-    except (TypeError, ValueError) as exc:
-        raise BadConfig(f"theta is not a numeric matrix: {exc}") from exc
+    theta = _theta_field(data)
     b = _int_field(data, "b")
     if theta.side != b:
         raise BadConfig(f"declared b={b} does not match theta side {theta.side}")
-    cfg = ModelConfig(
+    return ModelConfig(
         theta=theta,
         levels=_int_field(data, "K"),
         untied_levels=_int_field(data, "ell"),
         directed=_bool_field(data, "directed"),
         self_loops=_bool_field(data, "self_loops"),
     )
-    return validate_config(cfg)
 
 
 def config_to_dict(cfg: ModelConfig) -> dict[str, Any]:

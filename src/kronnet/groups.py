@@ -4,8 +4,7 @@ Two flavors are needed:
 
 * Within one tied level, every candidate child cell inherits its probability
   from a single seed entry, so the distinct seed values partition the
-  candidates into at most side*side groups (``theta_value_classes`` /
-  ``tied_level_groups``).
+  candidates into at most side*side groups (``theta_value_classes``).
 * For the untied whole-grid model, a cell's probability is the product of
   one seed value per level, so it depends only on how many levels pick each
   distinct value.  Exponent multisets over the distinct values enumerate the
@@ -19,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import ModelConfig, ThetaMatrix, validate_config
+from .config import ModelConfig, ThetaMatrix
 from .errors import BadArgs, GroupCapExceeded
 
 DEFAULT_GROUP_CAP = 100_000
@@ -57,13 +56,13 @@ class ProbabilityGroup:
     Attributes:
         prob: the shared cell probability.
         size: exact number of cells in the group.
-        cell_source: ("block-positions", positions) for tied-level groups,
-            ("exponents", descriptors) for whole-grid groups.
+        cell_source: the exponent descriptors whose cells make up the group,
+            in rank order.
     """
 
     prob: float
     size: int
-    cell_source: tuple
+    cell_source: tuple[ExponentDescriptor, ...]
 
     def __post_init__(self) -> None:
         if self.size < 0:
@@ -79,25 +78,6 @@ def theta_value_classes(theta: ThetaMatrix) -> tuple[ValueClass, ...]:
     return tuple(
         ValueClass(value=v, positions=tuple(pos))
         for v, pos in sorted(by_value.items(), key=lambda item: -item[0])
-    )
-
-
-def tied_level_groups(theta: ThetaMatrix, n_active_parents: int) -> tuple[ProbabilityGroup, ...]:
-    """Groups for one tied level given the realized parent count.
-
-    Every active parent contributes one candidate child per block position,
-    so a value class with m positions yields a group of m * n_active_parents
-    cells.  Group order (descending value) fixes the sampling order.
-    """
-    if n_active_parents < 0:
-        raise BadArgs(f"n_active_parents must be >= 0, got {n_active_parents}")
-    return tuple(
-        ProbabilityGroup(
-            prob=cls.value,
-            size=len(cls.positions) * n_active_parents,
-            cell_source=("block-positions", cls.positions),
-        )
-        for cls in theta_value_classes(theta)
     )
 
 
@@ -132,7 +112,6 @@ def grid_groups(
     Raises:
         GroupCapExceeded: more exponent multisets than ``group_cap``.
     """
-    validate_config(cfg)
     classes = theta_value_classes(cfg.theta)
     m = len(classes)
     n_multisets = math.comb(cfg.levels + m - 1, m - 1)
@@ -154,7 +133,7 @@ def grid_groups(
         ProbabilityGroup(
             prob=prob,
             size=sum(d.sequences for d in descs),
-            cell_source=("exponents", tuple(descs)),
+            cell_source=tuple(descs),
         )
         for prob, descs in sorted(merged.items(), key=lambda item: -item[0])
     )
@@ -198,15 +177,12 @@ def unrank_grid_cell(
     last level least significant).
 
     Raises:
-        BadArgs: rank outside [0, group.size) or a non-grid group.
+        BadArgs: rank outside [0, group.size).
     """
-    kind, descriptors = group.cell_source
-    if kind != "exponents":
-        raise BadArgs("unrank_grid_cell requires a whole-grid group")
     if not (0 <= rank < group.size):
         raise BadArgs(f"rank {rank} outside [0, {group.size})")
     desc = None
-    for candidate in descriptors:
+    for candidate in group.cell_source:
         if rank < candidate.sequences:
             desc = candidate
             break

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_DENSE_CAP, U64_MAX, ModelConfig, ThetaMatrix, validate_config
+from .config import DEFAULT_DENSE_CAP, U64_MAX, ModelConfig, ThetaMatrix
 from .errors import BadArgs, CapExceeded, IndexOutOfRange, Overflow
 
 
@@ -87,7 +87,6 @@ def edge_prob(cfg: ModelConfig, row: int, col: int) -> float:
     Raises:
         IndexOutOfRange: an index lies outside [0, n_nodes).
     """
-    validate_config(cfg)
     n = cfg.n_nodes
     if not (0 <= row < n) or not (0 <= col < n):
         raise IndexOutOfRange(f"cell ({row}, {col}) outside [0, {n})^2")
@@ -112,7 +111,6 @@ def ci_rv_count(cfg: ModelConfig) -> int:
     Raises:
         Overflow: the exact count exceeds the unsigned 64-bit range.
     """
-    validate_config(cfg)
     b2 = cfg.b * cfg.b
     total = sum(b2 ** (cfg.untied_levels + lam) for lam in range(cfg.tied_levels + 1))
     if total > U64_MAX:
@@ -130,7 +128,6 @@ def expected_active(cfg: ModelConfig, tied_level: int) -> float:
     Raises:
         BadArgs: tied_level outside [0, tied_levels].
     """
-    validate_config(cfg)
     if not (0 <= tied_level <= cfg.tied_levels):
         raise BadArgs(
             f"tied_level must lie in [0, {cfg.tied_levels}], got {tied_level}"
@@ -147,7 +144,6 @@ def dcsd_ebound(cfg: ModelConfig) -> int:
     Raises:
         Overflow: the exact value exceeds the unsigned 64-bit range.
     """
-    validate_config(cfg)
     value = (cfg.tied_levels + 1) * cfg.b ** (cfg.levels + 2)
     if value > U64_MAX:
         raise Overflow(f"bound {value} exceeds the 64-bit range")

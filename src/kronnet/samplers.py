@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._kernels import expand_active, masked_grid_select
-from .config import DEFAULT_DENSE_CAP, I64_MAX, ModelConfig, validate_config
+from .config import DEFAULT_DENSE_CAP, I64_MAX, ModelConfig
 from .errors import BadArgs, CapExceeded, GroupCapExceeded, Overflow
 from .groups import (
     DEFAULT_GROUP_CAP,
@@ -121,42 +121,6 @@ class SampleTrace:
         return self.per_level[-1].rvs_active
 
 
-def _check_sorted_cells(rows: np.ndarray, cols: np.ndarray) -> None:
-    if rows.shape != cols.shape or rows.ndim != 1:
-        raise BadArgs("rows and cols must be 1-d arrays of equal length")
-    if rows.size > 1:
-        r0, r1 = rows[:-1], rows[1:]
-        c0, c1 = cols[:-1], cols[1:]
-        ok = (r1 > r0) | ((r1 == r0) & (c1 > c0))
-        if not bool(ok.all()):
-            raise BadArgs("cells must be strictly increasing in (row, col) order")
-
-
-@dataclass(frozen=True, eq=False)
-class LevelState:
-    """Realized cells of one level, sorted row-major and duplicate-free."""
-
-    level: int
-    side: int
-    rows: np.ndarray
-    cols: np.ndarray
-
-    def __post_init__(self) -> None:
-        rows = np.ascontiguousarray(self.rows, dtype=np.int64)
-        cols = np.ascontiguousarray(self.cols, dtype=np.int64)
-        _check_sorted_cells(rows, cols)
-        if rows.size and (rows[0] < 0 or rows[-1] >= self.side or cols.min() < 0 or cols.max() >= self.side):
-            raise BadArgs(f"cell indices outside [0, {self.side})")
-        rows.setflags(write=False)
-        cols.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-
-    @property
-    def count(self) -> int:
-        return int(self.rows.size)
-
-
 @dataclass(frozen=True, eq=False)
 class SampledNetwork:
     """A sampled network: node count plus sorted duplicate-free edge list."""
@@ -169,7 +133,11 @@ class SampledNetwork:
         edges = np.ascontiguousarray(self.edges, dtype=np.int64)
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise BadArgs(f"edges must have shape (m, 2), got {edges.shape}")
-        _check_sorted_cells(edges[:, 0], edges[:, 1])
+        if edges.shape[0] > 1:
+            r0, r1 = edges[:-1, 0], edges[1:, 0]
+            c0, c1 = edges[:-1, 1], edges[1:, 1]
+            if not bool(((r1 > r0) | ((r1 == r0) & (c1 > c0))).all()):
+                raise BadArgs("edges must be strictly increasing in (row, col) order")
         if edges.size and (edges.min() < 0 or edges.max() >= self.n_nodes):
             raise BadArgs(f"edge endpoints outside [0, {self.n_nodes})")
         edges.setflags(write=False)
@@ -224,7 +192,7 @@ class ModelSampler:
         dense_cap: int = DEFAULT_DENSE_CAP,
         group_cap: int = DEFAULT_GROUP_CAP,
     ) -> None:
-        self.cfg = validate_config(cfg)
+        self.cfg = cfg
         if cfg.n_nodes > I64_MAX:
             raise Overflow(
                 f"{cfg.n_nodes} nodes exceed signed 64-bit index arithmetic"
@@ -293,7 +261,7 @@ class ModelSampler:
 
     # -- strategies --------------------------------------------------------
 
-    def _run_naive(self, seed: int, states: list | None):
+    def _run_naive(self, seed: int):
         cfg = self.cfg
         n = cfg.n_nodes
         cells = n * n
@@ -307,18 +275,18 @@ class ModelSampler:
                 cfg.theta, cfg.levels, dense_cap=self.dense_cap
             ).flat
         idx = np.flatnonzero(_below(level_rng(seed, 0), self._full_probs))
-        rows, cols = idx // n, idx % n
-        if states is not None:
-            states.append(LevelState(level=0, side=n, rows=rows, cols=cols))
-        trace = [(0, cells, int(idx.size))]
-        return rows, cols, trace
+        return idx // n, idx % n, [(0, cells, int(idx.size))]
 
-    def _run_ci(self, seed: int, override, states: list | None):
+    @cached_property
+    def _ci_total(self) -> int:
+        # Lazy: ci_rv_count overflows at level counts dcsd still samples.
+        return ci_rv_count(self.cfg)
+
+    def _run_ci(self, seed: int, override):
         cfg = self.cfg
-        total = ci_rv_count(cfg)
-        if total > self.dense_cap:
+        if self._ci_total > self.dense_cap:
             raise CapExceeded(
-                f"full sweep examines {total} RVs, above the cap "
+                f"full sweep examines {self._ci_total} RVs, above the cap "
                 f"{self.dense_cap}; use the dcsd or gp strategy instead"
             )
         side = self.side0
@@ -329,11 +297,6 @@ class ModelSampler:
         else:
             active = _below(level_rng(seed, 0), probs0)
         trace = [(0, side * side, int(active.sum()))]
-        if states is not None:
-            idx = np.flatnonzero(active)
-            states.append(
-                LevelState(level=0, side=side, rows=idx // side, cols=idx % side)
-            )
         for lam in range(1, cfg.tied_levels + 1):
             parent_side = side
             side *= self.b
@@ -342,32 +305,21 @@ class ModelSampler:
                 active, uniforms, self.theta_flat, self.b, parent_side
             )
             trace.append((lam, side * side, int(active.sum())))
-            if states is not None:
-                idx = np.flatnonzero(active)
-                states.append(
-                    LevelState(level=lam, side=side, rows=idx // side, cols=idx % side)
-                )
         idx = np.flatnonzero(active)
         return idx // side, idx % side, trace
 
-    def _run_dcsd(self, seed: int, override, states: list | None):
+    def _run_dcsd(self, seed: int, override):
         cfg = self.cfg
         rows, cols, examined0 = self._level0_cells(seed, override)
         trace = [(0, examined0, int(rows.size))]
-        side = self.side0
         bb = self.b * self.b
-        if states is not None:
-            states.append(LevelState(level=0, side=side, rows=rows, cols=cols))
         for lam in range(1, cfg.tied_levels + 1):
             n_prev = int(rows.size)
             uniforms = level_rng(seed, lam).random(n_prev * bb)
             rows, cols = expand_active(rows, cols, uniforms, self.theta_flat, self.b)
             order = np.lexsort((cols, rows))
             rows, cols = rows[order], cols[order]
-            side *= self.b
             trace.append((lam, n_prev * bb, int(rows.size)))
-            if states is not None:
-                states.append(LevelState(level=lam, side=side, rows=rows, cols=cols))
         return rows, cols, trace
 
     @cached_property
@@ -385,17 +337,14 @@ class ModelSampler:
         except GroupCapExceeded:
             return None
 
-    def _run_gp(self, seed: int, override, states: list | None):
+    def _run_gp(self, seed: int, override):
         if override is None and self._grid_tables is not None:
-            return self._run_grid_gp(seed, states)
+            return self._run_grid_gp(seed)
         cfg = self.cfg
         rows, cols, examined0 = self._level0_cells(seed, override)
         trace = [(0, examined0, int(rows.size))]
-        side = self.side0
         b = self.b
         bb = b * b
-        if states is not None:
-            states.append(LevelState(level=0, side=side, rows=rows, cols=cols))
         for lam in range(1, cfg.tied_levels + 1):
             stream = level_rng(seed, lam)
             n_prev = int(rows.size)
@@ -428,13 +377,10 @@ class ModelSampler:
             else:
                 rows = np.empty(0, dtype=np.int64)
                 cols = np.empty(0, dtype=np.int64)
-            side *= b
             trace.append((lam, n_prev * bb, int(rows.size)))
-            if states is not None:
-                states.append(LevelState(level=lam, side=side, rows=rows, cols=cols))
         return rows, cols, trace
 
-    def _run_grid_gp(self, seed: int, states: list | None):
+    def _run_grid_gp(self, seed: int):
         cfg = self.cfg
         classes, groups = self._grid_tables
         stream = level_rng(seed, 0)
@@ -460,8 +406,6 @@ class ModelSampler:
         else:
             rows = np.empty(0, dtype=np.int64)
             cols = np.empty(0, dtype=np.int64)
-        if states is not None:
-            states.append(LevelState(level=0, side=cfg.n_nodes, rows=rows, cols=cols))
         examined = (self.b * self.b) ** cfg.levels
         trace = [(0, examined, int(rows.size))]
         return rows, cols, trace
@@ -474,39 +418,31 @@ class ModelSampler:
         seed: int,
         *,
         level0_override: Iterable[int] | None = None,
-        keep_states: bool = False,
-    ):
+    ) -> tuple[SampledNetwork, SampleTrace]:
         """Sample once; returns the network and its RV-accounting trace.
 
         ``level0_override`` is a test-only hook replacing the realized level-0
         cells (given as flat indices) while leaving deeper levels' streams
         untouched; it is rejected for the naive strategy, which has no levels,
         and makes ``gp`` sweep level 0 even on the plain model.
-        With ``keep_states`` the per-level realized cells are returned as a
-        third element, a tuple of :class:`LevelState`.
         """
         strategy = Strategy(strategy)
         seed = check_seed(seed)
-        states: list | None = [] if keep_states else None
         if strategy is Strategy.NAIVE:
             if level0_override is not None:
                 raise BadArgs("level0_override does not apply to the naive strategy")
-            rows, cols, trace = self._run_naive(seed, states)
+            rows, cols, trace = self._run_naive(seed)
         elif strategy is Strategy.CI:
-            rows, cols, trace = self._run_ci(seed, level0_override, states)
+            rows, cols, trace = self._run_ci(seed, level0_override)
         elif strategy is Strategy.DCSD:
-            rows, cols, trace = self._run_dcsd(seed, level0_override, states)
+            rows, cols, trace = self._run_dcsd(seed, level0_override)
         else:
-            rows, cols, trace = self._run_gp(seed, level0_override, states)
-        net = finalize_edges(self.cfg, rows, cols)
-        sample_trace = SampleTrace(
+            rows, cols, trace = self._run_gp(seed, level0_override)
+        return finalize_edges(self.cfg, rows, cols), SampleTrace(
             seed=seed,
             strategy=strategy,
             per_level=tuple(LevelTrace(*entry) for entry in trace),
         )
-        if keep_states:
-            return net, sample_trace, tuple(states)
-        return net, sample_trace
 
 
 def sample(

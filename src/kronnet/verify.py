@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 from scipy.stats import chi2
 
-from .config import DEFAULT_DENSE_CAP, ModelConfig, validate_config
+from .config import DEFAULT_DENSE_CAP, ModelConfig
 from .errors import BadArgs
 from .groups import DEFAULT_GROUP_CAP
 from .kron import ci_rv_count, dcsd_ebound, expected_active, kronecker_power
@@ -176,7 +176,6 @@ def marginal_test(
         BadArgs: n_samples < 1.
         CapExceeded: the dense probability grid exceeds ``dense_cap``.
     """
-    validate_config(cfg)
     strategy = Strategy(strategy)
     if n_samples < 1:
         raise BadArgs(f"n_samples must be >= 1, got {n_samples}")
@@ -314,7 +313,6 @@ def equivalence_test(
         BadArgs: n_samples < 1.
         CapExceeded: the per-cell comparison needs a dense grid over the cap.
     """
-    validate_config(cfg)
     strategy_a = Strategy(strategy_a)
     strategy_b = Strategy(strategy_b)
     if n_samples < 1:
@@ -435,7 +433,6 @@ def complexity_audit(
         BadArgs: n_runs < 1.
         AssertionError: a full-sweep run examined a different RV count.
     """
-    validate_config(cfg)
     if n_runs < 1:
         raise BadArgs(f"n_runs must be >= 1, got {n_runs}")
     expected_ci = ci_rv_count(cfg)

@@ -289,7 +289,7 @@ def test_bench_table_and_refusal(cfg_path, tmp_path, capsys):
             "--seed",
             "0",
             "--k",
-            "3,4",
+            "1,3,4",
             "--strategies",
             "ci,dcsd",
             "--samples",
@@ -309,6 +309,9 @@ def test_bench_table_and_refusal(cfg_path, tmp_path, capsys):
     assert status[(3, "ci")] == "ok"
     assert status[(4, "ci")].startswith("refused")
     assert status[(4, "dcsd")] == "ok"
+    # K=1 is below the config's ell=2: an invalid point is a refused row
+    assert status[(1, "ci")].startswith("refused")
+    assert status[(1, "dcsd")].startswith("refused")
     ok_rows = [r for r in rows if r["status"] == "ok"]
     assert all("seconds" in r and "rvs_examined" in r for r in ok_rows)
 

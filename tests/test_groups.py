@@ -13,7 +13,6 @@ from kronnet import (
     kronecker_power,
     make_config,
     theta_value_classes,
-    tied_level_groups,
     unrank_grid_cell,
 )
 
@@ -30,26 +29,13 @@ def grid_group_oracle(cfg):
 
 
 def test_theta_value_classes_descending_with_positions():
-    theta = ThetaMatrix.from_rows([[0.5, 0.9], [0.3, 0.5]])
+    theta = ThetaMatrix([[0.5, 0.9], [0.3, 0.5]])
     classes = theta_value_classes(theta)
     assert [c.value for c in classes] == [0.9, 0.5, 0.3]
     # positions are row-major flat offsets
     assert list(classes[0].positions) == [1]
     assert list(classes[1].positions) == [0, 3]
     assert list(classes[2].positions) == [2]
-
-
-def test_tied_level_groups_scale_with_parent_count():
-    theta = ThetaMatrix.from_rows([[0.9, 0.7], [0.5, 0.3]])
-    groups = tied_level_groups(theta, 5)
-    assert [g.prob for g in groups] == [0.9, 0.7, 0.5, 0.3]
-    assert all(g.size == 5 for g in groups)
-
-
-def test_tied_level_groups_merge_duplicate_values():
-    theta = ThetaMatrix.from_rows([[0.5, 0.5], [0.7, 0.3]])
-    groups = tied_level_groups(theta, 2)
-    assert [(g.prob, g.size) for g in groups] == [(0.7, 2), (0.5, 4), (0.3, 2)]
 
 
 def test_grid_groups_frozen_count_for_worked_example():

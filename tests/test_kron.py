@@ -51,7 +51,7 @@ WORKED_POW2 = [
 
 
 def test_kronecker_power_two_matches_frozen_grid():
-    theta = ThetaMatrix.from_rows(WORKED_THETA)
+    theta = ThetaMatrix(WORKED_THETA)
     dense = kronecker_power(theta, 2)
     assert dense.side == 4
     np.testing.assert_allclose(dense.probs, WORKED_POW2, rtol=0, atol=1e-15)
@@ -59,7 +59,7 @@ def test_kronecker_power_two_matches_frozen_grid():
 
 @pytest.mark.parametrize("power", [1, 2, 3, 4])
 def test_kronecker_power_matches_loop_oracle(power):
-    theta = ThetaMatrix.from_rows(WORKED_THETA)
+    theta = ThetaMatrix(WORKED_THETA)
     expected = kron_power_oracle(theta.entries, power)
     got = kronecker_power(theta, power)
     assert got.side == 2**power
@@ -68,19 +68,19 @@ def test_kronecker_power_matches_loop_oracle(power):
 
 def test_kronecker_power_three_by_three():
     rows = [[0.9, 0.6, 0.3], [0.6, 0.5, 0.2], [0.3, 0.2, 0.1]]
-    theta = ThetaMatrix.from_rows(rows)
+    theta = ThetaMatrix(rows)
     expected = kron_power_oracle(theta.entries, 3)
     np.testing.assert_allclose(kronecker_power(theta, 3).probs, expected, rtol=1e-13)
 
 
 def test_kronecker_power_rejects_bad_power():
-    theta = ThetaMatrix.from_rows(WORKED_THETA)
+    theta = ThetaMatrix(WORKED_THETA)
     with pytest.raises(BadArgs):
         kronecker_power(theta, 0)
 
 
 def test_kronecker_power_cap():
-    theta = ThetaMatrix.from_rows(WORKED_THETA)
+    theta = ThetaMatrix(WORKED_THETA)
     with pytest.raises(CapExceeded) as err:
         kronecker_power(theta, 4, dense_cap=255)
     assert "dcsd" in str(err.value)
@@ -290,7 +290,7 @@ def test_kron_power_one_is_theta(worked_cfg):
 
 def test_row_sums_multiply():
     # mass of the dense grid is mass(theta) ** power
-    theta = ThetaMatrix.from_rows(WORKED_THETA)
+    theta = ThetaMatrix(WORKED_THETA)
     for power in (1, 2, 3):
         dense = kronecker_power(theta, power)
         assert float(dense.probs.sum()) == pytest.approx(

@@ -243,9 +243,13 @@ def test_override_empty_level0_ci_still_examines_everything(worked_cfg):
 
 def test_override_with_natural_cells_reproduces_run(worked_cfg):
     engine = ModelSampler(worked_cfg)
-    net, trace, states = engine.run(Strategy.DCSD, 123, keep_states=True)
-    level0 = states[0]
-    flat = (level0.rows * level0.side + level0.cols).tolist()
+    net, trace = engine.run(Strategy.DCSD, 123)
+    # Level 0 of K=3, ell=2 is the whole network of K=ell=2: same dense
+    # probabilities, same level-0 stream.
+    untied = dataclasses.replace(worked_cfg, levels=worked_cfg.untied_levels)
+    level0, _ = ModelSampler(untied).run(Strategy.DCSD, 123)
+    assert level0.edge_count == trace.per_level[0].rvs_active
+    flat = (level0.edges[:, 0] * untied.n_nodes + level0.edges[:, 1]).tolist()
     net_b, trace_b = engine.run(Strategy.DCSD, 123, level0_override=flat)
     np.testing.assert_array_equal(net.edges, net_b.edges)
     assert trace == trace_b
@@ -267,26 +271,24 @@ def test_override_validates_indices(worked_cfg):
         engine.run(Strategy.DCSD, 3, level0_override=[-1])
 
 
-def test_keep_states_invariants(worked_cfg):
-    engine = ModelSampler(worked_cfg)
-    b = worked_cfg.b
-    for strategy in (Strategy.CI, Strategy.DCSD, Strategy.GP):
-        net, trace, states = engine.run(strategy, 66, keep_states=True)
-        assert len(states) == len(trace.per_level)
-        for state, entry in zip(states, trace.per_level):
-            assert state.level == entry.level
-            assert state.count == entry.rvs_active
-            assert state.side == b ** (worked_cfg.untied_levels + state.level)
-        for parent_state, child_state in zip(states, states[1:]):
-            parents = set(
-                zip((child_state.rows // b).tolist(), (child_state.cols // b).tolist())
-            )
-            available = set(
-                zip(parent_state.rows.tolist(), parent_state.cols.tolist())
-            )
-            assert parents <= available
-        final = states[-1]
-        assert final.count == trace.final_active
+def test_children_stay_inside_realized_parents(worked_cfg):
+    # Pin level 0; every final edge must descend from a pinned cell through
+    # the tied levels (directed with self-loops keeps every final cell).
+    side0 = worked_cfg.b**worked_cfg.untied_levels
+    pinned = [1, 5, 6, 10, 15]
+    available = {(cell // side0, cell % side0) for cell in pinned}
+    for levels in (3, 4):  # one and two tied levels
+        cfg = dataclasses.replace(worked_cfg, levels=levels)
+        scale = cfg.b**cfg.tied_levels
+        engine = ModelSampler(cfg)
+        for strategy in (Strategy.CI, Strategy.DCSD, Strategy.GP):
+            for seed in range(20):
+                net, trace = engine.run(strategy, seed, level0_override=pinned)
+                assert trace.per_level[0].rvs_active == len(pinned)
+                assert len(trace.per_level) == cfg.tied_levels + 1
+                assert trace.final_active == net.edge_count
+                ancestors = {(r // scale, c // scale) for r, c in net.edges.tolist()}
+                assert ancestors <= available
 
 
 def test_streamed_level0_matches_dense(monkeypatch, worked_cfg):
@@ -324,12 +326,11 @@ def test_gp_matches_binomial_thinning_oracle():
         engine = ModelSampler(cfg)
         counts = {v: Counter() for v in values}
         for rep in range(reps):
-            _, _, states = engine.run(
-                strategy, rep, level0_override=parents, keep_states=True
-            )
-            child = states[1]
+            # one tied level, directed with self-loops: the edges are the
+            # level-1 cells
+            net, _ = engine.run(strategy, rep, level0_override=parents)
             per_value = Counter()
-            for r, c in zip(child.rows.tolist(), child.cols.tolist()):
+            for r, c in net.edges.tolist():
                 per_value[cfg.theta.entries[r % 2, c % 2]] += 1
             for v in values:
                 counts[v][per_value[v]] += 1
@@ -350,13 +351,11 @@ def test_gp_placement_uniform_across_parents():
     chosen = Counter()
     reps = 6000
     for rep in range(reps):
-        _, _, states = engine.run(
-            Strategy.GP, rep, level0_override=[0, 3], keep_states=True
-        )
-        child = states[1]
+        # one tied level, directed with self-loops: the edges are the level-1 cells
+        net, _ = engine.run(Strategy.GP, rep, level0_override=[0, 3])
         hits = [
             (r // 2, c // 2)
-            for r, c in zip(child.rows.tolist(), child.cols.tolist())
+            for r, c in net.edges.tolist()
             if cfg.theta.entries[r % 2, c % 2] == 0.5
         ]
         if len(hits) == 1:
