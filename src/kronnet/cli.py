@@ -289,11 +289,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             raise BadArgs(f"--k must be comma-separated integers, got {args.k!r}") from exc
     else:
         levels_list = [cfg.levels]
-    strategies = []
-    for part in args.strategies.split(","):
-        part = part.strip()
-        if part:
-            strategies.append(Strategy(part))
+    try:
+        strategies = [
+            Strategy(part.strip()) for part in args.strategies.split(",") if part.strip()
+        ]
+    except ValueError as exc:
+        names = ",".join(s.value for s in Strategy)
+        raise BadArgs(
+            f"--strategies must name strategies from {names}, got {args.strategies!r}"
+        ) from exc
     if args.samples < 1:
         raise BadArgs(f"--samples must be >= 1, got {args.samples}")
     payload: list[dict[str, Any]] = []

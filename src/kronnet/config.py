@@ -232,8 +232,8 @@ def load_config(path: str | Path) -> ModelConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise BadConfig(f"{path}: not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise BadConfig(f"{path}: not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise BadConfig(f"{path}: config must be a JSON object")
     return config_from_dict(data)

@@ -3,7 +3,10 @@
 All strategies draw the same model:
 
 * Level 0 realizes the grid of side**untied_levels cells whose probabilities
-  come from the dense untied product matrix.
+  come from the dense untied product matrix.  Every strategy draws it with
+  one sweep (``naive`` over all ``levels``): one uniform per cell, row-major,
+  probabilities cached per engine under ``dense_cap`` and computed row by
+  row above it, with the same draws either way.
 * Each tied level replaces every realized cell with a side x side block of
   candidate children; child (dr, dc) survives with probability
   ``theta[dr, dc]``, and children of unrealized cells never survive.
@@ -19,7 +22,8 @@ They differ only in which random variables they touch:
   distinct seed value and places that many children uniformly, instead of
   per-cell Bernoullis.  On the plain model (no tied levels) it draws one
   binomial count per whole-grid probability group instead of sweeping
-  level 0, unless the grouping exceeds ``group_cap``.
+  level 0, unless the grouping exceeds the fixed cap of ``grid_groups``
+  (``DEFAULT_GROUP_CAP`` exponent multisets).
 
 Randomness is consumed per level from ``rng.level_rng(seed, level)`` in a
 documented order (cells row-major; pruned candidates parent-major with
@@ -33,26 +37,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from ._kernels import expand_active, masked_grid_select
 from .config import DEFAULT_DENSE_CAP, I64_MAX, ModelConfig
 from .errors import BadArgs, CapExceeded, GroupCapExceeded, Overflow
-from .groups import (
-    DEFAULT_GROUP_CAP,
-    grid_groups,
-    theta_value_classes,
-    unrank_grid_cell,
-)
+from .groups import grid_groups, theta_value_classes, unrank_grid_cell
 from .kron import ci_rv_count, index_digits, kronecker_power
 from .randvar import binomial_draw, choose_without_replacement
 from .rng import check_seed, level_rng
-
-# Dense level-0 grids are precomputed up to this many entries; larger untied
-# stages are sampled row by row with identical draws and O(side) memory.
-_LEVEL0_DENSE_MAX = 1 << 22
 
 # Dense per-cell draws take their uniforms this many at a time: the same
 # stream, without a fresh grid-sized array (and its page faults) per run.
@@ -66,6 +61,22 @@ def _below(stream: np.random.Generator, probs: np.ndarray) -> np.ndarray:
         hi = min(lo + _DRAW_CHUNK, probs.size)
         np.less(stream.random(hi - lo), probs[lo:hi], out=out[lo:hi])
     return out
+
+
+def _grouped_draw(size: int, prob: float, stream: np.random.Generator) -> np.ndarray:
+    """Ranks in [0, size) of the realized cells of one equal-probability group.
+
+    A binomial count, then that many distinct ranks placed uniformly; every
+    rank when ``prob`` is 1, since Floyd placement would still consume draws.
+    """
+    if prob == 0.0:
+        # A zero group of the whole grid may hold more than 2**63 cells,
+        # beyond what binomial_draw accepts.
+        return np.empty(0, dtype=np.int64)
+    count = binomial_draw(size, prob, stream)
+    if prob == 1.0:
+        return np.arange(size, dtype=np.int64)
+    return np.asarray(choose_without_replacement(size, count, stream), dtype=np.int64)
 
 
 class Strategy(str, Enum):
@@ -148,14 +159,6 @@ class SampledNetwork:
         return int(self.edges.shape[0])
 
 
-def _normalize_override(override: Iterable[int], side: int) -> np.ndarray:
-    idx = sorted({int(v) for v in override})
-    arr = np.asarray(idx, dtype=np.int64).reshape(-1)
-    if arr.size and (arr[0] < 0 or arr[-1] >= side * side):
-        raise BadArgs(f"override cell index outside [0, {side * side})")
-    return arr
-
-
 def finalize_edges(cfg: ModelConfig, rows: np.ndarray, cols: np.ndarray) -> SampledNetwork:
     """Apply the edge-mode filter to final-level cells and build the network.
 
@@ -179,28 +182,21 @@ def finalize_edges(cfg: ModelConfig, rows: np.ndarray, cols: np.ndarray) -> Samp
 class ModelSampler:
     """Reusable sampling engine for one configuration.
 
-    Precomputes the dense untied-stage probabilities (when small enough),
-    the seed-value classes, and on the first ``gp`` run the whole-grid
-    probability groups, so repeated runs (verification, benchmarks) avoid
-    redundant setup.
+    Caches the level-0 probabilities (per level count, when they fit under
+    ``dense_cap``), the seed-value classes, and on the first ``gp`` run the
+    whole-grid probability groups, so repeated runs (verification,
+    benchmarks) avoid redundant setup.
     """
 
-    def __init__(
-        self,
-        cfg: ModelConfig,
-        *,
-        dense_cap: int = DEFAULT_DENSE_CAP,
-        group_cap: int = DEFAULT_GROUP_CAP,
-    ) -> None:
+    def __init__(self, cfg: ModelConfig, *, dense_cap: int = DEFAULT_DENSE_CAP) -> None:
         self.cfg = cfg
         if cfg.n_nodes > I64_MAX:
             raise Overflow(
                 f"{cfg.n_nodes} nodes exceed signed 64-bit index arithmetic"
             )
-        if dense_cap < 1 or group_cap < 1:
-            raise BadArgs("caps must be positive")
+        if dense_cap < 1:
+            raise BadArgs("dense_cap must be positive")
         self.dense_cap = int(dense_cap)
-        self.group_cap = int(group_cap)
         self.b = cfg.b
         self.side0 = cfg.b**cfg.untied_levels
         self.theta_flat = cfg.theta.flat
@@ -208,73 +204,58 @@ class ModelSampler:
         self._class_pos = [
             np.asarray(cls.positions, dtype=np.int64) for cls in self._classes
         ]
-        self._level0_probs: np.ndarray | None = None
-        if self.side0 * self.side0 <= min(self.dense_cap, _LEVEL0_DENSE_MAX):
-            self._level0_probs = kronecker_power(
-                cfg.theta, cfg.untied_levels, dense_cap=self.dense_cap
-            ).flat
-        self._full_probs: np.ndarray | None = None
+        self._probs: dict[int, np.ndarray] = {}
 
-    # -- shared level-0 handling ------------------------------------------
+    # -- the level-0 sweep shared by every strategy ------------------------
 
-    def _level0_dense(self) -> np.ndarray:
-        """Dense untied-stage probabilities; respects the entry cap."""
-        if self._level0_probs is None:
-            self._level0_probs = kronecker_power(
-                self.cfg.theta, self.cfg.untied_levels, dense_cap=self.dense_cap
-            ).flat
-        return self._level0_probs
+    def _sweep(self, seed: int, levels: int) -> np.ndarray:
+        """Flat row-major indices of the realized cells of the ``levels``-fold grid.
 
-    def _untied_row_probs(self, row: int) -> np.ndarray:
-        ent = self.cfg.theta.entries
-        digits = index_digits(row, self.b, self.cfg.untied_levels)
-        probs = ent[digits[0], :]
-        for d in digits[1:]:
-            probs = np.kron(probs, ent[d, :])
-        return probs
-
-    def _level0_cells(
-        self, seed: int, override: Iterable[int] | None
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Realize level 0 sparsely; returns (rows, cols, examined)."""
-        side0 = self.side0
-        examined = side0 * side0
-        if override is not None:
-            idx = _normalize_override(override, side0)
-            return idx // side0, idx % side0, examined
+        One uniform per cell, row-major, from ``level_rng(seed, 0)``.  Grids
+        that fit under ``dense_cap`` keep their probabilities cached; larger
+        ones are streamed row by row with the same draws and O(side) memory.
+        """
+        side = self.b**levels
         stream = level_rng(seed, 0)
-        if self._level0_probs is not None:
-            idx = np.flatnonzero(_below(stream, self._level0_probs))
-            return idx // side0, idx % side0, examined
-        # Row-streamed path: identical draws, memory O(side0).
-        rows_acc: list[np.ndarray] = []
-        cols_acc: list[np.ndarray] = []
-        for r in range(side0):
-            hits = np.flatnonzero(stream.random(side0) < self._untied_row_probs(r))
-            if hits.size:
-                rows_acc.append(np.full(hits.size, r, dtype=np.int64))
-                cols_acc.append(hits.astype(np.int64))
-        if rows_acc:
-            return np.concatenate(rows_acc), np.concatenate(cols_acc), examined
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), examined
+        if side * side <= self.dense_cap:
+            probs = self._probs.get(levels)
+            if probs is None:
+                probs = kronecker_power(
+                    self.cfg.theta, levels, dense_cap=self.dense_cap
+                ).flat
+                self._probs[levels] = probs
+            return np.flatnonzero(_below(stream, probs))
+        ent = self.cfg.theta.entries
+        hits = []
+        for row in range(side):
+            digits = index_digits(row, self.b, levels)
+            probs = ent[digits[0]]
+            for d in digits[1:]:
+                probs = np.kron(probs, ent[d])
+            hits.append(np.flatnonzero(stream.random(side) < probs) + row * side)
+        return np.concatenate(hits)
+
+    def _level0(self, seed: int, override: Iterable[int] | None) -> np.ndarray:
+        """Flat indices of the realized untied-stage cells, or the override's."""
+        if override is None:
+            return self._sweep(seed, self.cfg.untied_levels)
+        cells = self.side0 * self.side0
+        idx = np.asarray(sorted({int(v) for v in override}), dtype=np.int64)
+        if idx.size and (idx[0] < 0 or idx[-1] >= cells):
+            raise BadArgs(f"override cell index outside [0, {cells})")
+        return idx
 
     # -- strategies --------------------------------------------------------
 
     def _run_naive(self, seed: int):
-        cfg = self.cfg
-        n = cfg.n_nodes
+        n = self.cfg.n_nodes
         cells = n * n
         if cells > self.dense_cap:
             raise CapExceeded(
                 f"naive sampling needs {cells} dense cells, above the cap "
                 f"{self.dense_cap}; use the dcsd or gp strategy instead"
             )
-        if self._full_probs is None:
-            self._full_probs = kronecker_power(
-                cfg.theta, cfg.levels, dense_cap=self.dense_cap
-            ).flat
-        idx = np.flatnonzero(_below(level_rng(seed, 0), self._full_probs))
+        idx = self._sweep(seed, self.cfg.levels)
         return idx // n, idx % n, [(0, cells, int(idx.size))]
 
     @cached_property
@@ -283,37 +264,34 @@ class ModelSampler:
         return ci_rv_count(self.cfg)
 
     def _run_ci(self, seed: int, override):
-        cfg = self.cfg
         if self._ci_total > self.dense_cap:
             raise CapExceeded(
                 f"full sweep examines {self._ci_total} RVs, above the cap "
                 f"{self.dense_cap}; use the dcsd or gp strategy instead"
             )
         side = self.side0
-        probs0 = self._level0_dense()
-        if override is not None:
+        idx = self._level0(seed, override)
+        trace = [(0, side * side, int(idx.size))]
+        if self.cfg.tied_levels:
             active = np.zeros(side * side, dtype=bool)
-            active[_normalize_override(override, side)] = True
-        else:
-            active = _below(level_rng(seed, 0), probs0)
-        trace = [(0, side * side, int(active.sum()))]
-        for lam in range(1, cfg.tied_levels + 1):
-            parent_side = side
-            side *= self.b
-            uniforms = level_rng(seed, lam).random(side * side)
-            active = masked_grid_select(
-                active, uniforms, self.theta_flat, self.b, parent_side
-            )
-            trace.append((lam, side * side, int(active.sum())))
-        idx = np.flatnonzero(active)
+            active[idx] = True
+            for lam in range(1, self.cfg.tied_levels + 1):
+                parent_side = side
+                side *= self.b
+                uniforms = level_rng(seed, lam).random(side * side)
+                active = masked_grid_select(
+                    active, uniforms, self.theta_flat, self.b, parent_side
+                )
+                trace.append((lam, side * side, int(active.sum())))
+            idx = np.flatnonzero(active)
         return idx // side, idx % side, trace
 
     def _run_dcsd(self, seed: int, override):
-        cfg = self.cfg
-        rows, cols, examined0 = self._level0_cells(seed, override)
-        trace = [(0, examined0, int(rows.size))]
+        idx = self._level0(seed, override)
+        rows, cols = idx // self.side0, idx % self.side0
+        trace = [(0, self.side0 * self.side0, int(idx.size))]
         bb = self.b * self.b
-        for lam in range(1, cfg.tied_levels + 1):
+        for lam in range(1, self.cfg.tied_levels + 1):
             n_prev = int(rows.size)
             uniforms = level_rng(seed, lam).random(n_prev * bb)
             rows, cols = expand_active(rows, cols, uniforms, self.theta_flat, self.b)
@@ -326,89 +304,59 @@ class ModelSampler:
     def _grid_tables(self):
         """Whole-grid groups for ``gp``, or None to sweep level 0 instead.
 
-        Only the plain model has whole-grid groups.  A grouping above
-        ``group_cap`` falls back to the level-0 sweep, which draws the same
-        per-cell marginals; the choice is made once per engine.
+        Only the plain model has whole-grid groups.  A grouping above the
+        fixed cap of ``grid_groups`` falls back to the level-0 sweep, which
+        draws the same per-cell marginals; the choice is made once per engine.
         """
         if self.cfg.tied_levels:
             return None
         try:
-            return grid_groups(self.cfg, group_cap=self.group_cap)
+            return grid_groups(self.cfg)
         except GroupCapExceeded:
             return None
 
     def _run_gp(self, seed: int, override):
         if override is None and self._grid_tables is not None:
             return self._run_grid_gp(seed)
-        cfg = self.cfg
-        rows, cols, examined0 = self._level0_cells(seed, override)
-        trace = [(0, examined0, int(rows.size))]
+        idx = self._level0(seed, override)
+        rows, cols = idx // self.side0, idx % self.side0
+        trace = [(0, self.side0 * self.side0, int(idx.size))]
         b = self.b
-        bb = b * b
-        for lam in range(1, cfg.tied_levels + 1):
+        for lam in range(1, self.cfg.tied_levels + 1):
             stream = level_rng(seed, lam)
             n_prev = int(rows.size)
-            parts_r: list[np.ndarray] = []
-            parts_c: list[np.ndarray] = []
+            # Empty classes are skipped (their array work is a sixth of a
+            # sparse level); the empty first part keeps concatenate valid.
+            parts_r = [rows[:0]]
+            parts_c = [cols[:0]]
             for cls, positions in zip(self._classes, self._class_pos):
                 m = positions.size
-                total = n_prev * int(m)
-                if total == 0 or cls.value == 0.0:
+                ranks = _grouped_draw(n_prev * m, cls.value, stream)
+                if not ranks.size:
                     continue
-                count = binomial_draw(total, cls.value, stream)
-                if count == 0:
-                    continue
-                if cls.value == 1.0:
-                    ranks = np.arange(total, dtype=np.int64)
-                else:
-                    ranks = np.asarray(
-                        choose_without_replacement(total, count, stream),
-                        dtype=np.int64,
-                    )
                 parent_idx = ranks // m
                 offsets = positions[ranks % m]
                 parts_r.append(rows[parent_idx] * b + offsets // b)
                 parts_c.append(cols[parent_idx] * b + offsets % b)
-            if parts_r:
-                rows = np.concatenate(parts_r)
-                cols = np.concatenate(parts_c)
-                order = np.lexsort((cols, rows))
-                rows, cols = rows[order], cols[order]
-            else:
-                rows = np.empty(0, dtype=np.int64)
-                cols = np.empty(0, dtype=np.int64)
-            trace.append((lam, n_prev * bb, int(rows.size)))
+            rows = np.concatenate(parts_r)
+            cols = np.concatenate(parts_c)
+            order = np.lexsort((cols, rows))
+            rows, cols = rows[order], cols[order]
+            trace.append((lam, n_prev * b * b, int(rows.size)))
         return rows, cols, trace
 
     def _run_grid_gp(self, seed: int):
         cfg = self.cfg
         classes, groups = self._grid_tables
         stream = level_rng(seed, 0)
-        cells: list[tuple[int, int]] = []
-        for group in groups:
-            if group.prob == 0.0 or group.size == 0:
-                continue
-            count = binomial_draw(group.size, group.prob, stream)
-            if count == 0:
-                continue
-            if group.prob == 1.0:
-                ranks: Sequence[int] = range(group.size)
-            else:
-                ranks = choose_without_replacement(group.size, count, stream)
-            for rank in ranks:
-                cells.append(
-                    unrank_grid_cell(group, classes, cfg.levels, self.b, rank)
-                )
-        cells.sort()
-        if cells:
-            arr = np.asarray(cells, dtype=np.int64)
-            rows, cols = arr[:, 0], arr[:, 1]
-        else:
-            rows = np.empty(0, dtype=np.int64)
-            cols = np.empty(0, dtype=np.int64)
+        cells = sorted(
+            unrank_grid_cell(group, classes, cfg.levels, self.b, rank)
+            for group in groups
+            for rank in _grouped_draw(group.size, group.prob, stream).tolist()
+        )
+        edges = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
         examined = (self.b * self.b) ** cfg.levels
-        trace = [(0, examined, int(rows.size))]
-        return rows, cols, trace
+        return edges[:, 0], edges[:, 1], [(0, examined, len(cells))]
 
     # -- entry point --------------------------------------------------------
 
@@ -451,9 +399,6 @@ def sample(
     seed: int,
     *,
     dense_cap: int = DEFAULT_DENSE_CAP,
-    group_cap: int = DEFAULT_GROUP_CAP,
 ) -> tuple[SampledNetwork, SampleTrace]:
     """Dispatch on strategy name; the entry point used by the CLI."""
-    return ModelSampler(cfg, dense_cap=dense_cap, group_cap=group_cap).run(
-        strategy, seed
-    )
+    return ModelSampler(cfg, dense_cap=dense_cap).run(strategy, seed)

@@ -17,8 +17,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from .config import DEFAULT_DENSE_CAP, ModelConfig
-from .errors import BadArgs
-from .groups import DEFAULT_GROUP_CAP
+from .errors import BadArgs, CapExceeded
 from .kron import ci_rv_count, dcsd_ebound, expected_active, kronecker_power
 from .rng import replicate_seed
 from .samplers import ModelSampler, SampledNetwork, Strategy
@@ -55,11 +54,10 @@ def _run_block(
     strategy: Strategy,
     seeds: list[int],
     dense_cap: int,
-    group_cap: int,
     want_counts: bool,
 ):
     """Run one replicate block; returns summable per-block statistics."""
-    engine = ModelSampler(cfg, dense_cap=dense_cap, group_cap=group_cap)
+    engine = ModelSampler(cfg, dense_cap=dense_cap)
     n = cfg.n_nodes
     counts = np.zeros((n, n), dtype=np.int64) if want_counts else None
     edge_totals = np.empty(len(seeds), dtype=np.int64)
@@ -90,14 +88,13 @@ def _collect(
     seeds: list[int],
     *,
     dense_cap: int,
-    group_cap: int,
     want_counts: bool,
     workers: int,
 ):
     if workers < 1:
         raise BadArgs(f"workers must be >= 1, got {workers}")
     if workers == 1 or len(seeds) < 2 * workers:
-        return _run_block(cfg, strategy, seeds, dense_cap, group_cap, want_counts)
+        return _run_block(cfg, strategy, seeds, dense_cap, want_counts)
     # plain slicing: numpy would promote the u64-range seed ints to float64
     size = -(-len(seeds) // workers)
     chunks = [seeds[i : i + size] for i in range(0, len(seeds), size)]
@@ -105,10 +102,7 @@ def _collect(
         parts = list(
             pool.map(
                 _run_block_args,
-                [
-                    (cfg, strategy, chunk, dense_cap, group_cap, want_counts)
-                    for chunk in chunks
-                ],
+                [(cfg, strategy, chunk, dense_cap, want_counts) for chunk in chunks],
             )
         )
     counts = None
@@ -164,7 +158,6 @@ def marginal_test(
     z_threshold: float = 4.0,
     workers: int = 1,
     dense_cap: int = DEFAULT_DENSE_CAP,
-    group_cap: int = DEFAULT_GROUP_CAP,
 ) -> MarginalReport:
     """Compare per-cell edge frequencies with the exact cell probabilities.
 
@@ -186,7 +179,6 @@ def marginal_test(
         strategy,
         seeds,
         dense_cap=dense_cap,
-        group_cap=group_cap,
         want_counts=True,
         workers=workers,
     )
@@ -300,7 +292,6 @@ def equivalence_test(
     p_threshold: float = 0.001,
     workers: int = 1,
     dense_cap: int = DEFAULT_DENSE_CAP,
-    group_cap: int = DEFAULT_GROUP_CAP,
 ) -> EquivalenceReport:
     """Check two strategies draw from the same distribution.
 
@@ -318,7 +309,7 @@ def equivalence_test(
     if n_samples < 1:
         raise BadArgs(f"n_samples must be >= 1, got {n_samples}")
     if cfg.n_nodes * cfg.n_nodes > dense_cap:
-        raise BadArgs(
+        raise CapExceeded(
             f"per-cell comparison needs {cfg.n_nodes}**2 dense cells, above the cap"
         )
     results = {}
@@ -329,7 +320,6 @@ def equivalence_test(
             strategy,
             seeds,
             dense_cap=dense_cap,
-            group_cap=group_cap,
             want_counts=True,
             workers=workers,
         )
@@ -420,7 +410,6 @@ def complexity_audit(
     tol: float = 0.05,
     workers: int = 1,
     dense_cap: int = DEFAULT_DENSE_CAP,
-    group_cap: int = DEFAULT_GROUP_CAP,
 ) -> ComplexityReport:
     """Audit examined-RV counts of the full and pruned sweeps.
 
@@ -443,7 +432,6 @@ def complexity_audit(
         Strategy.CI,
         seeds_ci,
         dense_cap=dense_cap,
-        group_cap=group_cap,
         want_counts=False,
         workers=workers,
     )
@@ -459,7 +447,6 @@ def complexity_audit(
         Strategy.DCSD,
         seeds_dcsd,
         dense_cap=dense_cap,
-        group_cap=group_cap,
         want_counts=False,
         workers=workers,
     )

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import kronnet
 import kronnet.cli as cli_mod
 from kronnet.cli import main
 from kronnet.samplers import Strategy
@@ -63,6 +66,8 @@ def test_generate_entry_point_matches_in_process(cfg_path, tmp_path):
             str(out),
         ],
         capture_output=True,
+        # the child imports the package under test, installed or not
+        env={**os.environ, "PYTHONPATH": str(Path(kronnet.__file__).parents[1])},
     )
     assert result.returncode == 0, result.stderr
     ref = tmp_path / "ref.tsv"
@@ -137,6 +142,16 @@ def test_bad_config_contents(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"b": 3, "theta": [[0.5, 0.5], [0.5, 0.5]], "K": 2, "ell": 1}')
     assert main(["generate", "--config", str(path), "--strategy", "dcsd", "--seed", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "contents", [b"\xff\xfe{", b"[" * 100000], ids=["not-utf8", "deep-nesting"]
+)
+def test_unreadable_config_exit_code(tmp_path, capsys, contents):
+    path = tmp_path / "bad.json"
+    path.write_bytes(contents)
+    assert main(["generate", "--config", str(path), "--strategy", "dcsd", "--seed", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -320,6 +335,11 @@ def test_bench_rejects_bad_k(cfg_path, capsys):
     assert (
         main(["bench", "--config", cfg_path, "--seed", "0", "--k", "two"]) == 2
     )
+
+
+def test_bench_rejects_unknown_strategy(cfg_path, capsys):
+    assert main(["bench", "--config", cfg_path, "--strategies", "ci,foo"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code(cfg_path):

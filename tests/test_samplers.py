@@ -8,13 +8,16 @@ from scipy.stats import binom, chi2
 
 import kronnet.samplers as samplers_mod
 from kronnet import (
+    DEFAULT_GROUP_CAP,
     BadArgs,
     CapExceeded,
+    GroupCapExceeded,
     ModelSampler,
     Overflow,
     SampledNetwork,
     Strategy,
     ci_rv_count,
+    grid_groups,
     kronecker_power,
     make_config,
     sample,
@@ -202,6 +205,14 @@ def test_huge_sparse_grid_samples_fine():
         assert int(net.edges.max()) < 2**40
 
 
+def test_grid_gp_skips_zero_groups_beyond_int64():
+    # the zero-probability group holds 4**40 - 2**40 cells, past 2**63
+    cfg = make_config([[0.5, 0.0], [0.0, 0.5]], 40, 40)
+    net, trace = sample(cfg, Strategy.GP, 3)
+    assert trace.per_level[0].rvs_examined == 4**40
+    assert all(r == c for r, c in net.edges.tolist())  # a diagonal seed
+
+
 def test_bad_seed_rejected(worked_cfg):
     engine = ModelSampler(worked_cfg)
     with pytest.raises(BadArgs):
@@ -291,17 +302,19 @@ def test_children_stay_inside_realized_parents(worked_cfg):
                 assert ancestors <= available
 
 
-def test_streamed_level0_matches_dense(monkeypatch, worked_cfg):
-    dense_engine = ModelSampler(worked_cfg)
-    expected = {
-        s: dense_engine.run(s, 9)[0] for s in (Strategy.CI, Strategy.DCSD, Strategy.GP)
-    }
-    monkeypatch.setattr(samplers_mod, "_LEVEL0_DENSE_MAX", 4)
-    streamed_engine = ModelSampler(worked_cfg)
-    assert streamed_engine._level0_probs is None
-    for strategy, net in expected.items():
-        got, _ = streamed_engine.run(strategy, 9)
-        np.testing.assert_array_equal(got.edges, net.edges)
+def test_streamed_level0_matches_dense(worked_cfg, theta3_cfg):
+    # dense_cap=1 holds no level-0 grid, so the sweep streams row by row
+    plain = make_config([[0.9, 0.7], [0.5, 0.3]], 4, 4)
+    for cfg in (worked_cfg, dataclasses.replace(theta3_cfg, levels=4), plain):
+        dense = ModelSampler(cfg)
+        streamed = ModelSampler(cfg, dense_cap=1)
+        for strategy in (Strategy.DCSD, Strategy.GP):
+            for seed in (0, 9, 12345):
+                want, want_trace = dense.run(strategy, seed)
+                got, got_trace = streamed.run(strategy, seed)
+                np.testing.assert_array_equal(got.edges, want.edges)
+                assert got_trace == want_trace
+        assert dense._probs and not streamed._probs
 
 
 def test_chunked_dense_draws_match_one_shot(monkeypatch, worked_cfg):
@@ -391,21 +404,19 @@ def test_grid_gp_deterministic():
 
 
 def test_grid_gp_over_group_cap_sweeps_level0():
-    # 4 distinct values over 3 levels give 20 exponent multisets
-    cfg = make_config([[0.9, 0.7], [0.5, 0.3]], 3, 3)
-    capped = ModelSampler(cfg, group_cap=1)
-    assert capped._grid_tables is None
-    uncapped = ModelSampler(cfg)
-    differs = False
-    for seed in range(20):
-        net_gp, trace_gp = capped.run(Strategy.GP, seed)
-        net_dcsd, trace_dcsd = capped.run(Strategy.DCSD, seed)
+    # 25 distinct values over 5 levels give comb(29, 24) = 118755 exponent
+    # multisets, above the group cap, so gp sweeps level 0 like dcsd
+    rows = [[(5 * r + c + 1) / 100 for c in range(5)] for r in range(5)]
+    cfg = make_config(rows, 5, 5)
+    assert math.comb(29, 24) > DEFAULT_GROUP_CAP
+    with pytest.raises(GroupCapExceeded):
+        grid_groups(cfg)
+    engine = ModelSampler(cfg)
+    for seed in (0, 7):
+        net_gp, trace_gp = engine.run(Strategy.GP, seed)
+        net_dcsd, trace_dcsd = engine.run(Strategy.DCSD, seed)
         np.testing.assert_array_equal(net_gp.edges, net_dcsd.edges)
         assert trace_gp.per_level == trace_dcsd.per_level
-        grouped, _ = uncapped.run(Strategy.GP, seed)
-        differs = differs or not np.array_equal(grouped.edges, net_gp.edges)
-    # without the cap the whole-grid groups draw differently
-    assert differs
 
 
 def test_sample_matches_engine(worked_cfg):

@@ -7,6 +7,7 @@ import pytest
 import kronnet.verify as verify_mod
 from kronnet import (
     BadArgs,
+    CapExceeded,
     SampledNetwork,
     Strategy,
     ci_rv_count,
@@ -154,6 +155,14 @@ def test_equivalence_deterministic_and_worker_invariant():
 def test_equivalence_validation():
     with pytest.raises(BadArgs):
         equivalence_test(small_cfg(), "ci", "dcsd", 0, master_seed=1)
+
+
+def test_per_cell_reports_over_cap_raise_cap_exceeded(worked_cfg):
+    # the worked example has 8**2 = 64 cells
+    with pytest.raises(CapExceeded):
+        equivalence_test(worked_cfg, "ci", "dcsd", 10, master_seed=1, dense_cap=63)
+    with pytest.raises(CapExceeded):
+        marginal_test(worked_cfg, "dcsd", 10, master_seed=1, dense_cap=63)
 
 
 # -- chi-square helpers ----------------------------------------------------------
