@@ -1,8 +1,8 @@
 """Hot inner loops of the tied-level samplers, vectorized with numpy.
 
-Both kernels consume pre-drawn uniforms, never a generator, so how a kernel
-is written cannot change which draws a sampler makes or the networks it
-returns.
+The kernels take pre-drawn uniforms or already placed children, never a
+generator, so how a kernel is written cannot change which draws a sampler
+makes or the networks it returns.
 """
 
 from __future__ import annotations
@@ -20,9 +20,17 @@ def expand_active(rows, cols, uniforms, theta_flat, b):
     """
     keep = uniforms.reshape(-1, b * b) < theta_flat[None, :]
     parent_idx, block_pos = np.nonzero(keep)
-    child_rows = rows[parent_idx] * b + block_pos // b
-    child_cols = cols[parent_idx] * b + block_pos % b
-    return child_rows, child_cols
+    return block_children(rows, cols, parent_idx, block_pos, b)
+
+
+def block_children(rows, cols, parent_idx, block_pos, b):
+    """Row/column indices of child ``block_pos`` of parent ``parent_idx``.
+
+    ``block_pos`` numbers the b*b children of a parent row-major, so child
+    (dr, dc) of parent p is cell (rows[p]*b + dr, cols[p]*b + dc).  The
+    children come back in the order of the given pairs.
+    """
+    return rows[parent_idx] * b + block_pos // b, cols[parent_idx] * b + block_pos % b
 
 
 def masked_grid_select(parent_active, uniforms, theta_flat, b, parent_side):

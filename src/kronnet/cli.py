@@ -29,6 +29,7 @@ from .output import (
     trace_to_dict,
     write_edgelist,
 )
+from .rng import check_seed
 from .samplers import ModelSampler, Strategy
 from .verify import complexity_audit, equivalence_test, marginal_test
 
@@ -281,7 +282,7 @@ def _bench_cell(point: dict[str, Any], column: str) -> Any:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else 0
+    seed = check_seed(args.seed if args.seed is not None else 0)
     if args.k:
         try:
             levels_list = [int(part) for part in args.k.split(",") if part.strip()]

@@ -1,4 +1,10 @@
-"""Exact-in-law random variate primitives used by the group sampler."""
+"""Exact-in-law random variate primitives used by the group sampler.
+
+``binomial_draw`` counts the realized cells of an equal-probability group
+and ``choose_without_replacement`` places that many uniformly; both take
+their randomness from a caller-supplied generator, so the sampler decides
+which stream each draw comes from.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,7 @@ import math
 
 import numpy as np
 
-from .config import I64_MAX, U64_MAX
+from .config import I64_MAX
 from .errors import BadArgs, Overflow
 
 # Below this expected count, sequential CDF inversion is both exact and fast;
@@ -60,27 +66,27 @@ def _inversion_draw(trials: int, prob: float, rng: np.random.Generator) -> int:
     return k
 
 
-def choose_without_replacement(total: int, count: int, rng: np.random.Generator) -> list[int]:
+def choose_without_replacement(total: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniformly sample ``count`` distinct indices from [0, total), sorted.
 
-    Floyd's algorithm: every size-``count`` subset is equally likely, memory
-    is O(count), and ``total`` may be as large as 2**64 since the index range
-    is never materialized.
+    One call to numpy's C sampler, ``rng.choice(total, count, replace=False,
+    shuffle=False)``: Floyd's algorithm with a hash set, or a tail shuffle of
+    ``arange(total)`` when ``total`` exceeds 10000 and ``count`` exceeds
+    ``total // 20``.  Either way every size-``count`` subset is equally
+    likely, and memory stays O(count): the shuffled range is at most 20
+    times the count.  Returns an int64 array, sorted in place.
 
     Raises:
         BadArgs: count < 0 or count > total.
-        Overflow: total exceeds 2**64.
+        Overflow: total exceeds the signed 64-bit range, the bound
+            ``binomial_draw`` puts on the count's trials.
     """
     total = int(total)
     count = int(count)
     if total < 0 or count < 0 or count > total:
         raise BadArgs(f"need 0 <= count <= total, got count={count} total={total}")
-    if total > U64_MAX + 1:
-        raise Overflow(f"total {total} exceeds 2**64")
-    if count == 0:
-        return []
-    chosen: set[int] = set()
-    for j in range(total - count, total):
-        r = int(rng.integers(0, j, endpoint=True, dtype=np.uint64))
-        chosen.add(j if r in chosen else r)
-    return sorted(chosen)
+    if total > I64_MAX:
+        raise Overflow(f"total {total} exceeds the signed 64-bit range")
+    picks = rng.choice(total, count, replace=False, shuffle=False)
+    picks.sort()
+    return picks

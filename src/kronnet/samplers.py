@@ -41,7 +41,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._kernels import expand_active, masked_grid_select
+from ._kernels import block_children, expand_active, masked_grid_select
 from .config import DEFAULT_DENSE_CAP, I64_MAX, ModelConfig
 from .errors import BadArgs, CapExceeded, GroupCapExceeded, Overflow
 from .groups import grid_groups, theta_value_classes, unrank_grid_cell
@@ -66,8 +66,9 @@ def _below(stream: np.random.Generator, probs: np.ndarray) -> np.ndarray:
 def _grouped_draw(size: int, prob: float, stream: np.random.Generator) -> np.ndarray:
     """Ranks in [0, size) of the realized cells of one equal-probability group.
 
-    A binomial count, then that many distinct ranks placed uniformly; every
-    rank when ``prob`` is 1, since Floyd placement would still consume draws.
+    A binomial count, then that many distinct ranks placed uniformly by one
+    C-level call (``choose_without_replacement``), returned sorted; every
+    rank when ``prob`` is 1, since placement would still consume draws.
     """
     if prob == 0.0:
         # A zero group of the whole grid may hold more than 2**63 cells,
@@ -76,7 +77,19 @@ def _grouped_draw(size: int, prob: float, stream: np.random.Generator) -> np.nda
     count = binomial_draw(size, prob, stream)
     if prob == 1.0:
         return np.arange(size, dtype=np.int64)
-    return np.asarray(choose_without_replacement(size, count, stream), dtype=np.int64)
+    return choose_without_replacement(size, count, stream)
+
+
+def _row_major(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reorder parent-major children of row-major parents into (row, col) order.
+
+    Children sharing a row come from parents sharing a row, in column order,
+    and from the same block row, in column order; a stable sort on the row
+    alone keeps that order.  A flat ``row * side + col`` key would overflow
+    once the grid side reaches 2**32.
+    """
+    order = np.argsort(rows, kind="stable")
+    return rows[order], cols[order]
 
 
 class Strategy(str, Enum):
@@ -295,8 +308,7 @@ class ModelSampler:
             n_prev = int(rows.size)
             uniforms = level_rng(seed, lam).random(n_prev * bb)
             rows, cols = expand_active(rows, cols, uniforms, self.theta_flat, self.b)
-            order = np.lexsort((cols, rows))
-            rows, cols = rows[order], cols[order]
+            rows, cols = _row_major(rows, cols)
             trace.append((lam, n_prev * bb, int(rows.size)))
         return rows, cols, trace
 
@@ -316,33 +328,40 @@ class ModelSampler:
             return None
 
     def _run_gp(self, seed: int, override):
+        """Grouped sampling: whole-grid groups, or level 0 then tied levels.
+
+        Each tied level draws, from its own stream and by descending value,
+        one binomial count per seed-value class over that class's
+        ``parents * class size`` candidates, and places the count with one
+        ``choose_without_replacement`` call.  The placed ranks become
+        candidate indices ``parent * b*b + block position``; sorted, they give
+        the children parent-major, exactly as ``dcsd`` enumerates survivors.
+        """
         if override is None and self._grid_tables is not None:
             return self._run_grid_gp(seed)
         idx = self._level0(seed, override)
         rows, cols = idx // self.side0, idx % self.side0
         trace = [(0, self.side0 * self.side0, int(idx.size))]
         b = self.b
+        bb = b * b
         for lam in range(1, self.cfg.tied_levels + 1):
             stream = level_rng(seed, lam)
             n_prev = int(rows.size)
-            # Empty classes are skipped (their array work is a sixth of a
-            # sparse level); the empty first part keeps concatenate valid.
-            parts_r = [rows[:0]]
-            parts_c = [cols[:0]]
+            # Rank r of a class is parent r // m at the class's (r % m)-th
+            # position.  Empty classes are skipped; the empty first part
+            # keeps concatenate valid.
+            parts = [rows[:0]]
             for cls, positions in zip(self._classes, self._class_pos):
                 m = positions.size
                 ranks = _grouped_draw(n_prev * m, cls.value, stream)
-                if not ranks.size:
-                    continue
-                parent_idx = ranks // m
-                offsets = positions[ranks % m]
-                parts_r.append(rows[parent_idx] * b + offsets // b)
-                parts_c.append(cols[parent_idx] * b + offsets % b)
-            rows = np.concatenate(parts_r)
-            cols = np.concatenate(parts_c)
-            order = np.lexsort((cols, rows))
-            rows, cols = rows[order], cols[order]
-            trace.append((lam, n_prev * b * b, int(rows.size)))
+                if ranks.size:
+                    parts.append(ranks // m * bb + positions[ranks % m])
+            candidates = np.concatenate(parts)
+            candidates.sort()
+            parent_idx, block_pos = np.divmod(candidates, bb)
+            rows, cols = block_children(rows, cols, parent_idx, block_pos, b)
+            rows, cols = _row_major(rows, cols)
+            trace.append((lam, n_prev * bb, int(rows.size)))
         return rows, cols, trace
 
     def _run_grid_gp(self, seed: int):

@@ -342,6 +342,14 @@ def test_bench_rejects_unknown_strategy(cfg_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-2", str(2**64)])
+def test_bench_rejects_out_of_range_seed(cfg_path, capsys, seed):
+    assert main(["bench", "--config", cfg_path, "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "refused" not in captured.out
+
+
 def test_usage_error_exit_code(cfg_path):
     with pytest.raises(SystemExit) as err:
         main(["generate", "--config", cfg_path, "--strategy", "warp", "--seed", "1"])

@@ -121,7 +121,7 @@ def test_floyd_uniform_over_subsets():
     total, count, reps = 5, 2, 60_000
     freq = Counter()
     for _ in range(reps):
-        freq[tuple(choose_without_replacement(total, count, rng))] += 1
+        freq[tuple(choose_without_replacement(total, count, rng).tolist())] += 1
     subsets = list(combinations(range(total), count))
     assert sorted(freq) == sorted(subsets)
     expected = reps / len(subsets)
@@ -142,6 +142,21 @@ def test_floyd_per_item_inclusion_uniform():
     assert np.abs(z).max() < 5.0
 
 
+def test_floyd_per_item_inclusion_uniform_tail_shuffle():
+    # total > 10000 and count > total // 20: numpy places by a tail shuffle
+    # of the whole range rather than Floyd's algorithm; each item is still
+    # included with probability count / total
+    rng = _rng(31)
+    total, count, reps = 12_000, 3_000, 400
+    hits = np.zeros(total)
+    for _ in range(reps):
+        hits[choose_without_replacement(total, count, rng)] += 1
+    p = count / total
+    z = (hits - reps * p) / math.sqrt(reps * p * (1 - p))
+    assert np.abs(z).max() < 5.5
+    assert chi2.sf(float((z**2).sum()), total - 1) > 1e-3
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     total=st.integers(min_value=0, max_value=200),
@@ -151,20 +166,43 @@ def test_floyd_per_item_inclusion_uniform():
 def test_floyd_output_contract(total, data, seed):
     count = data.draw(st.integers(min_value=0, max_value=total))
     picks = choose_without_replacement(total, count, _rng(seed))
+    assert picks.dtype == np.int64
+    picks = picks.tolist()
     assert len(picks) == count
     assert picks == sorted(picks)
     assert len(set(picks)) == count
     assert all(0 <= p < total for p in picks)
 
 
+def _floyd_reference(total, count, rng):
+    # Floyd's algorithm with one bounded draw per element
+    chosen = set()
+    for j in range(total - count, total):
+        r = int(rng.integers(0, j, endpoint=True, dtype=np.uint64))
+        chosen.add(j if r in chosen else r)
+    return sorted(chosen)
+
+
+@pytest.mark.parametrize(
+    "total,count", [(1, 1), (7, 3), (10_000, 9_000), (200_000, 10_000), (2**63 - 1, 40)]
+)
+def test_placement_matches_floyd_reference(total, count):
+    # where numpy's sampler runs Floyd's algorithm (total <= 10000 or
+    # count <= total // 20) it makes the reference's draws one for one
+    for seed in range(3):
+        got = choose_without_replacement(total, count, _rng(seed)).tolist()
+        assert got == _floyd_reference(total, count, _rng(seed))
+
+
 def test_floyd_full_take_is_everything():
-    assert choose_without_replacement(6, 6, _rng(1)) == list(range(6))
+    assert choose_without_replacement(6, 6, _rng(1)).tolist() == list(range(6))
 
 
 def test_floyd_huge_population():
-    # memory stays O(count) even for astronomically large populations
-    total = 2**63
-    picks = choose_without_replacement(total, 5, _rng(11))
+    # memory stays O(count) up to the largest population binomial_draw
+    # accepts as trials
+    total = 2**63 - 1
+    picks = choose_without_replacement(total, 5, _rng(11)).tolist()
     assert len(picks) == 5
     assert all(0 <= p < total for p in picks)
     assert len(set(picks)) == 5
@@ -177,7 +215,7 @@ def test_floyd_validation():
     with pytest.raises(BadArgs):
         choose_without_replacement(5, -1, rng)
     with pytest.raises(Overflow):
-        choose_without_replacement(2**64 + 1, 1, rng)
+        choose_without_replacement(2**63, 1, rng)
 
 
 def test_binomial_draw_deterministic_given_rng_state():

@@ -20,6 +20,7 @@ from kronnet import (
     grid_groups,
     kronecker_power,
     make_config,
+    replicate_seed,
     sample,
 )
 
@@ -203,6 +204,52 @@ def test_huge_sparse_grid_samples_fine():
     assert trace.per_level[0].rvs_examined == 16
     if net.edge_count:
         assert int(net.edges.max()) < 2**40
+
+
+@pytest.mark.parametrize("strategy", [Strategy.DCSD, Strategy.GP])
+def test_tied_levels_sorted_beyond_2_32_nodes(strategy):
+    # 2**40 nodes, so a flat row * side + col sort key would overflow int64;
+    # SampledNetwork rejects edges out of strict (row, col) order
+    cfg = make_config([[0.55, 0.3], [0.3, 0.0]], 40, 4)
+    engine = ModelSampler(cfg)
+    sizes = []
+    for seed in range(20):
+        net, trace = engine.run(strategy, seed)
+        assert trace.final_active == net.edge_count
+        sizes.append(net.edge_count)
+    assert max(sizes) > 100
+
+
+@pytest.mark.parametrize("strategy", [Strategy.DCSD, Strategy.GP])
+def test_edge_count_mean_and_variance_match_branching_process(strategy):
+    """Edge counts of a 2**16-node tied model against closed-form moments.
+
+    Level 0 is a sum of independent Bernoulli cells (mean m0, variance v0);
+    each tied level is one Galton-Watson generation whose offspring count
+    has mean mu = mass and variance sigma2 = sum theta (1 - theta).
+    """
+    theta = np.array([[0.6, 0.4], [0.3, 0.2]])
+    cfg = make_config(theta.tolist(), 16, 4)
+    ell, tied = cfg.untied_levels, cfg.tied_levels
+    mu = float(theta.sum())
+    sigma2 = float((theta * (1 - theta)).sum())
+    m0 = mu**ell
+    v0 = mu**ell - float((theta**2).sum()) ** ell
+    mean = m0 * mu**tied
+    var = v0 * mu ** (2 * tied) + m0 * sigma2 * mu ** (tied - 1) * (mu**tied - 1) / (mu - 1)
+    reps = 2000
+    engine = ModelSampler(cfg)
+    counts = np.array(
+        [engine.run(strategy, replicate_seed(20261018, 0, i))[0].edge_count for i in range(reps)],
+        dtype=float,
+    )
+    z_mean = (counts.mean() - mean) / math.sqrt(var / reps)
+    s2 = counts.var(ddof=1)
+    m4 = float(((counts - counts.mean()) ** 4).mean())
+    # standard error of the sample variance from the sample fourth moment
+    z_var = (s2 - var) / math.sqrt((m4 - s2**2 * (reps - 3) / (reps - 1)) / reps)
+    assert abs(z_mean) < 4, (z_mean, counts.mean(), mean)
+    assert abs(z_var) < 4, (z_var, s2, var)
 
 
 def test_grid_gp_skips_zero_groups_beyond_int64():
