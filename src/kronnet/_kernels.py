@@ -32,20 +32,3 @@ def block_children(rows, cols, parent_idx, block_pos, b):
     """
     return rows[parent_idx] * b + block_pos // b, cols[parent_idx] * b + block_pos % b
 
-
-def masked_grid_select(parent_active, uniforms, theta_flat, b, parent_side):
-    """Bernoulli-select every cell of a full child grid under a parent mask.
-
-    Cell (r, c) of the (parent_side*b)-sided grid is active when its uniform
-    is below ``theta_flat[(r%b)*b + c%b]`` and its parent cell is active;
-    dead parents force probability zero but the cell still consumes its
-    uniform.  Returns a flat boolean activity array.
-
-    The row-major child grid viewed as (parent row, dr, parent col, dc)
-    lines each cell up with its seed entry and its parent by broadcasting.
-    """
-    ps = parent_side
-    active = uniforms.reshape(ps, b, ps, b) < theta_flat.reshape(1, b, 1, b)
-    # In place: one fewer grid-sized temporary per level.
-    np.logical_and(active, parent_active.reshape(ps, 1, ps, 1), out=active)
-    return active.ravel()

@@ -56,8 +56,8 @@ def _common_args(parser: argparse.ArgumentParser) -> None:
         "--cap",
         type=int,
         default=DEFAULT_DENSE_CAP,
-        help="dense probability-grid capacity in entries "
-        f"(default {DEFAULT_DENSE_CAP})",
+        help="dense-grid cap in entries: naive, ci and per-cell checks refuse "
+        f"above it, dcsd and gp never do (default {DEFAULT_DENSE_CAP})",
     )
     parser.add_argument("--out", help="output path (default: stdout)")
 

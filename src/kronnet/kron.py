@@ -11,6 +11,7 @@ digit selecting the outermost factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -37,19 +38,24 @@ class DenseProbMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
-    @property
-    def flat(self) -> np.ndarray:
-        return self.probs.reshape(-1)
 
+def fold(mat: np.ndarray, ent: np.ndarray, times: int) -> np.ndarray:
+    """``mat`` Kronecker-multiplied on the right by ``ent``, ``times`` times.
 
-def index_digits(index: int, base: int, width: int) -> tuple[int, ...]:
-    """Base-``base`` digits of ``index``, most significant first, fixed width."""
-    digits = []
-    rem = index
-    for _ in range(width):
-        digits.append(rem % base)
-        rem //= base
-    return tuple(reversed(digits))
+    Cell values are products of their factors in level order, outermost
+    first, so a grid built in pieces matches one built whole bit for bit.
+    ``mat`` may be boolean: a False cell's products are exactly 0.
+    """
+    b_rows, b_cols = ent.shape
+    for _ in range(times):
+        rows, cols = mat.shape
+        # Cell (r*b_rows + dr, c*b_cols + dc) is mat[r, c] * ent[dr, dc].
+        # Repeating mat's entries and tiling ent gives whole-row inner loops,
+        # where a 4-axis broadcast would loop over only b_cols cells.
+        wide = mat.repeat(b_cols, axis=1)
+        tiled = ent[:, None, :].repeat(cols, axis=1).reshape(b_rows, -1)
+        mat = (wide[:, None, :] * tiled).reshape(rows * b_rows, cols * b_cols)
+    return mat
 
 
 def kronecker_power(theta: ThetaMatrix, power: int, *, dense_cap: int = DEFAULT_DENSE_CAP) -> DenseProbMatrix:
@@ -70,14 +76,30 @@ def kronecker_power(theta: ThetaMatrix, power: int, *, dense_cap: int = DEFAULT_
             f"dense grid of {side}x{side} = {side * side} entries exceeds cap "
             f"{dense_cap}; use the dcsd or gp strategy for large level counts"
         )
+    # Multiplying by 1.0 is exact, so the leading factor changes no value.
+    return DenseProbMatrix(side=side, probs=fold(np.ones((1, 1)), theta.entries, power))
+
+
+def row_blocks(theta: ThetaMatrix, levels: int, max_cells: int) -> Iterator[np.ndarray]:
+    """Consecutive row blocks of the ``levels``-fold Kronecker power.
+
+    A block holds the rows that share their top ``levels - low`` base-``side``
+    digits, with ``low`` the largest level count whose block stays within
+    ``max_cells`` cells (one row when even that is wider).  Each block is the
+    1-row product over its shared row digits folded ``low`` more times, so its
+    values equal ``kronecker_power``'s bit for bit.
+    """
+    b = theta.side
     ent = theta.entries
-    out = ent
-    for _ in range(power - 1):
-        # np.kron(out, ent) by broadcasting: the same products in the same
-        # order, without np.kron's per-call overhead.
-        n = out.shape[0] * theta.side
-        out = (out[:, None, :, None] * ent[None, :, None, :]).reshape(n, n)
-    return DenseProbMatrix(side=side, probs=out)
+    side = b**levels
+    low = 0
+    while low < levels and b ** (low + 1) * side <= max_cells:
+        low += 1
+    for digits in np.ndindex(*(b,) * (levels - low)):
+        prefix = np.ones((1, 1))
+        for d in digits:
+            prefix = fold(prefix, ent[d : d + 1], 1)
+        yield fold(prefix, ent, low)
 
 
 def edge_prob(cfg: ModelConfig, row: int, col: int) -> float:

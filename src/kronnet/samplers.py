@@ -5,8 +5,9 @@ All strategies draw the same model:
 * Level 0 realizes the grid of side**untied_levels cells whose probabilities
   come from the dense untied product matrix.  Every strategy draws it with
   one sweep (``naive`` over all ``levels``): one uniform per cell, row-major,
-  probabilities cached per engine under ``dense_cap`` and computed row by
-  row above it, with the same draws either way.
+  in row blocks of at most 2**20 cells.  Grids of at most 2**24 cells keep
+  their blocks per engine; larger ones rebuild them on every sweep.  The
+  draws are the same either way, and ``dense_cap`` plays no part.
 * Each tied level replaces every realized cell with a side x side block of
   candidate children; child (dr, dc) survives with probability
   ``theta[dr, dc]``, and children of unrealized cells never survive.
@@ -41,26 +42,34 @@ from typing import Iterable
 
 import numpy as np
 
-from ._kernels import block_children, expand_active, masked_grid_select
+from ._kernels import block_children, expand_active
 from .config import DEFAULT_DENSE_CAP, I64_MAX, ModelConfig
 from .errors import BadArgs, CapExceeded, GroupCapExceeded, Overflow
 from .groups import grid_groups, theta_value_classes, unrank_grid_cell
-from .kron import ci_rv_count, index_digits, kronecker_power
+from .kron import ci_rv_count, fold, row_blocks
 from .randvar import binomial_draw, choose_without_replacement
 from .rng import check_seed, level_rng
 
-# Dense per-cell draws take their uniforms this many at a time: the same
-# stream, without a fresh grid-sized array (and its page faults) per run.
-_DRAW_CHUNK = 1 << 20
+# Per-cell draws take their probabilities in row blocks of at most this
+# many cells, so a sweep holds O(block) memory beyond its hits.
+_BLOCK_CELLS = 1 << 20
+# Engines keep the level-0 blocks of grids up to this size (plain K = 12 at
+# b = 2, exactly) and rebuild larger ones on every sweep.
+_CACHE_CELLS = 1 << 24
 
 
-def _below(stream: np.random.Generator, probs: np.ndarray) -> np.ndarray:
-    """``stream.random(probs.size) < probs``, drawn in chunks."""
-    out = np.empty(probs.size, dtype=bool)
-    for lo in range(0, probs.size, _DRAW_CHUNK):
-        hi = min(lo + _DRAW_CHUNK, probs.size)
-        np.less(stream.random(hi - lo), probs[lo:hi], out=out[lo:hi])
-    return out
+def _hits(stream: np.random.Generator, blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """Flat row-major indices of the cells whose uniform falls below their probability.
+
+    ``blocks`` are consecutive row blocks of one probability grid; each cell
+    takes one uniform from ``stream``, in row-major order over the whole grid.
+    """
+    hits = []
+    offset = 0
+    for block in blocks:
+        hits.append((stream.random(block.size) < block.ravel()).nonzero()[0] + offset)
+        offset += block.size
+    return np.concatenate(hits)
 
 
 def _grouped_draw(size: int, prob: float, stream: np.random.Generator) -> np.ndarray:
@@ -78,18 +87,6 @@ def _grouped_draw(size: int, prob: float, stream: np.random.Generator) -> np.nda
     if prob == 1.0:
         return np.arange(size, dtype=np.int64)
     return choose_without_replacement(size, count, stream)
-
-
-def _row_major(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reorder parent-major children of row-major parents into (row, col) order.
-
-    Children sharing a row come from parents sharing a row, in column order,
-    and from the same block row, in column order; a stable sort on the row
-    alone keeps that order.  A flat ``row * side + col`` key would overflow
-    once the grid side reaches 2**32.
-    """
-    order = np.argsort(rows, kind="stable")
-    return rows[order], cols[order]
 
 
 class Strategy(str, Enum):
@@ -195,10 +192,11 @@ def finalize_edges(cfg: ModelConfig, rows: np.ndarray, cols: np.ndarray) -> Samp
 class ModelSampler:
     """Reusable sampling engine for one configuration.
 
-    Caches the level-0 probabilities (per level count, when they fit under
-    ``dense_cap``), the seed-value classes, and on the first ``gp`` run the
-    whole-grid probability groups, so repeated runs (verification,
-    benchmarks) avoid redundant setup.
+    Caches the level-0 probability blocks (per level count, for grids of at
+    most 2**24 cells), the seed-value classes, and on the first ``gp`` run
+    the whole-grid probability groups, so repeated runs (verification,
+    benchmarks) avoid redundant setup.  ``dense_cap`` only sets where
+    ``naive`` and ``ci`` refuse; ``dcsd`` and ``gp`` never do.
     """
 
     def __init__(self, cfg: ModelConfig, *, dense_cap: int = DEFAULT_DENSE_CAP) -> None:
@@ -212,41 +210,27 @@ class ModelSampler:
         self.dense_cap = int(dense_cap)
         self.b = cfg.b
         self.side0 = cfg.b**cfg.untied_levels
-        self.theta_flat = cfg.theta.flat
         self._classes = theta_value_classes(cfg.theta)
         self._class_pos = [
             np.asarray(cls.positions, dtype=np.int64) for cls in self._classes
         ]
-        self._probs: dict[int, np.ndarray] = {}
+        self._cached_blocks: dict[int, list[np.ndarray]] = {}
 
     # -- the level-0 sweep shared by every strategy ------------------------
 
     def _sweep(self, seed: int, levels: int) -> np.ndarray:
         """Flat row-major indices of the realized cells of the ``levels``-fold grid.
 
-        One uniform per cell, row-major, from ``level_rng(seed, 0)``.  Grids
-        that fit under ``dense_cap`` keep their probabilities cached; larger
-        ones are streamed row by row with the same draws and O(side) memory.
+        One uniform per cell, row-major, from ``level_rng(seed, 0)``, drawn
+        row block by row block.  The blocks of small grids are kept; the
+        draws do not depend on the block size or on whether they were kept.
         """
-        side = self.b**levels
-        stream = level_rng(seed, 0)
-        if side * side <= self.dense_cap:
-            probs = self._probs.get(levels)
-            if probs is None:
-                probs = kronecker_power(
-                    self.cfg.theta, levels, dense_cap=self.dense_cap
-                ).flat
-                self._probs[levels] = probs
-            return np.flatnonzero(_below(stream, probs))
-        ent = self.cfg.theta.entries
-        hits = []
-        for row in range(side):
-            digits = index_digits(row, self.b, levels)
-            probs = ent[digits[0]]
-            for d in digits[1:]:
-                probs = np.kron(probs, ent[d])
-            hits.append(np.flatnonzero(stream.random(side) < probs) + row * side)
-        return np.concatenate(hits)
+        blocks = self._cached_blocks.get(levels)
+        if blocks is None:
+            blocks = row_blocks(self.cfg.theta, levels, _BLOCK_CELLS)
+            if self.b ** (2 * levels) <= _CACHE_CELLS:
+                blocks = self._cached_blocks[levels] = list(blocks)
+        return _hits(level_rng(seed, 0), blocks)
 
     def _level0(self, seed: int, override: Iterable[int] | None) -> np.ndarray:
         """Flat indices of the realized untied-stage cells, or the override's."""
@@ -285,32 +269,47 @@ class ModelSampler:
         side = self.side0
         idx = self._level0(seed, override)
         trace = [(0, side * side, int(idx.size))]
-        if self.cfg.tied_levels:
-            active = np.zeros(side * side, dtype=bool)
-            active[idx] = True
-            for lam in range(1, self.cfg.tied_levels + 1):
-                parent_side = side
-                side *= self.b
-                uniforms = level_rng(seed, lam).random(side * side)
-                active = masked_grid_select(
-                    active, uniforms, self.theta_flat, self.b, parent_side
-                )
-                trace.append((lam, side * side, int(active.sum())))
-            idx = np.flatnonzero(active)
+        bb = self.b * self.b
+        for lam in range(1, self.cfg.tied_levels + 1):
+            active = np.zeros((side, side), dtype=bool)
+            active.flat[idx] = True
+            # A dead parent's children get probability 0 but still take their
+            # uniforms; bands of whole parent rows keep the row-major stream.
+            step = max(1, _BLOCK_CELLS // (bb * side))
+            bands = (
+                fold(active[p : p + step], self.cfg.theta.entries, 1)
+                for p in range(0, side, step)
+            )
+            idx = _hits(level_rng(seed, lam), bands)
+            side *= self.b
+            trace.append((lam, side * side, int(idx.size)))
         return idx // side, idx % side, trace
 
-    def _run_dcsd(self, seed: int, override):
+    def _run_tied(self, seed: int, override, children):
+        """Level 0, then every tied level through ``children``.
+
+        ``children(rows, cols, stream)`` realizes the children of the given
+        row-major cells from the level's stream, parent-major.
+        """
         idx = self._level0(seed, override)
         rows, cols = idx // self.side0, idx % self.side0
         trace = [(0, self.side0 * self.side0, int(idx.size))]
         bb = self.b * self.b
         for lam in range(1, self.cfg.tied_levels + 1):
             n_prev = int(rows.size)
-            uniforms = level_rng(seed, lam).random(n_prev * bb)
-            rows, cols = expand_active(rows, cols, uniforms, self.theta_flat, self.b)
-            rows, cols = _row_major(rows, cols)
+            rows, cols = children(rows, cols, level_rng(seed, lam))
+            # Children of row-major parents come parent-major; a stable sort
+            # on the row alone puts them in (row, col) order.  A flat
+            # row * side + col key would overflow once the side reaches 2**32.
+            order = np.argsort(rows, kind="stable")
+            rows, cols = rows[order], cols[order]
             trace.append((lam, n_prev * bb, int(rows.size)))
         return rows, cols, trace
+
+    def _dcsd_children(self, rows, cols, stream):
+        """One uniform per candidate child, parent-major."""
+        uniforms = stream.random(rows.size * self.b * self.b)
+        return expand_active(rows, cols, uniforms, self.cfg.theta.flat, self.b)
 
     @cached_property
     def _grid_tables(self):
@@ -328,41 +327,34 @@ class ModelSampler:
             return None
 
     def _run_gp(self, seed: int, override):
-        """Grouped sampling: whole-grid groups, or level 0 then tied levels.
-
-        Each tied level draws, from its own stream and by descending value,
-        one binomial count per seed-value class over that class's
-        ``parents * class size`` candidates, and places the count with one
-        ``choose_without_replacement`` call.  The placed ranks become
-        candidate indices ``parent * b*b + block position``; sorted, they give
-        the children parent-major, exactly as ``dcsd`` enumerates survivors.
-        """
+        """Grouped sampling: whole-grid groups, or level 0 then tied levels."""
         if override is None and self._grid_tables is not None:
             return self._run_grid_gp(seed)
-        idx = self._level0(seed, override)
-        rows, cols = idx // self.side0, idx % self.side0
-        trace = [(0, self.side0 * self.side0, int(idx.size))]
+        return self._run_tied(seed, override, self._gp_children)
+
+    def _gp_children(self, rows, cols, stream):
+        """Children of one tied level: by descending value, one binomial count
+        per seed-value class over its ``parents * class size`` candidates,
+        placed with one ``choose_without_replacement`` call.  The placed ranks
+        become candidate indices ``parent * b*b + block position``; sorted,
+        they give the children parent-major, as ``dcsd`` enumerates survivors.
+        """
         b = self.b
         bb = b * b
-        for lam in range(1, self.cfg.tied_levels + 1):
-            stream = level_rng(seed, lam)
-            n_prev = int(rows.size)
-            # Rank r of a class is parent r // m at the class's (r % m)-th
-            # position.  Empty classes are skipped; the empty first part
-            # keeps concatenate valid.
-            parts = [rows[:0]]
-            for cls, positions in zip(self._classes, self._class_pos):
-                m = positions.size
-                ranks = _grouped_draw(n_prev * m, cls.value, stream)
-                if ranks.size:
-                    parts.append(ranks // m * bb + positions[ranks % m])
-            candidates = np.concatenate(parts)
-            candidates.sort()
-            parent_idx, block_pos = np.divmod(candidates, bb)
-            rows, cols = block_children(rows, cols, parent_idx, block_pos, b)
-            rows, cols = _row_major(rows, cols)
-            trace.append((lam, n_prev * bb, int(rows.size)))
-        return rows, cols, trace
+        n_prev = int(rows.size)
+        # Rank r of a class is parent r // m at the class's (r % m)-th
+        # position.  Empty classes are skipped; the empty first part keeps
+        # concatenate valid.
+        parts = [rows[:0]]
+        for cls, positions in zip(self._classes, self._class_pos):
+            m = positions.size
+            ranks = _grouped_draw(n_prev * m, cls.value, stream)
+            if ranks.size:
+                parts.append(ranks // m * bb + positions[ranks % m])
+        candidates = np.concatenate(parts)
+        candidates.sort()
+        parent_idx, block_pos = np.divmod(candidates, bb)
+        return block_children(rows, cols, parent_idx, block_pos, b)
 
     def _run_grid_gp(self, seed: int):
         cfg = self.cfg
@@ -402,7 +394,7 @@ class ModelSampler:
         elif strategy is Strategy.CI:
             rows, cols, trace = self._run_ci(seed, level0_override)
         elif strategy is Strategy.DCSD:
-            rows, cols, trace = self._run_dcsd(seed, level0_override)
+            rows, cols, trace = self._run_tied(seed, level0_override, self._dcsd_children)
         else:
             rows, cols, trace = self._run_gp(seed, level0_override)
         return finalize_edges(self.cfg, rows, cols), SampleTrace(

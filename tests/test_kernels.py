@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kronnet import _kernels as kernels
+from kronnet.kron import fold
 
 
 def random_case(seed, n_active, b):
@@ -36,7 +37,7 @@ def test_expand_active_matches_reference(b, seed):
 
 
 def masked_grid_reference(parent_active, uniforms, theta_flat, b, parent_side):
-    # one cell at a time, straight from the kernel's definition
+    # one cell at a time, straight from the model's definition
     side = parent_side * b
     out = np.zeros(uniforms.shape[0], dtype=bool)
     for f in range(uniforms.shape[0]):
@@ -48,13 +49,15 @@ def masked_grid_reference(parent_active, uniforms, theta_flat, b, parent_side):
 
 @pytest.mark.parametrize("b,parent_side,seed", [(2, 16, 10), (2, 5, 11), (3, 7, 12), (3, 4, 13)])
 def test_masked_grid_matches_reference(b, parent_side, seed):
+    # ci's tied levels compare each child's uniform with one fold of the
+    # boolean parent mask by theta: a dead parent's children get exactly 0
     rng = np.random.default_rng(seed)
     parent_active = rng.random(parent_side * parent_side) < 0.4
     assert 0 < parent_active.sum() < parent_active.size  # dead parents included
     uniforms = rng.random((parent_side * b) ** 2)
     theta_flat = rng.random(b * b)
-    mask = kernels.masked_grid_select(parent_active, uniforms, theta_flat, b, parent_side)
-    assert mask.dtype == bool
+    probs = fold(parent_active.reshape(parent_side, parent_side), theta_flat.reshape(b, b), 1)
+    mask = uniforms < probs.ravel()
     np.testing.assert_array_equal(
         mask, masked_grid_reference(parent_active, uniforms, theta_flat, b, parent_side)
     )

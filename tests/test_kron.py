@@ -18,6 +18,7 @@ from kronnet import (
     kronecker_power,
     make_config,
 )
+from kronnet.kron import row_blocks
 
 
 def kron_product_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -73,6 +74,30 @@ def test_kronecker_power_three_by_three():
     theta = ThetaMatrix(rows)
     expected = kron_power_oracle(theta.entries, 3)
     np.testing.assert_array_equal(kronecker_power(theta, 3).probs, expected)
+
+
+@pytest.mark.parametrize(
+    "rows, levels, max_cells, n_blocks",
+    [
+        (WORKED_THETA, 4, 1 << 20, 1),  # the whole grid in one block
+        (WORKED_THETA, 4, 64, 4),  # four rows of 16 per block
+        (WORKED_THETA, 4, 100, 4),  # a bound between two block sizes
+        (WORKED_THETA, 4, 15, 16),  # narrower than a row: one row per block
+        ([[0.9, 0.6, 0.3], [0.6, 0.5, 0.2], [0.3, 0.2, 0.1]], 3, 81, 9),
+        ([[0.9, 0.6, 0.3], [0.6, 0.5, 0.2], [0.3, 0.2, 0.1]], 3, 1, 27),
+    ],
+)
+def test_row_blocks_concatenate_to_kronecker_power(rows, levels, max_cells, n_blocks):
+    theta = ThetaMatrix(rows)
+    blocks = list(row_blocks(theta, levels, max_cells))
+    assert len(blocks) == n_blocks
+    side = theta.side**levels
+    assert all(block.shape == (side // n_blocks, side) for block in blocks)
+    assert all(block.size <= max(max_cells, side) for block in blocks)
+    # exact: level-0 draws compare uniforms with these values
+    np.testing.assert_array_equal(
+        np.concatenate(blocks), kronecker_power(theta, levels).probs
+    )
 
 
 def test_kronecker_power_rejects_bad_power():

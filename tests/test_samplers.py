@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -252,6 +253,43 @@ def test_edge_count_mean_and_variance_match_branching_process(strategy):
     assert abs(z_var) < 4, (z_var, s2, var)
 
 
+@pytest.mark.parametrize("strategy", [Strategy.DCSD, Strategy.GP])
+def test_out_degree_by_digit_count_matches_row_sums(strategy):
+    """Mean out-degree of 2**16-node tied-model nodes, binned by 1-digits.
+
+    Node i's expected out-degree is the product of the seed's row sums over
+    its base-2 digits, so every node with k one-digits expects r0**(16-k) *
+    r1**k.  Each replicate's bin means are iid samples of that value.  The
+    check reads rows only, so it catches children placed in the wrong row of
+    their block even where the edge count keeps its law.
+    """
+    theta = np.array([[0.6, 0.4], [0.3, 0.2]])
+    cfg = make_config(theta.tolist(), 16, 4)
+    r0, r1 = theta.sum(axis=1)
+    ones = np.array([bin(i).count("1") for i in range(cfg.n_nodes)])
+    bin_size = np.bincount(ones, minlength=17)
+    expected = r0 ** (16 - np.arange(17)) * r1 ** np.arange(17)
+    reps = 1000
+    engine = ModelSampler(cfg)
+    means = np.array(
+        [
+            np.bincount(
+                ones[engine.run(strategy, replicate_seed(20261018, 1, i))[0].edges[:, 0]],
+                minlength=17,
+            )
+            / bin_size
+            for i in range(reps)
+        ]
+    )
+    # bins expecting at least 200 edges over all replicates, where the
+    # normal approximation holds (k <= 13 here)
+    tested = expected * bin_size * reps >= 200
+    assert tested.sum() >= 10
+    means, expected = means[:, tested], expected[tested]
+    z = (means.mean(axis=0) - expected) / (means.std(axis=0, ddof=1) / math.sqrt(reps))
+    assert np.all(np.abs(z) < 4), z
+
+
 def test_grid_gp_skips_zero_groups_beyond_int64():
     # the zero-probability group holds 4**40 - 2**40 cells, past 2**63
     cfg = make_config([[0.5, 0.0], [0.0, 0.5]], 40, 40)
@@ -349,30 +387,74 @@ def test_children_stay_inside_realized_parents(worked_cfg):
                 assert ancestors <= available
 
 
-def test_streamed_level0_matches_dense(worked_cfg, theta3_cfg):
-    # dense_cap=1 holds no level-0 grid, so the sweep streams row by row
+def _block_configs(worked_cfg, theta3_cfg):
+    """b=2 and b=3 configs whose level 0 spans several rows, tied and plain."""
     plain = make_config([[0.9, 0.7], [0.5, 0.3]], 4, 4)
-    for cfg in (worked_cfg, dataclasses.replace(theta3_cfg, levels=4), plain):
-        dense = ModelSampler(cfg)
-        streamed = ModelSampler(cfg, dense_cap=1)
-        for strategy in (Strategy.DCSD, Strategy.GP):
-            for seed in (0, 9, 12345):
-                want, want_trace = dense.run(strategy, seed)
-                got, got_trace = streamed.run(strategy, seed)
-                np.testing.assert_array_equal(got.edges, want.edges)
-                assert got_trace == want_trace
-        assert dense._probs and not streamed._probs
+    tied3 = make_config(theta3_cfg.theta.entries.tolist(), 4, 2)
+    plain3 = make_config(theta3_cfg.theta.entries.tolist(), 3, 3, directed=False)
+    return (worked_cfg, tied3, plain, plain3)
 
 
-def test_chunked_dense_draws_match_one_shot(monkeypatch, worked_cfg):
-    engine = ModelSampler(worked_cfg)
-    strategies = (Strategy.NAIVE, Strategy.CI, Strategy.DCSD)
-    expected = {s: engine.run(s, 9)[0] for s in strategies}
-    # 64 and 16 cells in chunks of 5: several chunks and a partial last one
-    monkeypatch.setattr(samplers_mod, "_DRAW_CHUNK", 5)
-    for strategy, net in expected.items():
-        got, _ = engine.run(strategy, 9)
-        np.testing.assert_array_equal(got.edges, net.edges)
+def test_streamed_level0_matches_dense(monkeypatch, worked_cfg, theta3_cfg):
+    # A cache budget of 0 streams every level-0 grid; block sizes from the
+    # whole grid down to one row (1 cell is narrower than any row) must give
+    # the cached engine's networks and traces byte for byte.
+    cfgs = _block_configs(worked_cfg, theta3_cfg)
+    cached = [ModelSampler(cfg) for cfg in cfgs]
+    expected = {
+        (i, strategy, seed): engine.run(strategy, seed)
+        for i, engine in enumerate(cached)
+        for strategy in ALL_STRATEGIES
+        for seed in (0, 9, 12345)
+    }
+    assert all(engine._cached_blocks for engine in cached)
+    monkeypatch.setattr(samplers_mod, "_CACHE_CELLS", 0)
+    for block_cells in (1 << 20, 20, 1):
+        monkeypatch.setattr(samplers_mod, "_BLOCK_CELLS", block_cells)
+        streamed = [ModelSampler(cfg) for cfg in cfgs]
+        for (i, strategy, seed), (want, want_trace) in expected.items():
+            got, got_trace = streamed[i].run(strategy, seed)
+            assert got.edges.tobytes() == want.edges.tobytes(), (block_cells, i, strategy, seed)
+            assert got_trace == want_trace
+        assert not any(engine._cached_blocks for engine in streamed)
+
+
+def test_chunked_dense_draws_match_one_shot(monkeypatch, worked_cfg, theta3_cfg):
+    # Small blocks split every cached level-0 grid and every ci tied level
+    # into several draws; the uniform stream, and so every network, is the
+    # one-block engine's.  dense_cap does not reach the level-0 cache.
+    cfgs = _block_configs(worked_cfg, theta3_cfg)
+    expected = {
+        (i, strategy): ModelSampler(cfg).run(strategy, 9)
+        for i, cfg in enumerate(cfgs)
+        for strategy in ALL_STRATEGIES
+    }
+    for block_cells in (200, 40, 1):
+        monkeypatch.setattr(samplers_mod, "_BLOCK_CELLS", block_cells)
+        engines = [ModelSampler(cfg) for cfg in cfgs]
+        for (i, strategy), (want, want_trace) in expected.items():
+            got, got_trace = engines[i].run(strategy, 9)
+            assert got.edges.tobytes() == want.edges.tobytes(), (block_cells, i, strategy)
+            assert got_trace == want_trace
+        assert len(engines[-1]._cached_blocks[3]) > 1
+    capped = ModelSampler(cfgs[0], dense_cap=1)
+    capped.run(Strategy.DCSD, 9)
+    assert capped._cached_blocks
+
+
+def test_streamed_sweep_memory_stays_below_grid(monkeypatch):
+    # plain K=12: a 2**24-cell grid, 128 MiB of float64 probabilities
+    cfg = make_config([[0.9, 0.7], [0.5, 0.3]], 12, 12)
+    monkeypatch.setattr(samplers_mod, "_CACHE_CELLS", 0)
+    engine = ModelSampler(cfg)
+    tracemalloc.start()
+    try:
+        net, _ = engine.run(Strategy.DCSD, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert net.edge_count > 0
+    assert peak < 64 * 2**20, peak
 
 
 def test_gp_matches_binomial_thinning_oracle():
