@@ -37,10 +37,10 @@ from .errors import (
 )
 from .groups import (
     DEFAULT_GROUP_CAP,
+    GridUnranker,
     ProbabilityGroup,
     grid_groups,
     theta_value_classes,
-    unrank_grid_cell,
 )
 from .kron import (
     DenseProbMatrix,
@@ -97,10 +97,10 @@ __all__ = [
     "KronnetError",
     "Overflow",
     "DEFAULT_GROUP_CAP",
+    "GridUnranker",
     "ProbabilityGroup",
     "grid_groups",
     "theta_value_classes",
-    "unrank_grid_cell",
     "DenseProbMatrix",
     "ci_rv_count",
     "dcsd_ebound",

@@ -9,17 +9,22 @@ Two flavors are needed:
   one seed value per level, so it depends only on how many levels pick each
   distinct value.  Exponent multisets over the distinct values enumerate the
   possible products; equal float products are merged (``grid_groups``).
-  Cells inside a group are addressed by an exact integer rank and recovered
-  with :func:`unrank_grid_cell`, so group membership is never materialized.
+  Cells inside a group are addressed by an exact integer rank, so group
+  membership is never materialized; :class:`GridUnranker` maps all the
+  ranks drawn in one run to their cells with one pass of int64 array
+  arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .config import ModelConfig, ThetaMatrix
-from .errors import BadArgs, GroupCapExceeded
+import numpy as np
+
+from .config import I64_MAX, ModelConfig, ThetaMatrix
+from .errors import BadArgs, GroupCapExceeded, Overflow
 
 DEFAULT_GROUP_CAP = 100_000
 
@@ -140,68 +145,144 @@ def grid_groups(
     return classes, groups
 
 
-def _unrank_arrangement(rank: int, counts: list[int]) -> list[int]:
-    # Standard multiset-permutation unranking; all arithmetic exact.
-    remaining = sum(counts)
-    arrangements = _multinomial(counts)
-    seq: list[int] = []
-    while remaining > 0:
-        acc = 0
-        for cls_index, count in enumerate(counts):
-            if count == 0:
-                continue
-            sub = arrangements * count // remaining
-            if rank < acc + sub:
-                seq.append(cls_index)
-                counts[cls_index] -= 1
-                arrangements = sub
-                rank -= acc
-                break
-            acc += sub
-        remaining -= 1
-    return seq
+class GridUnranker:
+    """Integer tables that turn whole-grid group ranks into grid cells.
 
-
-def unrank_grid_cell(
-    group: ProbabilityGroup,
-    classes: tuple[ValueClass, ...],
-    levels: int,
-    base: int,
-    rank: int,
-) -> tuple[int, int]:
-    """Map a rank in [0, group.size) to the concrete grid cell it denotes.
-
-    The bijection enumerates the group's descriptors in listed order; within
-    a descriptor, ranks factor into an arrangement index (which value class
-    each level uses) and a mixed-radix member index (which block position,
-    last level least significant).
-
-    Raises:
-        BadArgs: rank outside [0, group.size).
+    Built once per grouping.  Descriptors are numbered in group order, then
+    in each group's rank order; per descriptor the tables hold its exponents
+    (one column per value class), its member count ``prod(multiplicity_t **
+    exponents[t])`` and its arrangement count (the multinomial of its
+    exponents), and per group the rank at which each descriptor starts.  The
+    block positions of all classes are laid end to end, so class ``t``'s
+    ``d``-th position is ``positions[first[t] + d]``.  Groups of more than
+    ``2**63 - 1`` cells get no tables, so their ranks are refused.
     """
-    if not (0 <= rank < group.size):
-        raise BadArgs(f"rank {rank} outside [0, {group.size})")
-    desc = None
-    for candidate in group.cell_source:
-        if rank < candidate.sequences:
-            desc = candidate
-            break
-        rank -= candidate.sequences
-    assert desc is not None
-    members = 1
-    for cls, exp in zip(classes, desc.exponents):
-        members *= len(cls.positions) ** exp
-    arrangement_rank, member_rank = divmod(rank, members)
-    class_seq = _unrank_arrangement(arrangement_rank, list(desc.exponents))
-    digits = [0] * levels
-    for pos in range(levels - 1, -1, -1):
-        radix = len(classes[class_seq[pos]].positions)
-        digits[pos] = member_rank % radix
-        member_rank //= radix
-    row = 0
-    col = 0
-    for pos in range(levels):
-        offset = classes[class_seq[pos]].positions[digits[pos]]
-        row = row * base + offset // base
-        col = col * base + offset % base
-    return row, col
+
+    def __init__(
+        self,
+        classes: tuple[ValueClass, ...],
+        groups: tuple[ProbabilityGroup, ...],
+        levels: int,
+        base: int,
+    ) -> None:
+        self.levels = levels
+        self.base = base
+        sizes = [len(cls.positions) for cls in classes]
+        self._radix = np.asarray(sizes, dtype=np.int64)
+        self._first = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+        positions = np.concatenate(
+            [np.asarray(cls.positions, dtype=np.int64) for cls in classes]
+        )
+        self._pos_row, self._pos_col = np.divmod(positions, base)
+        exponents: list[tuple[int, ...]] = []
+        members: list[int] = []
+        starts: list[tuple[int, np.ndarray] | None] = []
+        for group in groups:
+            if group.size > I64_MAX:
+                starts.append(None)
+                continue
+            first = len(members)
+            offsets = [0]
+            for desc in group.cell_source:
+                exponents.append(desc.exponents)
+                members.append(math.prod(r**e for r, e in zip(sizes, desc.exponents)))
+                offsets.append(offsets[-1] + desc.sequences)
+            starts.append((first, np.asarray(offsets[:-1], dtype=np.int64)))
+        self._starts = starts
+        self._exponents = (
+            np.asarray(exponents, dtype=np.int64).reshape(-1, len(classes)).T
+        )
+        self._members = np.asarray(members, dtype=np.int64)
+        self._arrangements = np.asarray(
+            [_multinomial(exps) for exps in exponents], dtype=np.int64
+        )
+
+    def cells(
+        self, drawn: Iterable[tuple[int, np.ndarray]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and columns of the cells that ``(group index, ranks)`` pairs denote.
+
+        The bijection enumerates a group's descriptors in listed order;
+        within a descriptor, a rank factors into an arrangement rank (which
+        value class each level uses, in the multiset-permutation order that
+        takes classes by index) and a member rank (which block position of
+        its class each level uses, mixed radix, last level least
+        significant).  All drawn ranks are mapped in one array pass, in
+        input order.
+
+        Raises:
+            BadArgs: a rank outside [0, size) of its group.
+            Overflow: ranks of a group of more than ``2**63 - 1`` cells.
+        """
+        desc_parts = [np.empty(0, dtype=np.int64)]
+        rank_parts = [np.empty(0, dtype=np.int64)]
+        for index, ranks in drawn:
+            ranks = np.asarray(ranks, dtype=np.int64)
+            if not ranks.size:
+                continue
+            if self._starts[index] is None:
+                raise Overflow(f"group {index} exceeds the signed 64-bit range")
+            first, offsets = self._starts[index]
+            desc = offsets.searchsorted(ranks, side="right") - 1
+            desc_parts.append(desc + first)
+            rank_parts.append(ranks - offsets[desc])
+        desc = np.concatenate(desc_parts)
+        rank = np.concatenate(rank_parts)
+        members = self._members[desc]
+        arr = self._arrangements[desc]
+        arr_rank = rank // members
+        member_rank = rank - arr_rank * members
+        # A negative rank keeps a negative remainder; a rank at or past its
+        # group's size runs past the last descriptor's arrangements.
+        if rank.size and (rank.min() < 0 or (arr_rank >= arr).any()):
+            raise BadArgs("rank outside [0, size) of its group")
+        seq = self._arrangement_classes(desc, arr, arr_rank)
+        rows = np.zeros(rank.size, dtype=np.int64)
+        cols = np.zeros(rank.size, dtype=np.int64)
+        scale = 1
+        for cls in seq[::-1]:
+            radix = self._radix[cls]
+            digit_rank = member_rank // radix
+            at = self._first[cls] + member_rank - digit_rank * radix
+            member_rank = digit_rank
+            rows += self._pos_row[at] * scale
+            cols += self._pos_col[at] * scale
+            scale *= self.base
+        return rows, cols
+
+    def _arrangement_classes(self, desc, arr, arr_rank) -> np.ndarray:
+        """Value class of every level, shape (levels, cells): the multiset
+        permutations of each cell's exponents, unranked position by position.
+
+        At each position class ``t`` covers the next ``arr * count_t //
+        remaining`` arrangement ranks, computed as ``q * count_t + rem *
+        count_t // remaining`` with ``arr = q * remaining + rem``: the same
+        integer, but no product exceeds ``arr``, so nothing overflows int64.
+        """
+        counts = [column[desc] for column in self._exponents]
+        seq = np.zeros((self.levels, desc.size), dtype=np.min_scalar_type(len(counts)))
+        for pos in range(self.levels):
+            remaining = self.levels - pos
+            q = arr // remaining
+            rem = arr - q * remaining
+            chosen = seq[pos]
+            bound = np.zeros_like(arr)
+            start = np.zeros_like(arr)
+            arr = np.zeros_like(arr)
+            before = np.ones(desc.size, dtype=bool)
+            # Ranks at or past a class's end move on to a later class, so
+            # ``past`` holds for a prefix of the classes and ``here`` for
+            # the chosen one.  Masks multiply: np.where is far slower on
+            # unsorted masks.
+            for count in counts:
+                sub = q * count + rem * count // remaining
+                bound += sub
+                past = bound <= arr_rank
+                here = before ^ past
+                chosen += past
+                start += sub * past
+                arr += sub * here
+                count -= here
+                before = past
+            arr_rank = arr_rank - start
+        return seq

@@ -45,7 +45,7 @@ import numpy as np
 from ._kernels import block_children, expand_active
 from .config import DEFAULT_DENSE_CAP, I64_MAX, ModelConfig
 from .errors import BadArgs, CapExceeded, GroupCapExceeded, Overflow
-from .groups import grid_groups, theta_value_classes, unrank_grid_cell
+from .groups import GridUnranker, grid_groups, theta_value_classes
 from .kron import ci_rv_count, fold, row_blocks
 from .randvar import binomial_draw, choose_without_replacement
 from .rng import check_seed, level_rng
@@ -84,6 +84,9 @@ def _grouped_draw(size: int, prob: float, stream: np.random.Generator) -> np.nda
         # beyond what binomial_draw accepts.
         return np.empty(0, dtype=np.int64)
     count = binomial_draw(size, prob, stream)
+    if count == 0:
+        # Placing nothing draws nothing, but costs a numpy call.
+        return np.empty(0, dtype=np.int64)
     if prob == 1.0:
         return np.arange(size, dtype=np.int64)
     return choose_without_replacement(size, count, stream)
@@ -313,7 +316,8 @@ class ModelSampler:
 
     @cached_property
     def _grid_tables(self):
-        """Whole-grid groups for ``gp``, or None to sweep level 0 instead.
+        """Whole-grid groups for ``gp`` and their ``GridUnranker``, or None to
+        sweep level 0 instead.
 
         Only the plain model has whole-grid groups.  A grouping above the
         fixed cap of ``grid_groups`` falls back to the level-0 sweep, which
@@ -322,9 +326,10 @@ class ModelSampler:
         if self.cfg.tied_levels:
             return None
         try:
-            return grid_groups(self.cfg)
+            classes, groups = grid_groups(self.cfg)
         except GroupCapExceeded:
             return None
+        return groups, GridUnranker(classes, groups, self.cfg.levels, self.b)
 
     def _run_gp(self, seed: int, override):
         """Grouped sampling: whole-grid groups, or level 0 then tied levels."""
@@ -357,17 +362,21 @@ class ModelSampler:
         return block_children(rows, cols, parent_idx, block_pos, b)
 
     def _run_grid_gp(self, seed: int):
-        cfg = self.cfg
-        classes, groups = self._grid_tables
+        """Whole-grid groups by descending probability, each a binomial count
+        then a placement, all from the level-0 stream; the drawn ranks are
+        then unranked to cells in one array pass and put in (row, col) order.
+        """
+        groups, unranker = self._grid_tables
         stream = level_rng(seed, 0)
-        cells = sorted(
-            unrank_grid_cell(group, classes, cfg.levels, self.b, rank)
-            for group in groups
-            for rank in _grouped_draw(group.size, group.prob, stream).tolist()
-        )
-        edges = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
-        examined = (self.b * self.b) ** cfg.levels
-        return edges[:, 0], edges[:, 1], [(0, examined, len(cells))]
+        drawn = [
+            (index, _grouped_draw(group.size, group.prob, stream))
+            for index, group in enumerate(groups)
+        ]
+        rows, cols = unranker.cells(drawn)
+        # A flat row * side + col key would overflow once the side reaches 2**32.
+        order = np.lexsort((cols, rows))
+        examined = (self.b * self.b) ** self.cfg.levels
+        return rows[order], cols[order], [(0, examined, int(rows.size))]
 
     # -- entry point --------------------------------------------------------
 

@@ -1,20 +1,104 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronnet import (
+    BadArgs,
+    GridUnranker,
     GroupCapExceeded,
+    ModelSampler,
+    Overflow,
     ThetaMatrix,
     edge_prob,
     grid_groups,
     kronecker_power,
+    level_rng,
     make_config,
     theta_value_classes,
-    unrank_grid_cell,
 )
+from kronnet.config import I64_MAX
+from kronnet.samplers import _grouped_draw
+
+
+def _multinomial(counts):
+    value = math.factorial(sum(counts))
+    for c in counts:
+        value //= math.factorial(c)
+    return value
+
+
+def _unrank_arrangement(rank, counts):
+    # Standard multiset-permutation unranking; all arithmetic exact.
+    remaining = sum(counts)
+    arrangements = _multinomial(counts)
+    seq = []
+    while remaining > 0:
+        acc = 0
+        for cls_index, count in enumerate(counts):
+            if count == 0:
+                continue
+            sub = arrangements * count // remaining
+            if rank < acc + sub:
+                seq.append(cls_index)
+                counts[cls_index] -= 1
+                arrangements = sub
+                rank -= acc
+                break
+            acc += sub
+        remaining -= 1
+    return seq
+
+
+def unrank_grid_cell(group, classes, levels, base, rank):
+    """Reference unranking, one cell in exact Python integers.
+
+    Descriptors in listed order; within one, the rank is an arrangement
+    rank times the member count plus a mixed-radix member rank (last level
+    least significant).
+    """
+    assert 0 <= rank < group.size
+    for desc in group.cell_source:
+        if rank < desc.sequences:
+            break
+        rank -= desc.sequences
+    members = 1
+    for cls, exp in zip(classes, desc.exponents):
+        members *= len(cls.positions) ** exp
+    arrangement_rank, member_rank = divmod(rank, members)
+    class_seq = _unrank_arrangement(arrangement_rank, list(desc.exponents))
+    digits = [0] * levels
+    for pos in range(levels - 1, -1, -1):
+        radix = len(classes[class_seq[pos]].positions)
+        digits[pos] = member_rank % radix
+        member_rank //= radix
+    row = 0
+    col = 0
+    for pos in range(levels):
+        offset = classes[class_seq[pos]].positions[digits[pos]]
+        row = row * base + offset // base
+        col = col * base + offset % base
+    return row, col
+
+
+def unrank_all(cfg):
+    """Every cell of every group, from the array unranking, group by group."""
+    classes, groups = grid_groups(cfg)
+    unranker = GridUnranker(classes, groups, cfg.levels, cfg.b)
+    rows, cols = unranker.cells(
+        (index, np.arange(group.size)) for index, group in enumerate(groups)
+    )
+    cells = list(zip(rows.tolist(), cols.tolist()))
+    expected = [
+        unrank_grid_cell(group, classes, cfg.levels, cfg.b, rank)
+        for group in groups
+        for rank in range(group.size)
+    ]
+    assert cells == expected
+    return groups, cells
 
 
 def grid_group_oracle(cfg):
@@ -80,16 +164,11 @@ def test_grid_groups_probs_strictly_descending():
 )
 def test_unrank_is_a_bijection_onto_the_grid(rows, levels):
     cfg = make_config(rows, levels, 1)
-    classes, groups = grid_groups(cfg)
-    seen = set()
-    for group in groups:
-        for rank in range(group.size):
-            cell = unrank_grid_cell(group, classes, cfg.levels, cfg.b, rank)
-            assert cell not in seen
-            seen.add(cell)
-            assert edge_prob(cfg, *cell) == pytest.approx(group.prob, rel=1e-9, abs=1e-15)
-    n = cfg.n_nodes
-    assert len(seen) == n * n
+    groups, cells = unrank_all(cfg)
+    assert len(set(cells)) == len(cells) == cfg.n_nodes**2
+    probs = [group.prob for group in groups for _ in range(group.size)]
+    for cell, prob in zip(cells, probs):
+        assert edge_prob(cfg, *cell) == pytest.approx(prob, rel=1e-9, abs=1e-15)
 
 
 def test_zero_entries_collapse_into_one_group():
@@ -138,20 +217,90 @@ def test_group_cap():
 )
 def test_unrank_bijection_property(values, levels):
     cfg = make_config([values[:2], values[2:]], levels, 1)
-    classes, groups = grid_groups(cfg)
-    seen = set()
-    for group in groups:
-        for rank in range(group.size):
-            cell = unrank_grid_cell(group, classes, cfg.levels, cfg.b, rank)
-            assert cell not in seen
-            seen.add(cell)
-    assert len(seen) == cfg.n_nodes**2
+    _, cells = unrank_all(cfg)
+    assert len(set(cells)) == len(cells) == cfg.n_nodes**2
 
 
 def test_unrank_rejects_out_of_range_rank():
-    from kronnet import BadArgs
-
     cfg = make_config([[0.9, 0.7], [0.5, 0.3]], 2, 1)
     classes, groups = grid_groups(cfg)
-    with pytest.raises(BadArgs):
-        unrank_grid_cell(groups[0], classes, cfg.levels, cfg.b, groups[0].size)
+    unranker = GridUnranker(classes, groups, cfg.levels, cfg.b)
+    for index, group in enumerate(groups):
+        for bad in (-1, group.size):
+            with pytest.raises(BadArgs):
+                unranker.cells([(index, [0, bad])])
+
+
+def test_unrank_refuses_groups_beyond_int64():
+    # the zero group holds 4**40 - 2**40 cells, so it has no tables
+    cfg = make_config([[0.5, 0.0], [0.0, 0.5]], 40, 1)
+    classes, groups = grid_groups(cfg)
+    unranker = GridUnranker(classes, groups, cfg.levels, cfg.b)
+    assert groups[-1].size > I64_MAX
+    with pytest.raises(Overflow):
+        unranker.cells([(len(groups) - 1, [0])])
+    rows, cols = unranker.cells([(0, [0, groups[0].size - 1])])
+    assert rows.tolist() == cols.tolist() == [0, 2**40 - 1]
+
+
+def test_unrank_exact_where_arrangement_products_pass_int64():
+    # At K = 34 some descriptors have arrangements * count > 2**63, so the
+    # naive product arr * count // remaining would overflow int64.
+    cfg = make_config([[0.9, 0.1], [0.05, 0.02]], 34, 1)
+    classes, groups = grid_groups(cfg)
+    unranker = GridUnranker(classes, groups, cfg.levels, cfg.b)
+    wide = [
+        index
+        for index, group in enumerate(groups)
+        if any(
+            _multinomial(d.exponents) * max(d.exponents) > I64_MAX
+            for d in group.cell_source
+        )
+    ]
+    assert len(wide) >= 30
+    rng = np.random.default_rng(34)
+    drawn = []
+    for index in wide:
+        size = groups[index].size
+        ranks = [0, size - 1] + [int(v) for v in rng.integers(0, size, 5)]
+        drawn.append((index, np.asarray(ranks, dtype=np.int64)))
+    rows, cols = unranker.cells(drawn)
+    expected = [
+        unrank_grid_cell(groups[index], classes, cfg.levels, cfg.b, int(rank))
+        for index, ranks in drawn
+        for rank in ranks
+    ]
+    assert list(zip(rows.tolist(), cols.tolist())) == expected
+
+
+def _reference_grid_gp(cfg, seed):
+    """Whole-grid gp with the scalar unranking: the same draw loop, one
+    cell at a time, sorted."""
+    classes, groups = grid_groups(cfg)
+    stream = level_rng(seed, 0)
+    return sorted(
+        unrank_grid_cell(group, classes, cfg.levels, cfg.b, rank)
+        for group in groups
+        for rank in _grouped_draw(group.size, group.prob, stream).tolist()
+    )
+
+
+@pytest.mark.parametrize(
+    "rows,levels",
+    [
+        ([[0.9, 0.7], [0.5, 0.3]], 3),
+        ([[0.9, 0.7], [0.5, 0.3]], 8),
+        ([[0.5, 0.5], [0.7, 0.3]], 6),
+        ([[1.0, 0.5], [0.5, 0.0]], 6),
+        ([[0.9, 0.6, 0.3], [0.6, 0.5, 0.2], [0.3, 0.2, 0.1]], 4),
+        ([[0.5, 0.0], [0.0, 0.5]], 40),
+    ],
+)
+def test_grid_gp_matches_scalar_unrank_reference(rows, levels):
+    cfg = make_config(rows, levels, levels)
+    engine = ModelSampler(cfg)
+    for seed in (0, 7, 12345):
+        net, trace = engine.run("gp", seed)
+        expected = [list(cell) for cell in _reference_grid_gp(cfg, seed)]
+        assert net.edges.tolist() == expected
+        assert trace.final_active == net.edge_count

@@ -221,16 +221,26 @@ def test_tied_levels_sorted_beyond_2_32_nodes(strategy):
     assert max(sizes) > 100
 
 
-@pytest.mark.parametrize("strategy", [Strategy.DCSD, Strategy.GP])
-def test_edge_count_mean_and_variance_match_branching_process(strategy):
-    """Edge counts of a 2**16-node tied model against closed-form moments.
+@pytest.mark.parametrize(
+    "strategy,levels,untied,reps",
+    [
+        pytest.param(Strategy.DCSD, 16, 4, 2000, id="dcsd"),
+        pytest.param(Strategy.GP, 16, 4, 2000, id="gp"),
+        pytest.param(Strategy.GP, 14, 14, 400, id="gp-plain"),
+    ],
+)
+def test_edge_count_mean_and_variance_match_branching_process(
+    strategy, levels, untied, reps
+):
+    """Edge counts of a 2**16-node tied model, or a 2**14-node plain model
+    (whole-grid ``gp``), against closed-form moments.
 
     Level 0 is a sum of independent Bernoulli cells (mean m0, variance v0);
     each tied level is one Galton-Watson generation whose offspring count
     has mean mu = mass and variance sigma2 = sum theta (1 - theta).
     """
     theta = np.array([[0.6, 0.4], [0.3, 0.2]])
-    cfg = make_config(theta.tolist(), 16, 4)
+    cfg = make_config(theta.tolist(), levels, untied)
     ell, tied = cfg.untied_levels, cfg.tied_levels
     mu = float(theta.sum())
     sigma2 = float((theta * (1 - theta)).sum())
@@ -238,7 +248,6 @@ def test_edge_count_mean_and_variance_match_branching_process(strategy):
     v0 = mu**ell - float((theta**2).sum()) ** ell
     mean = m0 * mu**tied
     var = v0 * mu ** (2 * tied) + m0 * sigma2 * mu ** (tied - 1) * (mu**tied - 1) / (mu - 1)
-    reps = 2000
     engine = ModelSampler(cfg)
     counts = np.array(
         [engine.run(strategy, replicate_seed(20261018, 0, i))[0].edge_count for i in range(reps)],
@@ -253,36 +262,43 @@ def test_edge_count_mean_and_variance_match_branching_process(strategy):
     assert abs(z_var) < 4, (z_var, s2, var)
 
 
-@pytest.mark.parametrize("strategy", [Strategy.DCSD, Strategy.GP])
-def test_out_degree_by_digit_count_matches_row_sums(strategy):
-    """Mean out-degree of 2**16-node tied-model nodes, binned by 1-digits.
+@pytest.mark.parametrize(
+    "strategy,levels,untied,reps",
+    [
+        pytest.param(Strategy.DCSD, 16, 4, 1000, id="dcsd"),
+        pytest.param(Strategy.GP, 16, 4, 1000, id="gp"),
+        pytest.param(Strategy.GP, 14, 14, 300, id="gp-plain"),
+    ],
+)
+def test_out_degree_by_digit_count_matches_row_sums(strategy, levels, untied, reps):
+    """Mean out-degree of 2**16-node tied-model (or 2**14-node plain-model)
+    nodes, binned by 1-digits.
 
     Node i's expected out-degree is the product of the seed's row sums over
-    its base-2 digits, so every node with k one-digits expects r0**(16-k) *
-    r1**k.  Each replicate's bin means are iid samples of that value.  The
-    check reads rows only, so it catches children placed in the wrong row of
-    their block even where the edge count keeps its law.
+    its base-2 digits, so every node with k one-digits expects
+    r0**(levels-k) * r1**k.  Each replicate's bin means are iid samples of
+    that value.  The check reads rows only, so it catches children placed
+    in the wrong row of their block even where the edge count keeps its law.
     """
     theta = np.array([[0.6, 0.4], [0.3, 0.2]])
-    cfg = make_config(theta.tolist(), 16, 4)
+    cfg = make_config(theta.tolist(), levels, untied)
     r0, r1 = theta.sum(axis=1)
     ones = np.array([bin(i).count("1") for i in range(cfg.n_nodes)])
-    bin_size = np.bincount(ones, minlength=17)
-    expected = r0 ** (16 - np.arange(17)) * r1 ** np.arange(17)
-    reps = 1000
+    bin_size = np.bincount(ones, minlength=levels + 1)
+    expected = r0 ** (levels - np.arange(levels + 1)) * r1 ** np.arange(levels + 1)
     engine = ModelSampler(cfg)
     means = np.array(
         [
             np.bincount(
                 ones[engine.run(strategy, replicate_seed(20261018, 1, i))[0].edges[:, 0]],
-                minlength=17,
+                minlength=levels + 1,
             )
             / bin_size
             for i in range(reps)
         ]
     )
     # bins expecting at least 200 edges over all replicates, where the
-    # normal approximation holds (k <= 13 here)
+    # normal approximation holds (k <= 13 at 2**16 nodes, k <= 10 at 2**14)
     tested = expected * bin_size * reps >= 200
     assert tested.sum() >= 10
     means, expected = means[:, tested], expected[tested]
@@ -506,6 +522,46 @@ def test_gp_placement_uniform_across_parents():
     assert total == sum(chosen.values())
     z = (chosen[(0, 0)] - total / 2) / math.sqrt(total / 4)
     assert abs(z) < 5.0
+
+
+def test_grouped_draw_skips_placement_for_zero_counts(monkeypatch, worked_cfg):
+    # Placing nothing leaves the stream where it was, so skipping the call
+    # changes no draw.
+    for total in (5, 100, 20000, 2**40):
+        stream = np.random.default_rng(total)
+        state = stream.bit_generator.state
+        assert samplers_mod.choose_without_replacement(total, 0, stream).size == 0
+        assert stream.bit_generator.state == state
+    real = samplers_mod.choose_without_replacement
+    zero_counts = []
+
+    def placing_draw(size, prob, stream):
+        # the grouped draw that also places zero counts
+        if prob == 0.0:
+            return np.empty(0, dtype=np.int64)
+        count = samplers_mod.binomial_draw(size, prob, stream)
+        zero_counts.append(count == 0)
+        if prob == 1.0:
+            return np.arange(size, dtype=np.int64)
+        return real(size, count, stream)
+
+    def refusing(total, count, stream):
+        if count == 0:
+            raise AssertionError("placement called for a zero count")
+        return real(total, count, stream)
+
+    configs = (worked_cfg, make_config([[0.9, 0.7], [0.5, 0.3]], 6, 6))
+    runs = [(cfg, seed) for cfg in configs for seed in range(20)]
+    with monkeypatch.context() as patch:
+        patch.setattr(samplers_mod, "_grouped_draw", placing_draw)
+        before = [ModelSampler(cfg).run(Strategy.GP, seed) for cfg, seed in runs]
+    assert any(zero_counts)
+    monkeypatch.setattr(samplers_mod, "choose_without_replacement", refusing)
+    assert samplers_mod._grouped_draw(1000, 1e-9, np.random.default_rng(0)).size == 0
+    for (cfg, seed), (net_before, trace_before) in zip(runs, before):
+        net, trace = ModelSampler(cfg).run(Strategy.GP, seed)
+        np.testing.assert_array_equal(net.edges, net_before.edges)
+        assert trace == trace_before
 
 
 def test_grid_gp_examined_and_mean_edges():
