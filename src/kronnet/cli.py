@@ -161,6 +161,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _timing(runs: int, elapsed: float) -> dict[str, float]:
+    """Wall time of a verify/audit command's checks and its replicate rate."""
+    return {"elapsed_s": elapsed, "runs_per_s": runs / elapsed}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     seed = _master_seed(args)
@@ -170,6 +175,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     rows: list[list[Any]] = []
     marginal_payload = []
     ok = True
+    runs = 0
+    start = time.perf_counter()
     for strategy in strategies:
         report = marginal_test(
             cfg,
@@ -180,6 +187,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             dense_cap=args.cap,
         )
         marginal_payload.append(report.to_dict())
+        runs += args.samples
         ok = ok and report.passed
         rows.append(
             [
@@ -203,6 +211,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 dense_cap=args.cap,
             )
             equivalence_payload.append(report.to_dict())
+            runs += 2 * args.samples
             ok = ok and report.passed
             rows.append(
                 [
@@ -212,6 +221,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     "pass" if report.passed else "FAIL",
                 ]
             )
+    elapsed = time.perf_counter() - start
     sys.stdout.write(format_table(["check", "strategy", "detail", "status"], rows))
     sys.stdout.write(f"verify: {'pass' if ok else 'FAIL'}\n")
     if args.out:
@@ -223,6 +233,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 "marginal": marginal_payload,
                 "equivalence": equivalence_payload,
                 "passed": ok,
+                **_timing(runs, elapsed),
             },
             args.out,
         )
@@ -232,6 +243,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     seed = _master_seed(args)
+    start = time.perf_counter()
     try:
         report = complexity_audit(
             cfg,
@@ -243,6 +255,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     except AssertionError as exc:
         sys.stdout.write(f"audit: FAIL ({exc})\n")
         return 1
+    elapsed = time.perf_counter() - start
     rows = []
     for name, cost in report.strategies.items():
         rows.append(
@@ -268,7 +281,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     sys.stdout.write(format_table(["tied_level", "mean_active", "expected"], level_rows))
     sys.stdout.write(f"audit: {'pass' if report.passed else 'FAIL'}\n")
     if args.out:
-        save_json(report.to_dict(), args.out)
+        # The audit runs ci and dcsd once per sample each.
+        save_json({**report.to_dict(), **_timing(2 * args.samples, elapsed)}, args.out)
     return 0 if report.passed else 1
 
 

@@ -76,8 +76,7 @@ def kronecker_power(theta: ThetaMatrix, power: int, *, dense_cap: int = DEFAULT_
             f"dense grid of {side}x{side} = {side * side} entries exceeds cap "
             f"{dense_cap}; use the dcsd or gp strategy for large level counts"
         )
-    # Multiplying by 1.0 is exact, so the leading factor changes no value.
-    return DenseProbMatrix(side=side, probs=fold(np.ones((1, 1)), theta.entries, power))
+    return DenseProbMatrix(side=side, probs=fold(theta.entries, theta.entries, power - 1))
 
 
 def row_blocks(theta: ThetaMatrix, levels: int, max_cells: int) -> Iterator[np.ndarray]:
@@ -87,7 +86,7 @@ def row_blocks(theta: ThetaMatrix, levels: int, max_cells: int) -> Iterator[np.n
     digits, with ``low`` the largest level count whose block stays within
     ``max_cells`` cells (one row when even that is wider).  Each block is the
     1-row product over its shared row digits folded ``low`` more times, so its
-    values equal ``kronecker_power``'s bit for bit.
+    values equal ``kronecker_power``'s bit for bit.  ``levels`` must be >= 1.
     """
     b = theta.side
     ent = theta.entries
@@ -96,10 +95,13 @@ def row_blocks(theta: ThetaMatrix, levels: int, max_cells: int) -> Iterator[np.n
     while low < levels and b ** (low + 1) * side <= max_cells:
         low += 1
     for digits in np.ndindex(*(b,) * (levels - low)):
-        prefix = np.ones((1, 1))
-        for d in digits:
-            prefix = fold(prefix, ent[d : d + 1], 1)
-        yield fold(prefix, ent, low)
+        # One factor per shared digit (a seed row), then ``low`` whole seeds,
+        # multiplied left to right from the first factor.
+        factors = [ent[d : d + 1] for d in digits] + [ent] * low
+        block = factors[0]
+        for factor in factors[1:]:
+            block = fold(block, factor, 1)
+        yield block
 
 
 def edge_prob(cfg: ModelConfig, row: int, col: int) -> float:

@@ -30,15 +30,19 @@ Randomness is consumed per level from ``rng.level_rng(seed, level)`` in a
 documented order (cells row-major; pruned candidates parent-major with
 blocks row-major; groups by descending value or probability, count then
 placement), which makes every run reproducible and lets the full-sweep
-sampler match the Bayesian-network ancestral sampler draw for draw.
+sampler match the Bayesian-network ancestral sampler draw for draw.  Every
+run goes through one cells path, ``ModelSampler._cells``, which takes each
+level's generator from a stream source when it reaches the level: ``run``
+passes ``level_rng``, and the verification harness passes streams it
+derived in bulk for a block of replicates, so both sample the same networks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Iterable
+from functools import cached_property, partial
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -56,6 +60,10 @@ _BLOCK_CELLS = 1 << 20
 # Engines keep the level-0 blocks of grids up to this size (plain K = 12 at
 # b = 2, exactly) and rebuild larger ones on every sweep.
 _CACHE_CELLS = 1 << 24
+
+# A run's stream source: level -> that level's generator, called once per
+# level when the level is reached.
+Streams = Callable[[int], np.random.Generator]
 
 
 def _hits(stream: np.random.Generator, blocks: Iterable[np.ndarray]) -> np.ndarray:
@@ -172,18 +180,24 @@ class SampledNetwork:
         return int(self.edges.shape[0])
 
 
-def finalize_edges(cfg: ModelConfig, rows: np.ndarray, cols: np.ndarray) -> SampledNetwork:
-    """Apply the edge-mode filter to final-level cells and build the network.
+def mode_filter(cfg: ModelConfig, rows: np.ndarray, cols: np.ndarray):
+    """The final-level cells the edge mode keeps, in their order.
 
     Sampling itself always works on the full grid; undirected mode keeps only
     cells with row < col, and loop-free directed mode drops the diagonal.
     """
     if not cfg.directed:
         keep = rows < cols
-        rows, cols = rows[keep], cols[keep]
     elif not cfg.self_loops:
         keep = rows != cols
-        rows, cols = rows[keep], cols[keep]
+    else:
+        return rows, cols
+    return rows[keep], cols[keep]
+
+
+def finalize_edges(cfg: ModelConfig, rows: np.ndarray, cols: np.ndarray) -> SampledNetwork:
+    """Apply the edge-mode filter to final-level cells and build the network."""
+    rows, cols = mode_filter(cfg, rows, cols)
     edges = (
         np.column_stack([rows, cols])
         if rows.size
@@ -221,10 +235,10 @@ class ModelSampler:
 
     # -- the level-0 sweep shared by every strategy ------------------------
 
-    def _sweep(self, seed: int, levels: int) -> np.ndarray:
+    def _sweep(self, stream: np.random.Generator, levels: int) -> np.ndarray:
         """Flat row-major indices of the realized cells of the ``levels``-fold grid.
 
-        One uniform per cell, row-major, from ``level_rng(seed, 0)``, drawn
+        One uniform per cell, row-major, from the level-0 ``stream``, drawn
         row block by row block.  The blocks of small grids are kept; the
         draws do not depend on the block size or on whether they were kept.
         """
@@ -233,12 +247,12 @@ class ModelSampler:
             blocks = row_blocks(self.cfg.theta, levels, _BLOCK_CELLS)
             if self.b ** (2 * levels) <= _CACHE_CELLS:
                 blocks = self._cached_blocks[levels] = list(blocks)
-        return _hits(level_rng(seed, 0), blocks)
+        return _hits(stream, blocks)
 
-    def _level0(self, seed: int, override: Iterable[int] | None) -> np.ndarray:
+    def _level0(self, streams: Streams, override: Iterable[int] | None) -> np.ndarray:
         """Flat indices of the realized untied-stage cells, or the override's."""
         if override is None:
-            return self._sweep(seed, self.cfg.untied_levels)
+            return self._sweep(streams(0), self.cfg.untied_levels)
         cells = self.side0 * self.side0
         idx = np.asarray(sorted({int(v) for v in override}), dtype=np.int64)
         if idx.size and (idx[0] < 0 or idx[-1] >= cells):
@@ -247,7 +261,7 @@ class ModelSampler:
 
     # -- strategies --------------------------------------------------------
 
-    def _run_naive(self, seed: int):
+    def _run_naive(self, streams: Streams):
         n = self.cfg.n_nodes
         cells = n * n
         if cells > self.dense_cap:
@@ -255,7 +269,7 @@ class ModelSampler:
                 f"naive sampling needs {cells} dense cells, above the cap "
                 f"{self.dense_cap}; use the dcsd or gp strategy instead"
             )
-        idx = self._sweep(seed, self.cfg.levels)
+        idx = self._sweep(streams(0), self.cfg.levels)
         return idx // n, idx % n, [(0, cells, int(idx.size))]
 
     @cached_property
@@ -263,14 +277,14 @@ class ModelSampler:
         # Lazy: ci_rv_count overflows at level counts dcsd still samples.
         return ci_rv_count(self.cfg)
 
-    def _run_ci(self, seed: int, override):
+    def _run_ci(self, streams: Streams, override):
         if self._ci_total > self.dense_cap:
             raise CapExceeded(
                 f"full sweep examines {self._ci_total} RVs, above the cap "
                 f"{self.dense_cap}; use the dcsd or gp strategy instead"
             )
         side = self.side0
-        idx = self._level0(seed, override)
+        idx = self._level0(streams, override)
         trace = [(0, side * side, int(idx.size))]
         bb = self.b * self.b
         for lam in range(1, self.cfg.tied_levels + 1):
@@ -283,24 +297,24 @@ class ModelSampler:
                 fold(active[p : p + step], self.cfg.theta.entries, 1)
                 for p in range(0, side, step)
             )
-            idx = _hits(level_rng(seed, lam), bands)
+            idx = _hits(streams(lam), bands)
             side *= self.b
             trace.append((lam, side * side, int(idx.size)))
         return idx // side, idx % side, trace
 
-    def _run_tied(self, seed: int, override, children):
+    def _run_tied(self, streams: Streams, override, children):
         """Level 0, then every tied level through ``children``.
 
         ``children(rows, cols, stream)`` realizes the children of the given
         row-major cells from the level's stream, parent-major.
         """
-        idx = self._level0(seed, override)
+        idx = self._level0(streams, override)
         rows, cols = idx // self.side0, idx % self.side0
         trace = [(0, self.side0 * self.side0, int(idx.size))]
         bb = self.b * self.b
         for lam in range(1, self.cfg.tied_levels + 1):
             n_prev = int(rows.size)
-            rows, cols = children(rows, cols, level_rng(seed, lam))
+            rows, cols = children(rows, cols, streams(lam))
             # Children of row-major parents come parent-major; a stable sort
             # on the row alone puts them in (row, col) order.  A flat
             # row * side + col key would overflow once the side reaches 2**32.
@@ -331,11 +345,11 @@ class ModelSampler:
             return None
         return groups, GridUnranker(classes, groups, self.cfg.levels, self.b)
 
-    def _run_gp(self, seed: int, override):
+    def _run_gp(self, streams: Streams, override):
         """Grouped sampling: whole-grid groups, or level 0 then tied levels."""
         if override is None and self._grid_tables is not None:
-            return self._run_grid_gp(seed)
-        return self._run_tied(seed, override, self._gp_children)
+            return self._run_grid_gp(streams)
+        return self._run_tied(streams, override, self._gp_children)
 
     def _gp_children(self, rows, cols, stream):
         """Children of one tied level: by descending value, one binomial count
@@ -361,13 +375,13 @@ class ModelSampler:
         parent_idx, block_pos = np.divmod(candidates, bb)
         return block_children(rows, cols, parent_idx, block_pos, b)
 
-    def _run_grid_gp(self, seed: int):
+    def _run_grid_gp(self, streams: Streams):
         """Whole-grid groups by descending probability, each a binomial count
         then a placement, all from the level-0 stream; the drawn ranks are
         then unranked to cells in one array pass and put in (row, col) order.
         """
         groups, unranker = self._grid_tables
-        stream = level_rng(seed, 0)
+        stream = streams(0)
         drawn = [
             (index, _grouped_draw(group.size, group.prob, stream))
             for index, group in enumerate(groups)
@@ -380,6 +394,22 @@ class ModelSampler:
 
     # -- entry point --------------------------------------------------------
 
+    def _cells(self, strategy: Strategy, streams: Streams, override=None):
+        """The cells path every run takes: realized final-level cells and trace.
+
+        Returns row and column arrays of the realized cells of the full grid
+        in (row, col) order, before the edge-mode filter, and one
+        ``(level, rvs_examined, rvs_active)`` tuple per level.  ``streams``
+        gives each level's generator; arguments are not checked here.
+        """
+        if strategy is Strategy.NAIVE:
+            return self._run_naive(streams)
+        if strategy is Strategy.CI:
+            return self._run_ci(streams, override)
+        if strategy is Strategy.DCSD:
+            return self._run_tied(streams, override, self._dcsd_children)
+        return self._run_gp(streams, override)
+
     def run(
         self,
         strategy: Strategy | str,
@@ -389,6 +419,7 @@ class ModelSampler:
     ) -> tuple[SampledNetwork, SampleTrace]:
         """Sample once; returns the network and its RV-accounting trace.
 
+        Level ``lam`` draws from ``level_rng(seed, lam)``.
         ``level0_override`` is a test-only hook replacing the realized level-0
         cells (given as flat indices) while leaving deeper levels' streams
         untouched; it is rejected for the naive strategy, which has no levels,
@@ -396,16 +427,9 @@ class ModelSampler:
         """
         strategy = Strategy(strategy)
         seed = check_seed(seed)
-        if strategy is Strategy.NAIVE:
-            if level0_override is not None:
-                raise BadArgs("level0_override does not apply to the naive strategy")
-            rows, cols, trace = self._run_naive(seed)
-        elif strategy is Strategy.CI:
-            rows, cols, trace = self._run_ci(seed, level0_override)
-        elif strategy is Strategy.DCSD:
-            rows, cols, trace = self._run_tied(seed, level0_override, self._dcsd_children)
-        else:
-            rows, cols, trace = self._run_gp(seed, level0_override)
+        if strategy is Strategy.NAIVE and level0_override is not None:
+            raise BadArgs("level0_override does not apply to the naive strategy")
+        rows, cols, trace = self._cells(strategy, partial(level_rng, seed), level0_override)
         return finalize_edges(self.cfg, rows, cols), SampleTrace(
             seed=seed,
             strategy=strategy,

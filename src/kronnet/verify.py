@@ -16,11 +16,11 @@ from typing import Any
 import numpy as np
 from scipy.stats import chi2
 
-from .config import DEFAULT_DENSE_CAP, ModelConfig
-from .errors import BadArgs, CapExceeded
+from .config import DEFAULT_DENSE_CAP, I64_MAX, ModelConfig
+from .errors import BadArgs, CapExceeded, Overflow
 from .kron import ci_rv_count, dcsd_ebound, expected_active, kronecker_power
-from .rng import replicate_seed
-from .samplers import ModelSampler, SampledNetwork, Strategy
+from .rng import check_seed, level_states, replicate_seeds, stream_from_state
+from .samplers import ModelSampler, SampledNetwork, Strategy, mode_filter
 
 _STRATEGY_BLOCK = {
     Strategy.NAIVE: 1,
@@ -44,38 +44,69 @@ def _mode_mask(cfg: ModelConfig) -> np.ndarray:
     return np.ones((n, n), dtype=bool)
 
 
-def _block_seeds(master_seed: int, strategy: Strategy, n: int) -> list[int]:
-    block = _STRATEGY_BLOCK[strategy]
-    return [replicate_seed(master_seed, block, i) for i in range(n)]
+# Replicates whose seeds and level states are derived in one bulk call; it
+# bounds the derivation's temporaries (about 1 KiB per replicate and level).
+_CHUNK_REPLICATES = 4096
 
 
 def _run_block(
     cfg: ModelConfig,
     strategy: Strategy,
-    seeds: list[int],
+    master_seed: int,
+    start: int,
+    stop: int,
     dense_cap: int,
     want_counts: bool,
 ):
-    """Run one replicate block; returns summable per-block statistics."""
+    """Run replicates [start, stop) of the strategy's seed block.
+
+    Replicate ``i`` samples exactly what ``ModelSampler.run(strategy,
+    replicate_seed(master_seed, block, i))`` does, through the same cells
+    path and edge-mode filter, with its level streams derived in bulk.  The
+    invariants that ``SampledNetwork`` and ``LevelTrace`` enforce are checked
+    on flat cell keys.  Returns summable per-block statistics.
+    """
     engine = ModelSampler(cfg, dense_cap=dense_cap)
     n = cfg.n_nodes
-    counts = np.zeros((n, n), dtype=np.int64) if want_counts else None
-    edge_totals = np.empty(len(seeds), dtype=np.int64)
+    cells = n * n
+    if cells > I64_MAX:
+        raise Overflow(f"{n}**2 cells exceed signed 64-bit cell keys")
+    block = _STRATEGY_BLOCK[strategy]
+    levels = cfg.tied_levels + 1
+    counts = np.zeros(cells, dtype=np.int64) if want_counts else None
+    edge_totals = np.empty(stop - start, dtype=np.int64)
     examined_total = 0
-    level_active: np.ndarray | None = None
-    for pos, seed in enumerate(seeds):
-        net, trace = engine.run(strategy, seed)
-        if counts is not None and net.edge_count:
-            counts[net.edges[:, 0], net.edges[:, 1]] += 1
-        edge_totals[pos] = net.edge_count
-        examined_total += trace.total_examined
-        actives = np.fromiter(
-            (entry.rvs_active for entry in trace.per_level), dtype=np.int64
-        )
-        if level_active is None:
-            level_active = np.zeros(actives.size, dtype=np.int64)
-        level_active += actives
-    return counts, edge_totals, examined_total, level_active
+    level_active: list[int] = []
+    for lo in range(start, stop, _CHUNK_REPLICATES):
+        hi = min(stop, lo + _CHUNK_REPLICATES)
+        states = level_states(replicate_seeds(master_seed, block, lo, hi), levels)
+        chunk_keys = []
+        for pos, replicate in enumerate(states, lo - start):
+            rows, cols, trace = engine._cells(
+                strategy, lambda lam, replicate=replicate: stream_from_state(replicate[lam])
+            )
+            rows, cols = mode_filter(cfg, rows, cols)
+            keys = rows * n + cols
+            if keys.size and not (
+                0 <= keys[0] and keys[-1] < cells and bool((keys[1:] > keys[:-1]).all())
+            ):
+                raise BadArgs(f"cells must be strictly increasing keys in [0, {cells})")
+            chunk_keys.append(keys)
+            edge_totals[pos] = keys.size
+            if not level_active:
+                level_active = [0] * len(trace)
+            for lam, (level, examined, active) in enumerate(trace):
+                if level != lam or not 0 <= active <= examined:
+                    raise BadArgs(
+                        f"bad level record {(level, examined, active)} at position {lam}"
+                    )
+                examined_total += examined
+                level_active[lam] += active
+        if counts is not None:
+            counts += np.bincount(np.concatenate(chunk_keys), minlength=cells)
+    if counts is not None:
+        counts = counts.reshape(n, n)
+    return counts, edge_totals, examined_total, np.asarray(level_active, dtype=np.int64)
 
 
 def _run_block_args(args):
@@ -85,24 +116,28 @@ def _run_block_args(args):
 def _collect(
     cfg: ModelConfig,
     strategy: Strategy,
-    seeds: list[int],
+    n_runs: int,
+    master_seed: int,
     *,
     dense_cap: int,
     want_counts: bool,
     workers: int,
 ):
+    """Statistics of replicates [0, n_runs) of the strategy's seed block."""
     if workers < 1:
         raise BadArgs(f"workers must be >= 1, got {workers}")
-    if workers == 1 or len(seeds) < 2 * workers:
-        return _run_block(cfg, strategy, seeds, dense_cap, want_counts)
-    # plain slicing: numpy would promote the u64-range seed ints to float64
-    size = -(-len(seeds) // workers)
-    chunks = [seeds[i : i + size] for i in range(0, len(seeds), size)]
+    master_seed = check_seed(master_seed)
+    if workers == 1 or n_runs < 2 * workers:
+        return _run_block(cfg, strategy, master_seed, 0, n_runs, dense_cap, want_counts)
+    size = -(-n_runs // workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(
             pool.map(
                 _run_block_args,
-                [(cfg, strategy, chunk, dense_cap, want_counts) for chunk in chunks],
+                [
+                    (cfg, strategy, master_seed, lo, min(n_runs, lo + size), dense_cap, want_counts)
+                    for lo in range(0, n_runs, size)
+                ],
             )
         )
     counts = None
@@ -173,11 +208,11 @@ def marginal_test(
     if n_samples < 1:
         raise BadArgs(f"n_samples must be >= 1, got {n_samples}")
     theory = kronecker_power(cfg.theta, cfg.levels, dense_cap=dense_cap).probs
-    seeds = _block_seeds(master_seed, strategy, n_samples)
     counts, _, _, _ = _collect(
         cfg,
         strategy,
-        seeds,
+        n_samples,
+        master_seed,
         dense_cap=dense_cap,
         want_counts=True,
         workers=workers,
@@ -314,11 +349,11 @@ def equivalence_test(
         )
     results = {}
     for strategy in (strategy_a, strategy_b):
-        seeds = _block_seeds(master_seed, strategy, n_samples)
         results[strategy] = _collect(
             cfg,
             strategy,
-            seeds,
+            n_samples,
+            master_seed,
             dense_cap=dense_cap,
             want_counts=True,
             workers=workers,
@@ -426,11 +461,11 @@ def complexity_audit(
         raise BadArgs(f"n_runs must be >= 1, got {n_runs}")
     expected_ci = ci_rv_count(cfg)
 
-    seeds_ci = _block_seeds(master_seed, Strategy.CI, n_runs)
     _, _, examined_ci, _ = _collect(
         cfg,
         Strategy.CI,
-        seeds_ci,
+        n_runs,
+        master_seed,
         dense_cap=dense_cap,
         want_counts=False,
         workers=workers,
@@ -441,11 +476,11 @@ def complexity_audit(
             f"expected exactly {expected_ci} per run"
         )
 
-    seeds_dcsd = _block_seeds(master_seed, Strategy.DCSD, n_runs)
     _, _, examined_dcsd, level_active = _collect(
         cfg,
         Strategy.DCSD,
-        seeds_dcsd,
+        n_runs,
+        master_seed,
         dense_cap=dense_cap,
         want_counts=False,
         workers=workers,

@@ -354,3 +354,17 @@ def test_usage_error_exit_code(cfg_path):
     with pytest.raises(SystemExit) as err:
         main(["generate", "--config", cfg_path, "--strategy", "warp", "--seed", "1"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "audit"])
+def test_report_json_carries_timing(command, cfg_path, tmp_path, monkeypatch):
+    # The timing keys ride along; the rest of the payload is what it was.
+    out = tmp_path / "report.json"
+    argv = [command, "--config", cfg_path, "--seed", "5", "--samples", "200", "--out", str(out)]
+    assert main(argv) == 0
+    payload = json.loads(out.read_text())
+    assert payload.pop("elapsed_s") > 0
+    assert payload.pop("runs_per_s") > 0
+    monkeypatch.setattr(cli_mod, "_timing", lambda runs, elapsed: {})
+    assert main(argv) == 0
+    assert json.loads(out.read_text()) == payload

@@ -18,7 +18,7 @@ from kronnet import (
     kronecker_power,
     make_config,
 )
-from kronnet.kron import row_blocks
+from kronnet.kron import fold, row_blocks
 
 
 def kron_product_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -323,3 +323,47 @@ def test_row_sums_multiply():
         assert float(dense.probs.sum()) == pytest.approx(
             theta.mass**power, rel=1e-12
         )
+
+
+def _ones_start_power(ent, power):
+    """The power as one Kronecker step per level from a leading 1x1 one."""
+    return fold(np.ones((1, 1)), ent, power)
+
+
+def _ones_start_row_blocks(ent, levels, max_cells):
+    """Row blocks built from a leading 1x1 one, one digit row at a time."""
+    b = ent.shape[0]
+    side = b**levels
+    low = 0
+    while low < levels and b ** (low + 1) * side <= max_cells:
+        low += 1
+    for digits in np.ndindex(*(b,) * (levels - low)):
+        prefix = np.ones((1, 1))
+        for d in digits:
+            prefix = fold(prefix, ent[d : d + 1], 1)
+        yield fold(prefix, ent, low)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0.9, 0.7], [0.5, 0.3]],
+        [[0.91, 0.63, 0.37], [0.61, 0.53, 0.23], [0.33, 0.27, 0.11]],
+    ],
+)
+@pytest.mark.parametrize("levels", range(1, 7))
+def test_products_equal_ones_start_exactly(rows, levels):
+    theta = ThetaMatrix(rows)
+    ent = theta.entries
+    np.testing.assert_array_equal(
+        kronecker_power(theta, levels).probs, _ones_start_power(ent, levels)
+    )
+    side = theta.side**levels
+    # a bound of one cell gives one row per block; side * side gives one
+    # block with no shared digits
+    for max_cells in (1, theta.side * side, side * side):
+        got = list(row_blocks(theta, levels, max_cells))
+        expected = list(_ones_start_row_blocks(ent, levels, max_cells))
+        assert len(got) == len(expected)
+        for block, ref in zip(got, expected):
+            np.testing.assert_array_equal(block, ref)

@@ -17,7 +17,9 @@ from kronnet import (
     kronecker_power,
     make_config,
     marginal_test,
+    replicate_seed,
 )
+from kronnet.samplers import ModelSampler
 from kronnet.verify import _merge_bins, _two_sample_chisquare
 
 
@@ -314,3 +316,99 @@ def test_complexity_audit_saturated_seed_matrix_no_pruning():
     full = float(ci_rv_count(cfg))
     assert report.strategies["ci"].mean_rvs_examined == full
     assert report.strategies["dcsd"].mean_rvs_examined == full
+
+
+# -- the replicate block path ---------------------------------------------------
+
+
+def _run_block_oracle(cfg, strategy, seeds, dense_cap, want_counts):
+    """Replicate statistics through ``ModelSampler.run`` and its objects."""
+    engine = ModelSampler(cfg, dense_cap=dense_cap)
+    n = cfg.n_nodes
+    counts = np.zeros((n, n), dtype=np.int64) if want_counts else None
+    edge_totals = np.empty(len(seeds), dtype=np.int64)
+    examined_total = 0
+    level_active = None
+    for pos, seed in enumerate(seeds):
+        net, trace = engine.run(strategy, seed)
+        if counts is not None and net.edge_count:
+            counts[net.edges[:, 0], net.edges[:, 1]] += 1
+        edge_totals[pos] = net.edge_count
+        examined_total += trace.total_examined
+        actives = np.fromiter((entry.rvs_active for entry in trace.per_level), dtype=np.int64)
+        if level_active is None:
+            level_active = np.zeros(actives.size, dtype=np.int64)
+        level_active += actives
+    return counts, edge_totals, examined_total, level_active
+
+
+BLOCK_CONFIGS = {
+    "worked": ([[0.9, 0.7], [0.5, 0.3]], 3, 2),
+    "b3-tied": ([[0.9, 0.6, 0.3], [0.6, 0.5, 0.2], [0.3, 0.2, 0.1]], 3, 1),
+    "plain-grid": ([[0.9, 0.7], [0.5, 0.3]], 3, 3),
+}
+EDGE_MODES = {
+    "directed": {},
+    "undirected": {"directed": False},
+    "loop-free": {"self_loops": False},
+}
+
+
+def _assert_block_equal(got, expected):
+    for a, b in zip(got, expected):
+        if a is None:
+            assert b is None
+        else:
+            np.testing.assert_array_equal(a, b)
+    assert type(got[2]) is int and got[2] == expected[2]
+
+
+@pytest.mark.parametrize("mode", sorted(EDGE_MODES))
+@pytest.mark.parametrize("config", sorted(BLOCK_CONFIGS))
+def test_run_block_equals_run_oracle(config, mode):
+    rows, levels, untied = BLOCK_CONFIGS[config]
+    cfg = make_config(rows, levels, untied, **EDGE_MODES[mode])
+    for strategy in Strategy:
+        block = verify_mod._STRATEGY_BLOCK[strategy]
+        seeds = [replicate_seed(77, block, i) for i in range(150)]
+        expected = _run_block_oracle(cfg, strategy, seeds, 1 << 26, True)
+        got = verify_mod._run_block(cfg, strategy, 77, 0, 150, 1 << 26, True)
+        _assert_block_equal(got, expected)
+        no_counts = verify_mod._run_block(cfg, strategy, 77, 0, 150, 1 << 26, False)
+        _assert_block_equal(no_counts, (None, *expected[1:]))
+
+
+def test_run_block_chunks_and_ranges_match_oracle(monkeypatch, worked_cfg):
+    # Bulk derivation in chunks that do not divide the range, from an offset.
+    monkeypatch.setattr(verify_mod, "_CHUNK_REPLICATES", 7)
+    seeds = [replicate_seed(5, 3, i) for i in range(40, 100)]
+    expected = _run_block_oracle(worked_cfg, Strategy.DCSD, seeds, 1 << 26, True)
+    got = verify_mod._run_block(worked_cfg, Strategy.DCSD, 5, 40, 100, 1 << 26, True)
+    _assert_block_equal(got, expected)
+
+
+def test_run_block_rejects_duplicate_cells(monkeypatch, worked_cfg):
+    original = ModelSampler._cells
+
+    def duplicate_last(self, *args, **kwargs):
+        rows, cols, trace = original(self, *args, **kwargs)
+        return np.append(rows, rows[-1:]), np.append(cols, cols[-1:]), trace
+
+    monkeypatch.setattr(ModelSampler, "_cells", duplicate_last)
+    with pytest.raises(BadArgs):
+        verify_mod._run_block(worked_cfg, Strategy.DCSD, 5, 0, 50, 1 << 26, True)
+    with pytest.raises(BadArgs):
+        ModelSampler(worked_cfg).run(Strategy.DCSD, replicate_seed(5, 3, 0))
+
+
+def test_run_block_rejects_bad_level_records(monkeypatch, worked_cfg):
+    original = ModelSampler._cells
+
+    def overcount(self, *args, **kwargs):
+        rows, cols, trace = original(self, *args, **kwargs)
+        level, examined, active = trace[-1]
+        return rows, cols, trace[:-1] + [(level, examined, examined + 1)]
+
+    monkeypatch.setattr(ModelSampler, "_cells", overcount)
+    with pytest.raises(BadArgs):
+        verify_mod._run_block(worked_cfg, Strategy.CI, 5, 0, 10, 1 << 26, False)
