@@ -168,6 +168,10 @@ class _StoredState(ISeedSequence):
     __slots__ = ("state",)
 
     def __init__(self, state: np.ndarray) -> None:
+        # PCG64 reads the returned words straight from the array's buffer
+        state = np.ascontiguousarray(state, dtype=np.uint64)
+        if state.shape != (_STATE_WORDS,):
+            raise BadArgs(f"a stream state has shape ({_STATE_WORDS},), got {state.shape}")
         self.state = state
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
@@ -187,7 +191,7 @@ def level_rng(seed: int, level: int) -> np.random.Generator:
     if level < 0:
         raise BadArgs(f"level must be >= 0, got {level}")
     state = _derive(_int_words(seed) + _int_words(level), _STATE_WORDS)
-    return stream_from_state(np.array(state, dtype=np.uint64))
+    return stream_from_state(state)
 
 
 def level_states(seeds: np.ndarray, levels: int) -> np.ndarray:

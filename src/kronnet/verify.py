@@ -46,6 +46,8 @@ def _mode_mask(cfg: ModelConfig) -> np.ndarray:
 
 # Replicates whose seeds and level states are derived in one bulk call; it
 # bounds the derivation's temporaries (about 1 KiB per replicate and level).
+# Cells go into the counts replicate by replicate, so memory does not grow
+# with the chunk.
 _CHUNK_REPLICATES = 4096
 
 
@@ -64,7 +66,7 @@ def _run_block(
     replicate_seed(master_seed, block, i))`` does, through the same cells
     path and edge-mode filter, with its level streams derived in bulk.  The
     invariants that ``SampledNetwork`` and ``LevelTrace`` enforce are checked
-    on flat cell keys.  Returns summable per-block statistics.
+    on flat cell keys and columns.  Returns summable per-block statistics.
     """
     engine = ModelSampler(cfg, dense_cap=dense_cap)
     n = cfg.n_nodes
@@ -80,18 +82,29 @@ def _run_block(
     for lo in range(start, stop, _CHUNK_REPLICATES):
         hi = min(stop, lo + _CHUNK_REPLICATES)
         states = level_states(replicate_seeds(master_seed, block, lo, hi), levels)
-        chunk_keys = []
         for pos, replicate in enumerate(states, lo - start):
             rows, cols, trace = engine._cells(
                 strategy, lambda lam, replicate=replicate: stream_from_state(replicate[lam])
             )
             rows, cols = mode_filter(cfg, rows, cols)
             keys = rows * n + cols
-            if keys.size and not (
-                0 <= keys[0] and keys[-1] < cells and bool((keys[1:] > keys[:-1]).all())
-            ):
-                raise BadArgs(f"cells must be strictly increasing keys in [0, {cells})")
-            chunk_keys.append(keys)
+            if keys.size:
+                # Columns in [0, n) and keys strictly increasing in [0, n**2) are
+                # exactly SampledNetwork's ordered, in-range, duplicate-free edges.
+                if not (
+                    0 <= cols.min()
+                    and cols.max() < n
+                    and 0 <= keys[0]
+                    and keys[-1] < cells
+                    and bool((keys[1:] > keys[:-1]).all())
+                ):
+                    raise BadArgs(
+                        f"cells must be strictly increasing keys in [0, {cells}) "
+                        f"with columns in [0, {n})"
+                    )
+                if counts is not None:
+                    # the keys are unique, so fancy-index += counts each one once
+                    counts[keys] += 1
             edge_totals[pos] = keys.size
             if not level_active:
                 level_active = [0] * len(trace)
@@ -102,8 +115,6 @@ def _run_block(
                     )
                 examined_total += examined
                 level_active[lam] += active
-        if counts is not None:
-            counts += np.bincount(np.concatenate(chunk_keys), minlength=cells)
     if counts is not None:
         counts = counts.reshape(n, n)
     return counts, edge_totals, examined_total, np.asarray(level_active, dtype=np.int64)

@@ -123,6 +123,21 @@ def test_stream_from_state_draws_like_seed_sequence():
                 np.testing.assert_array_equal(draws(level_rng(seed, level)), expected)
 
 
+def test_stream_from_state_copies_strided_and_typed_states():
+    # PCG64 reads the state words from the array's buffer, so a strided view
+    # or a non-uint64 row must be made contiguous uint64 first
+    states = level_states(np.array([11, 12], dtype=np.uint64), 2)
+    expected = stream_from_state(states[1, 0].copy()).random(20)
+    column = np.ascontiguousarray(states[:, 0, :].T)[:, 1]  # stride of 2 words
+    assert not column.flags.c_contiguous
+    np.testing.assert_array_equal(stream_from_state(column).random(20), expected)
+    as_objects = np.array([int(word) for word in states[1, 0]], dtype=object)
+    np.testing.assert_array_equal(stream_from_state(as_objects).random(20), expected)
+    for bad in (states[0], states[0, 0, :3]):
+        with pytest.raises(BadArgs):
+            stream_from_state(bad)
+
+
 def test_level_rng_seed_seq_is_not_spawnable():
     seed_seq = level_rng(7, 0).bit_generator.seed_seq
     assert not isinstance(seed_seq, np.random.SeedSequence)

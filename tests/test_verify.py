@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -401,6 +402,27 @@ def test_run_block_rejects_duplicate_cells(monkeypatch, worked_cfg):
         ModelSampler(worked_cfg).run(Strategy.DCSD, replicate_seed(5, 3, 0))
 
 
+@pytest.mark.parametrize("want_counts", [True, False])
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_run_block_rejects_out_of_range_columns(monkeypatch, worked_cfg, shift, want_counts):
+    # (r, c) -> (r + 1, c - n) or (r - 1, c + n) keeps every key strictly
+    # increasing and inside [0, n**2); only the column check catches it
+    original = ModelSampler._cells
+    n = worked_cfg.n_nodes
+
+    def shift_last(self, *args, **kwargs):
+        rows, cols, trace = original(self, *args, **kwargs)
+        rows, cols = rows.copy(), cols.copy()
+        if rows.size and 0 <= rows[-1] + shift < n:
+            rows[-1] += shift
+            cols[-1] -= shift * n
+        return rows, cols, trace
+
+    monkeypatch.setattr(ModelSampler, "_cells", shift_last)
+    with pytest.raises(BadArgs, match="columns"):
+        verify_mod._run_block(worked_cfg, Strategy.DCSD, 5, 0, 50, 1 << 26, want_counts)
+
+
 def test_run_block_rejects_bad_level_records(monkeypatch, worked_cfg):
     original = ModelSampler._cells
 
@@ -412,3 +434,23 @@ def test_run_block_rejects_bad_level_records(monkeypatch, worked_cfg):
     monkeypatch.setattr(ModelSampler, "_cells", overcount)
     with pytest.raises(BadArgs):
         verify_mod._run_block(worked_cfg, Strategy.CI, 5, 0, 10, 1 << 26, False)
+
+
+@pytest.mark.parametrize("want_counts", [True, False])
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_run_block_memory_does_not_grow_with_replicates(strategy, want_counts):
+    # a dense model: ~22k cells (~180 KB of keys) per replicate on a 2**16 grid
+    cfg = make_config([[1.0, 1.0], [1.0, 0.5]], 8, 2)
+
+    def peak(runs):
+        tracemalloc.start()
+        try:
+            verify_mod._run_block(cfg, strategy, 3, 0, runs, 1 << 26, want_counts)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # warm caches outside the traced runs
+    few, many = peak(3), peak(48)
+    # 45 more replicates' keys alone would add ~8 MB
+    assert many < few + cfg.n_nodes**2 * 8, (few, many)
