@@ -18,9 +18,9 @@ def expand_active(rows, cols, uniforms, theta_flat, b):
     ``uniforms[p*b*b + dr*b + dc] < theta_flat[dr*b + dc]``.  Returns child
     row/column index arrays in that enumeration order.
     """
-    keep = uniforms.reshape(-1, b * b) < theta_flat[None, :]
-    parent_idx, block_pos = np.nonzero(keep)
-    return block_children(rows, cols, parent_idx, block_pos, b)
+    keep = uniforms.reshape(-1, b, b) < theta_flat.reshape(b, b)
+    parent_idx, dr, dc = np.nonzero(keep)
+    return rows[parent_idx] * b + dr, cols[parent_idx] * b + dc
 
 
 def block_children(rows, cols, parent_idx, block_pos, b):
@@ -30,5 +30,6 @@ def block_children(rows, cols, parent_idx, block_pos, b):
     (dr, dc) of parent p is cell (rows[p]*b + dr, cols[p]*b + dc).  The
     children come back in the order of the given pairs.
     """
-    return rows[parent_idx] * b + block_pos // b, cols[parent_idx] * b + block_pos % b
+    dr, dc = np.divmod(block_pos, b)
+    return rows[parent_idx] * b + dr, cols[parent_idx] * b + dc
 

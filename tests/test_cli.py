@@ -8,6 +8,7 @@ import pytest
 
 import kronnet
 import kronnet.cli as cli_mod
+from kronnet import output
 from kronnet.cli import main
 from kronnet.samplers import Strategy
 from kronnet.verify import MarginalReport
@@ -84,6 +85,27 @@ def test_generate_stdout(cfg_path, capsys):
     )
     lines = capsys.readouterr().out.splitlines()
     assert all("\t" in line for line in lines)
+
+
+def test_generate_stdout_matches_out_file_across_chunks(tmp_path):
+    # a tied network of ~2e5 edges goes out in several writer chunks; stdout
+    # and --out must still carry the same bytes
+    cfg = tmp_path / "tied14.json"
+    cfg.write_text(
+        json.dumps({"b": 2, "theta": [[0.9, 0.7], [0.5, 0.3]], "K": 14, "ell": 4})
+    )
+    args = ["generate", "--config", str(cfg), "--strategy", "dcsd", "--seed", "3"]
+    out = tmp_path / "net.tsv"
+    assert main(args + ["--out", str(out)]) == 0
+    result = subprocess.run(
+        [sys.executable, "-m", "kronnet.cli", *args],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(Path(kronnet.__file__).parents[1])},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count(b"\n") > 2 * output._CHUNK_EDGES
+    same = result.stdout == out.read_bytes()
+    assert same, "stdout differs from the --out file"
 
 
 def test_generate_trace_json_format(cfg_path, capsys):
