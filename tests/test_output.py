@@ -101,9 +101,6 @@ def test_write_edgelist_spans_chunks():
     write_edgelist(net, stream)
     assert first_difference(stream.getvalue(), reference_edgelist(net)) is None
     assert len(stream.writes) == 2
-    last_row = 2 * (output._CHUNK_EDGES - 1)
-    assert f"\n{last_row}\t" in stream.getvalue()
-    assert f"\n{10**6 + 2 * output._CHUNK_EDGES}\t" in stream.getvalue()
 
 
 def test_write_edgelist_empty_network_writes_nothing():
