@@ -224,14 +224,6 @@ def ancestral_sample(
     return net, trace
 
 
-def _gather_enumeration(
-    bn: BayesNet, node_ids: list[NodeId]
-) -> tuple[list[BnNode], dict[NodeId, int]]:
-    nodes = [bn.node(nid) for nid in node_ids]
-    positions = {nid: pos for pos, nid in enumerate(node_ids)}
-    return nodes, positions
-
-
 def check_csi(
     bn: BayesNet,
     x: NodeId,
@@ -273,7 +265,8 @@ def check_csi(
         raise CapExceeded(
             f"{len(node_ids)} nodes to enumerate exceed the cap {enum_cap}"
         )
-    nodes, positions = _gather_enumeration(bn, node_ids)
+    nodes = [bn.node(nid) for nid in node_ids]
+    positions = {nid: pos for pos, nid in enumerate(node_ids)}
 
     n = len(nodes)
     totals = np.zeros((2, 2), dtype=np.float64)  # [x value, y value]

@@ -180,17 +180,27 @@ class SampledNetwork:
         return int(self.edges.shape[0])
 
 
+def mode_keep(cfg: ModelConfig, rows: np.ndarray, cols: np.ndarray):
+    """Which of the cells ``(rows, cols)`` the edge mode keeps, or None for all.
+
+    Undirected mode keeps only cells with row < col, and loop-free directed
+    mode drops the diagonal.  ``rows`` and ``cols`` broadcast, so a column
+    of rows against a row of columns gives the mode's mask of a whole grid.
+    """
+    if not cfg.directed:
+        return rows < cols
+    if not cfg.self_loops:
+        return rows != cols
+    return None
+
+
 def mode_filter(cfg: ModelConfig, rows: np.ndarray, cols: np.ndarray):
     """The final-level cells the edge mode keeps, in their order.
 
-    Sampling itself always works on the full grid; undirected mode keeps only
-    cells with row < col, and loop-free directed mode drops the diagonal.
+    Sampling itself always works on the full grid; the mode only filters.
     """
-    if not cfg.directed:
-        keep = rows < cols
-    elif not cfg.self_loops:
-        keep = rows != cols
-    else:
+    keep = mode_keep(cfg, rows, cols)
+    if keep is None:
         return rows, cols
     return rows[keep], cols[keep]
 
@@ -249,16 +259,6 @@ class ModelSampler:
                 blocks = self._cached_blocks[levels] = list(blocks)
         return _hits(stream, blocks)
 
-    def _level0(self, streams: Streams, override: Iterable[int] | None) -> np.ndarray:
-        """Flat indices of the realized untied-stage cells, or the override's."""
-        if override is None:
-            return self._sweep(streams(0), self.cfg.untied_levels)
-        cells = self.side0 * self.side0
-        idx = np.asarray(sorted({int(v) for v in override}), dtype=np.int64)
-        if idx.size and (idx[0] < 0 or idx[-1] >= cells):
-            raise BadArgs(f"override cell index outside [0, {cells})")
-        return idx
-
     # -- strategies --------------------------------------------------------
 
     def _run_naive(self, streams: Streams):
@@ -277,14 +277,14 @@ class ModelSampler:
         # Lazy: ci_rv_count overflows at level counts dcsd still samples.
         return ci_rv_count(self.cfg)
 
-    def _run_ci(self, streams: Streams, override):
+    def _run_ci(self, streams: Streams):
         if self._ci_total > self.dense_cap:
             raise CapExceeded(
                 f"full sweep examines {self._ci_total} RVs, above the cap "
                 f"{self.dense_cap}; use the dcsd or gp strategy instead"
             )
         side = self.side0
-        idx = self._level0(streams, override)
+        idx = self._sweep(streams(0), self.cfg.untied_levels)
         trace = [(0, side * side, int(idx.size))]
         bb = self.b * self.b
         for lam in range(1, self.cfg.tied_levels + 1):
@@ -302,13 +302,13 @@ class ModelSampler:
             trace.append((lam, side * side, int(idx.size)))
         return idx // side, idx % side, trace
 
-    def _run_tied(self, streams: Streams, override, children):
+    def _run_tied(self, streams: Streams, children):
         """Level 0, then every tied level through ``children``.
 
         ``children(rows, cols, stream)`` realizes the children of the given
         row-major cells from the level's stream, parent-major.
         """
-        idx = self._level0(streams, override)
+        idx = self._sweep(streams(0), self.cfg.untied_levels)
         rows, cols = idx // self.side0, idx % self.side0
         trace = [(0, self.side0 * self.side0, int(idx.size))]
         bb = self.b * self.b
@@ -344,12 +344,6 @@ class ModelSampler:
         except GroupCapExceeded:
             return None
         return groups, GridUnranker(classes, groups, self.cfg.levels, self.b)
-
-    def _run_gp(self, streams: Streams, override):
-        """Grouped sampling: whole-grid groups, or level 0 then tied levels."""
-        if override is None and self._grid_tables is not None:
-            return self._run_grid_gp(streams)
-        return self._run_tied(streams, override, self._gp_children)
 
     def _gp_children(self, rows, cols, stream):
         """Children of one tied level: by descending value, one binomial count
@@ -394,7 +388,7 @@ class ModelSampler:
 
     # -- entry point --------------------------------------------------------
 
-    def _cells(self, strategy: Strategy, streams: Streams, override=None):
+    def _cells(self, strategy: Strategy, streams: Streams):
         """The cells path every run takes: realized final-level cells and trace.
 
         Returns row and column arrays of the realized cells of the full grid
@@ -405,31 +399,21 @@ class ModelSampler:
         if strategy is Strategy.NAIVE:
             return self._run_naive(streams)
         if strategy is Strategy.CI:
-            return self._run_ci(streams, override)
+            return self._run_ci(streams)
         if strategy is Strategy.DCSD:
-            return self._run_tied(streams, override, self._dcsd_children)
-        return self._run_gp(streams, override)
+            return self._run_tied(streams, self._dcsd_children)
+        if self._grid_tables is not None:
+            return self._run_grid_gp(streams)
+        return self._run_tied(streams, self._gp_children)
 
-    def run(
-        self,
-        strategy: Strategy | str,
-        seed: int,
-        *,
-        level0_override: Iterable[int] | None = None,
-    ) -> tuple[SampledNetwork, SampleTrace]:
+    def run(self, strategy: Strategy | str, seed: int) -> tuple[SampledNetwork, SampleTrace]:
         """Sample once; returns the network and its RV-accounting trace.
 
         Level ``lam`` draws from ``level_rng(seed, lam)``.
-        ``level0_override`` is a test-only hook replacing the realized level-0
-        cells (given as flat indices) while leaving deeper levels' streams
-        untouched; it is rejected for the naive strategy, which has no levels,
-        and makes ``gp`` sweep level 0 even on the plain model.
         """
         strategy = Strategy(strategy)
         seed = check_seed(seed)
-        if strategy is Strategy.NAIVE and level0_override is not None:
-            raise BadArgs("level0_override does not apply to the naive strategy")
-        rows, cols, trace = self._cells(strategy, partial(level_rng, seed), level0_override)
+        rows, cols, trace = self._cells(strategy, partial(level_rng, seed))
         return finalize_edges(self.cfg, rows, cols), SampleTrace(
             seed=seed,
             strategy=strategy,
@@ -444,5 +428,9 @@ def sample(
     *,
     dense_cap: int = DEFAULT_DENSE_CAP,
 ) -> tuple[SampledNetwork, SampleTrace]:
-    """Dispatch on strategy name; the entry point used by the CLI."""
+    """Sample once on a fresh engine: a one-shot convenience.
+
+    Repeated runs of one configuration should share a ``ModelSampler``,
+    which keeps its per-engine tables.
+    """
     return ModelSampler(cfg, dense_cap=dense_cap).run(strategy, seed)

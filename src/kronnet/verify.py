@@ -20,7 +20,7 @@ from .config import DEFAULT_DENSE_CAP, I64_MAX, ModelConfig
 from .errors import BadArgs, CapExceeded, Overflow
 from .kron import ci_rv_count, dcsd_ebound, expected_active, kronecker_power
 from .rng import check_seed, level_states, replicate_seeds, stream_from_state
-from .samplers import ModelSampler, SampledNetwork, Strategy, mode_filter
+from .samplers import ModelSampler, SampledNetwork, Strategy, mode_filter, mode_keep
 
 _STRATEGY_BLOCK = {
     Strategy.NAIVE: 1,
@@ -37,11 +37,9 @@ _MIN_BIN_TOTAL = 10
 def _mode_mask(cfg: ModelConfig) -> np.ndarray:
     """Boolean mask of grid cells retained by the edge mode."""
     n = cfg.n_nodes
-    if not cfg.directed:
-        return np.triu(np.ones((n, n), dtype=bool), k=1)
-    if not cfg.self_loops:
-        return ~np.eye(n, dtype=bool)
-    return np.ones((n, n), dtype=bool)
+    index = np.arange(n)
+    keep = mode_keep(cfg, index[:, None], index[None, :])
+    return np.ones((n, n), dtype=bool) if keep is None else keep
 
 
 # Replicates whose seeds and level states are derived in one bulk call; it

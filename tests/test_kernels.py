@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from kronnet import _kernels as kernels
-from kronnet.kron import fold
 
 
 def random_case(seed, n_active, b):
@@ -34,33 +33,6 @@ def test_expand_active_matches_reference(b, seed):
     r, c = kernels.expand_active(rows, cols, uniforms, theta_flat, b)
     ref_r, ref_c = expand_active_reference(rows, cols, uniforms, theta_flat, b)
     assert r.tolist() == ref_r and c.tolist() == ref_c
-
-
-def masked_grid_reference(parent_active, uniforms, theta_flat, b, parent_side):
-    # one cell at a time, straight from the model's definition
-    side = parent_side * b
-    out = np.zeros(uniforms.shape[0], dtype=bool)
-    for f in range(uniforms.shape[0]):
-        r, c = divmod(f, side)
-        if parent_active[(r // b) * parent_side + c // b]:
-            out[f] = uniforms[f] < theta_flat[(r % b) * b + c % b]
-    return out
-
-
-@pytest.mark.parametrize("b,parent_side,seed", [(2, 16, 10), (2, 5, 11), (3, 7, 12), (3, 4, 13)])
-def test_masked_grid_matches_reference(b, parent_side, seed):
-    # ci's tied levels compare each child's uniform with one fold of the
-    # boolean parent mask by theta: a dead parent's children get exactly 0
-    rng = np.random.default_rng(seed)
-    parent_active = rng.random(parent_side * parent_side) < 0.4
-    assert 0 < parent_active.sum() < parent_active.size  # dead parents included
-    uniforms = rng.random((parent_side * b) ** 2)
-    theta_flat = rng.random(b * b)
-    probs = fold(parent_active.reshape(parent_side, parent_side), theta_flat.reshape(b, b), 1)
-    mask = uniforms < probs.ravel()
-    np.testing.assert_array_equal(
-        mask, masked_grid_reference(parent_active, uniforms, theta_flat, b, parent_side)
-    )
 
 
 def test_expand_active_empty_input():

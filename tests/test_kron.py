@@ -367,3 +367,30 @@ def test_products_equal_ones_start_exactly(rows, levels):
         assert len(got) == len(expected)
         for block, ref in zip(got, expected):
             np.testing.assert_array_equal(block, ref)
+
+
+def parent_mask_reference(parent_active, uniforms, theta_flat, b, parent_side):
+    # one cell at a time, straight from the model's definition
+    side = parent_side * b
+    out = np.zeros(uniforms.shape[0], dtype=bool)
+    for f in range(uniforms.shape[0]):
+        r, c = divmod(f, side)
+        if parent_active[(r // b) * parent_side + c // b]:
+            out[f] = uniforms[f] < theta_flat[(r % b) * b + c % b]
+    return out
+
+
+@pytest.mark.parametrize("b,parent_side,seed", [(2, 16, 10), (2, 5, 11), (3, 7, 12), (3, 4, 13)])
+def test_fold_of_parent_mask_matches_cellwise_reference(b, parent_side, seed):
+    # ci's tied levels compare each child's uniform with one fold of the
+    # boolean parent mask by theta: a dead parent's children get exactly 0
+    rng = np.random.default_rng(seed)
+    parent_active = rng.random(parent_side * parent_side) < 0.4
+    assert 0 < parent_active.sum() < parent_active.size  # dead parents included
+    uniforms = rng.random((parent_side * b) ** 2)
+    theta_flat = rng.random(b * b)
+    probs = fold(parent_active.reshape(parent_side, parent_side), theta_flat.reshape(b, b), 1)
+    mask = uniforms < probs.ravel()
+    np.testing.assert_array_equal(
+        mask, parent_mask_reference(parent_active, uniforms, theta_flat, b, parent_side)
+    )

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import io
 import math
 import tracemalloc
 from collections import Counter
@@ -20,10 +22,12 @@ from kronnet import (
     ci_rv_count,
     grid_groups,
     kronecker_power,
+    level_rng,
     make_config,
     replicate_seed,
     sample,
 )
+from kronnet.output import dump_json, trace_to_dict, write_edgelist
 
 ALL_STRATEGIES = list(Strategy)
 
@@ -46,6 +50,44 @@ def test_fresh_engine_same_output(worked_cfg, strategy):
     net_a, _ = sample(worked_cfg, strategy, 777)
     net_b, _ = sample(worked_cfg, strategy, 777)
     np.testing.assert_array_equal(net_a.edges, net_b.edges)
+
+
+# sha256 of the edge list bytes then the trace JSON of seeds 0 and 7, in
+# that order.  naive, ci and dcsd draw only PCG64 uniforms; gp's digests
+# also depend on numpy's Generator.binomial and Generator.choice (README
+# "Determinism"), so a numpy release that changes those may move them.
+PINNED_DIGESTS = {
+    ("worked", "naive"): "d69cd5f26fed0a555ea5f8ead9a61c68cf405baf20e3ca897f9139662c072e47",
+    ("worked", "ci"): "c04b8f6a3e58feb238912f8ff4ead6f295a0899397186952bb458e4c1be43c3a",
+    ("worked", "dcsd"): "62ebd12b1c225afc7b1d03cbc103a352728a56222c9682b3a70fe09ae4d0711b",
+    ("worked", "gp"): "a927c56bafb2500bfae3d2f17514f9e95f77bad99deeb901b3bcd6129e8de0d5",
+    ("plain6", "naive"): "74adb52d4a894ebd39f4162c3f8b9e2ef3ccd0cf141cc627dc35c7fff99f1a0f",
+    ("plain6", "ci"): "3e20e5442695538d2fc6c44480b51b88fb6ac3ca10c6fc425523568f8447dae7",
+    ("plain6", "dcsd"): "98a47ff46e39ea39eaafa10f5ca1ea6fa75187f09ea33e599bd022ac2456cd3b",
+    ("plain6", "gp"): "3ab115a614521212c4e615a633c03f161d22ffff0efcc47bce11ccab3e982f21",
+    ("theta3", "naive"): "ce927a5506544db732a189ac97d6a3256fd756805276ea2abd713597ab6c74cd",
+    ("theta3", "ci"): "8a4732d2a2157ebfdf9a7bcd87ad6e305ddbfb5acde40a543d3a0241d55efc98",
+    ("theta3", "dcsd"): "54fcb5f9322054c24924a21f5283103f49fa8317db71efd544ccd3e58905497c",
+    ("theta3", "gp"): "e7778050de4da083f8605cbb9a78da3489e9bf18f689d1238c4173687e862f34",
+}
+
+PINNED_CONFIGS = {
+    "worked": ([[0.9, 0.7], [0.5, 0.3]], 3, 2),
+    "plain6": ([[0.9, 0.7], [0.5, 0.3]], 6, 6),  # whole-grid gp
+    "theta3": ([[0.9, 0.6, 0.3], [0.6, 0.5, 0.2], [0.3, 0.2, 0.1]], 4, 2),
+}
+
+
+@pytest.mark.parametrize("name,strategy", sorted(PINNED_DIGESTS))
+def test_output_bytes_pinned_seed_for_seed(name, strategy):
+    cfg = make_config(*PINNED_CONFIGS[name])
+    buf = io.StringIO()
+    for seed in (0, 7):
+        net, trace = sample(cfg, strategy, seed)
+        write_edgelist(net, buf)
+        dump_json(trace_to_dict(trace), buf)
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == PINNED_DIGESTS[name, strategy]
 
 
 def test_different_seeds_differ(worked_cfg):
@@ -132,10 +174,15 @@ def test_saturated_matrix_gives_complete_graph():
     cfg = make_config(ones, 2, 1)
     n = cfg.n_nodes
     everything = {(i, j) for i in range(n) for j in range(n)}
+    side0 = cfg.b**cfg.untied_levels
     for strategy in ALL_STRATEGIES:
         net, trace = sample(cfg, strategy, 3)
         assert edges_set(net) == everything
         assert trace.final_active == n * n
+        if strategy is not Strategy.NAIVE:
+            # a full level 0 makes every tied-level candidate examined
+            assert trace.per_level[0].rvs_active == side0 * side0
+            assert trace.per_level[1].rvs_examined == 4 * side0 * side0
     # plain model: gp samples by whole-grid groups
     net, _ = sample(make_config(ones, 2, 2), Strategy.GP, 3)
     assert edges_set(net) == everything
@@ -149,7 +196,15 @@ def test_zero_matrix_gives_empty_graph():
         assert trace.final_active == 0
     # pruned sweep stops examining once nothing is active
     _, trace = sample(cfg, Strategy.DCSD, 3)
+    assert trace.per_level[0].rvs_examined == 4
+    assert trace.per_level[0].rvs_active == 0
     assert trace.per_level[1].rvs_examined == 0
+    assert trace.per_level[1].rvs_active == 0
+    # the full sweep examines every RV under an empty level 0
+    _, trace = sample(cfg, Strategy.CI, 3)
+    assert trace.per_level[0].rvs_examined == 4
+    assert trace.per_level[1].rvs_examined == 16
+    assert trace.per_level[1].rvs_active == 0
 
 
 def test_undirected_mode_is_a_pure_filter(worked_cfg):
@@ -327,76 +382,23 @@ def test_unknown_strategy_rejected(worked_cfg):
         sample(worked_cfg, "bogus", 1)
 
 
-def test_override_rejected_for_naive(worked_cfg):
-    engine = ModelSampler(worked_cfg)
-    with pytest.raises(BadArgs):
-        engine.run(Strategy.NAIVE, 1, level0_override=[0])
-
-
-def test_override_empty_level0_dcsd(worked_cfg):
-    engine = ModelSampler(worked_cfg)
-    net, trace = engine.run(Strategy.DCSD, 17, level0_override=[])
-    assert net.edge_count == 0
-    assert trace.per_level[0].rvs_examined == 16
-    assert trace.per_level[0].rvs_active == 0
-    # nothing active means nothing examined deeper
-    assert trace.per_level[1].rvs_examined == 0
-    assert trace.per_level[1].rvs_active == 0
-
-
-def test_override_empty_level0_ci_still_examines_everything(worked_cfg):
-    engine = ModelSampler(worked_cfg)
-    net, trace = engine.run(Strategy.CI, 17, level0_override=[])
-    assert net.edge_count == 0
-    assert trace.per_level[0].rvs_examined == 16
-    assert trace.per_level[1].rvs_examined == 64
-    assert trace.per_level[1].rvs_active == 0
-
-
-def test_override_with_natural_cells_reproduces_run(worked_cfg):
-    engine = ModelSampler(worked_cfg)
-    net, trace = engine.run(Strategy.DCSD, 123)
-    # Level 0 of K=3, ell=2 is the whole network of K=ell=2: same dense
-    # probabilities, same level-0 stream.
-    untied = dataclasses.replace(worked_cfg, levels=worked_cfg.untied_levels)
-    level0, _ = ModelSampler(untied).run(Strategy.DCSD, 123)
-    assert level0.edge_count == trace.per_level[0].rvs_active
-    flat = (level0.edges[:, 0] * untied.n_nodes + level0.edges[:, 1]).tolist()
-    net_b, trace_b = engine.run(Strategy.DCSD, 123, level0_override=flat)
-    np.testing.assert_array_equal(net.edges, net_b.edges)
-    assert trace == trace_b
-
-
-def test_override_full_level0_saturates_level0(worked_cfg):
-    side0 = worked_cfg.b**worked_cfg.untied_levels
-    engine = ModelSampler(worked_cfg)
-    net, trace = engine.run(Strategy.DCSD, 3, level0_override=range(side0 * side0))
-    assert trace.per_level[0].rvs_active == side0 * side0
-    assert trace.per_level[1].rvs_examined == 4 * side0 * side0
-
-
-def test_override_validates_indices(worked_cfg):
-    engine = ModelSampler(worked_cfg)
-    with pytest.raises(BadArgs):
-        engine.run(Strategy.DCSD, 3, level0_override=[16])
-    with pytest.raises(BadArgs):
-        engine.run(Strategy.DCSD, 3, level0_override=[-1])
-
-
 def test_children_stay_inside_realized_parents(worked_cfg):
-    # Pin level 0; every final edge must descend from a pinned cell through
-    # the tied levels (directed with self-loops keeps every final cell).
-    side0 = worked_cfg.b**worked_cfg.untied_levels
-    pinned = [1, 5, 6, 10, 15]
-    available = {(cell // side0, cell % side0) for cell in pinned}
+    # Level 0 of a tied config is the whole network of its ell == K config:
+    # same dense probabilities, same level-0 stream.  Every final edge must
+    # descend from one of its cells through the tied levels (directed with
+    # self-loops keeps every final cell).
+    untied = dataclasses.replace(worked_cfg, levels=worked_cfg.untied_levels)
+    level0 = ModelSampler(untied)
     for levels in (3, 4):  # one and two tied levels
         cfg = dataclasses.replace(worked_cfg, levels=levels)
         scale = cfg.b**cfg.tied_levels
         engine = ModelSampler(cfg)
-        for strategy in (Strategy.CI, Strategy.DCSD, Strategy.GP):
-            for seed in range(20):
-                net, trace = engine.run(strategy, seed, level0_override=pinned)
-                assert trace.per_level[0].rvs_active == len(pinned)
+        for seed in list(range(20)) + [123]:
+            parents, _ = level0.run(Strategy.DCSD, seed)
+            available = edges_set(parents)
+            for strategy in (Strategy.CI, Strategy.DCSD, Strategy.GP):
+                net, trace = engine.run(strategy, seed)
+                assert trace.per_level[0].rvs_active == parents.edge_count
                 assert len(trace.per_level) == cfg.tied_levels + 1
                 assert trace.final_active == net.edge_count
                 ancestors = {(r // scale, c // scale) for r, c in net.edges.tolist()}
@@ -476,19 +478,20 @@ def test_streamed_sweep_memory_stays_below_grid(monkeypatch):
 def test_gp_matches_binomial_thinning_oracle():
     """One tied level, parents pinned: per-value child counts are Binomial."""
     cfg = make_config([[0.9, 0.7], [0.5, 0.3]], 2, 1)
-    parents = [0, 3]  # level-0 cells (0,0) and (1,1) of the 2x2 grid
+    engine = ModelSampler(cfg)
+    # level-0 cells (0,0) and (1,1) of the 2x2 grid
+    parents = np.array([0, 1], dtype=np.int64)
     reps = 4000
     values = [0.9, 0.7, 0.5, 0.3]
     hists = {}
+    children = {Strategy.DCSD: engine._dcsd_children, Strategy.GP: engine._gp_children}
     for strategy in (Strategy.DCSD, Strategy.GP):
-        engine = ModelSampler(cfg)
         counts = {v: Counter() for v in values}
         for rep in range(reps):
-            # one tied level, directed with self-loops: the edges are the
-            # level-1 cells
-            net, _ = engine.run(strategy, rep, level0_override=parents)
+            # the level-1 cells, drawn from level 1's stream as a run would
+            rows, cols = children[strategy](parents, parents, level_rng(rep, 1))
             per_value = Counter()
-            for r, c in net.edges.tolist():
+            for r, c in zip(rows.tolist(), cols.tolist()):
                 per_value[cfg.theta.entries[r % 2, c % 2]] += 1
             for v in values:
                 counts[v][per_value[v]] += 1
@@ -506,14 +509,16 @@ def test_gp_placement_uniform_across_parents():
     # given exactly one realized child of a value, either parent equally likely
     cfg = make_config([[0.9, 0.7], [0.5, 0.3]], 2, 1)
     engine = ModelSampler(cfg)
+    # level-0 cells (0,0) and (1,1) of the 2x2 grid
+    parents = np.array([0, 1], dtype=np.int64)
     chosen = Counter()
     reps = 6000
     for rep in range(reps):
-        # one tied level, directed with self-loops: the edges are the level-1 cells
-        net, _ = engine.run(Strategy.GP, rep, level0_override=[0, 3])
+        # the level-1 cells, drawn from level 1's stream as a run would
+        rows, cols = engine._gp_children(parents, parents, level_rng(rep, 1))
         hits = [
             (r // 2, c // 2)
-            for r, c in net.edges.tolist()
+            for r, c in zip(rows.tolist(), cols.tolist())
             if cfg.theta.entries[r % 2, c % 2] == 0.5
         ]
         if len(hits) == 1:

@@ -20,7 +20,7 @@ from kronnet import (
     marginal_test,
     replicate_seed,
 )
-from kronnet.samplers import ModelSampler
+from kronnet.samplers import ModelSampler, mode_filter
 from kronnet.verify import _merge_bins, _two_sample_chisquare
 
 
@@ -89,6 +89,20 @@ def test_marginal_test_mode_masks():
     assert rep_u.checked_cells == n * (n - 1) // 2
     rep_l = marginal_test(loopless, "dcsd", 200, master_seed=1)
     assert rep_l.checked_cells == n * n - n
+
+
+@pytest.mark.parametrize(
+    "directed,self_loops", [(True, True), (False, True), (True, False)]
+)
+def test_mode_mask_matches_mode_filter(directed, self_loops):
+    # the grid mask the reports use keeps exactly the cells the sampler keeps
+    cfg = make_config([[0.9, 0.7], [0.5, 0.3]], 3, 2, directed=directed, self_loops=self_loops)
+    n = cfg.n_nodes
+    rows, cols = np.divmod(np.arange(n * n), n)
+    kept_rows, kept_cols = mode_filter(cfg, rows, cols)
+    expected = np.zeros((n, n), dtype=bool)
+    expected[kept_rows, kept_cols] = True
+    np.testing.assert_array_equal(verify_mod._mode_mask(cfg), expected)
 
 
 def test_marginal_test_validation():
