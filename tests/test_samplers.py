@@ -15,6 +15,7 @@ from kronnet import (
     BadArgs,
     CapExceeded,
     GroupCapExceeded,
+    LevelTrace,
     ModelSampler,
     Overflow,
     SampledNetwork,
@@ -174,15 +175,10 @@ def test_saturated_matrix_gives_complete_graph():
     cfg = make_config(ones, 2, 1)
     n = cfg.n_nodes
     everything = {(i, j) for i in range(n) for j in range(n)}
-    side0 = cfg.b**cfg.untied_levels
     for strategy in ALL_STRATEGIES:
         net, trace = sample(cfg, strategy, 3)
         assert edges_set(net) == everything
         assert trace.final_active == n * n
-        if strategy is not Strategy.NAIVE:
-            # a full level 0 makes every tied-level candidate examined
-            assert trace.per_level[0].rvs_active == side0 * side0
-            assert trace.per_level[1].rvs_examined == 4 * side0 * side0
     # plain model: gp samples by whole-grid groups
     net, _ = sample(make_config(ones, 2, 2), Strategy.GP, 3)
     assert edges_set(net) == everything
@@ -196,15 +192,7 @@ def test_zero_matrix_gives_empty_graph():
         assert trace.final_active == 0
     # pruned sweep stops examining once nothing is active
     _, trace = sample(cfg, Strategy.DCSD, 3)
-    assert trace.per_level[0].rvs_examined == 4
-    assert trace.per_level[0].rvs_active == 0
     assert trace.per_level[1].rvs_examined == 0
-    assert trace.per_level[1].rvs_active == 0
-    # the full sweep examines every RV under an empty level 0
-    _, trace = sample(cfg, Strategy.CI, 3)
-    assert trace.per_level[0].rvs_examined == 4
-    assert trace.per_level[1].rvs_examined == 16
-    assert trace.per_level[1].rvs_active == 0
 
 
 def test_undirected_mode_is_a_pure_filter(worked_cfg):
@@ -382,6 +370,74 @@ def test_unknown_strategy_rejected(worked_cfg):
         sample(worked_cfg, "bogus", 1)
 
 
+class _ConstantStream:
+    """A level-0 stream whose every uniform is ``u``: 1.0 realizes no cell,
+    0.0 every cell of positive probability."""
+
+    def __init__(self, u: float) -> None:
+        self.u = u
+
+    def random(self, size: int) -> np.ndarray:
+        return np.full(size, self.u)
+
+
+def _cells_with_level0(engine, strategy, u, seed):
+    """``engine._cells`` with level 0 pinned by a constant stream and the
+    tied levels drawn from ``seed``'s streams as a run would."""
+
+    def streams(lam):
+        return _ConstantStream(u) if lam == 0 else level_rng(seed, lam)
+
+    rows, cols, trace = engine._cells(strategy, streams)
+    return rows, cols, [LevelTrace(*entry) for entry in trace]
+
+
+def test_override_empty_level0_dcsd(worked_cfg):
+    engine = ModelSampler(worked_cfg)
+    rows, _, trace = _cells_with_level0(engine, Strategy.DCSD, 1.0, 17)
+    assert rows.size == 0
+    assert trace[0].rvs_examined == 16
+    assert trace[0].rvs_active == 0
+    # nothing active means nothing examined deeper
+    assert trace[1].rvs_examined == 0
+    assert trace[1].rvs_active == 0
+
+
+def test_override_empty_level0_ci_still_examines_everything(worked_cfg):
+    engine = ModelSampler(worked_cfg)
+    rows, _, trace = _cells_with_level0(engine, Strategy.CI, 1.0, 17)
+    assert rows.size == 0
+    assert trace[0].rvs_examined == 16
+    assert trace[1].rvs_examined == 64
+    assert trace[1].rvs_active == 0
+
+
+def test_override_with_natural_cells_reproduces_run(worked_cfg):
+    engine = ModelSampler(worked_cfg)
+    net, trace = engine.run(Strategy.DCSD, 123)
+    # Level 0 of K=3, ell=2 is the whole network of K=ell=2: same dense
+    # probabilities, same level-0 stream.
+    untied = dataclasses.replace(worked_cfg, levels=worked_cfg.untied_levels)
+    level0, _ = ModelSampler(untied).run(Strategy.DCSD, 123)
+    assert level0.edge_count == trace.per_level[0].rvs_active
+    # Its children from level 1's stream, in (row, col) order, are the run.
+    rows, cols = engine._dcsd_children(
+        level0.edges[:, 0], level0.edges[:, 1], level_rng(123, 1)
+    )
+    order = np.argsort(rows, kind="stable")
+    np.testing.assert_array_equal(net.edges, np.column_stack([rows, cols])[order])
+    assert trace.per_level[1].rvs_examined == 4 * level0.edge_count
+    assert trace.per_level[1].rvs_active == net.edge_count
+
+
+def test_override_full_level0_saturates_level0(worked_cfg):
+    side0 = worked_cfg.b**worked_cfg.untied_levels
+    engine = ModelSampler(worked_cfg)
+    _, _, trace = _cells_with_level0(engine, Strategy.DCSD, 0.0, 3)
+    assert trace[0].rvs_active == side0 * side0
+    assert trace[1].rvs_examined == 4 * side0 * side0
+
+
 def test_children_stay_inside_realized_parents(worked_cfg):
     # Level 0 of a tied config is the whole network of its ell == K config:
     # same dense probabilities, same level-0 stream.  Every final edge must
@@ -393,7 +449,7 @@ def test_children_stay_inside_realized_parents(worked_cfg):
         cfg = dataclasses.replace(worked_cfg, levels=levels)
         scale = cfg.b**cfg.tied_levels
         engine = ModelSampler(cfg)
-        for seed in list(range(20)) + [123]:
+        for seed in range(20):
             parents, _ = level0.run(Strategy.DCSD, seed)
             available = edges_set(parents)
             for strategy in (Strategy.CI, Strategy.DCSD, Strategy.GP):
