@@ -70,18 +70,35 @@ PINNED_DIGESTS = {
     ("theta3", "ci"): "8a4732d2a2157ebfdf9a7bcd87ad6e305ddbfb5acde40a543d3a0241d55efc98",
     ("theta3", "dcsd"): "54fcb5f9322054c24924a21f5283103f49fa8317db71efd544ccd3e58905497c",
     ("theta3", "gp"): "e7778050de4da083f8605cbb9a78da3489e9bf18f689d1238c4173687e862f34",
+    ("tied9", "naive"): "4414f10e040cb709abbf08626a34e5c74c64d3d7209888311eb63efebe4db03f",
+    ("tied9", "ci"): "8ab7b57c29ab216e25319e0486fee7cbbcd1b630e75160fed7544daddf38bbd6",
+    ("tied9", "dcsd"): "9322c01a19600a67d86f3a19d67a7f28f8e6893524a497218132506f6a88ff5b",
+    ("tied9", "gp"): "1c74f35b09aaefe190b39dd4e1c8e42eb4ceb82f9d3376bb833a8aabf5bedb64",
+    ("undirected", "naive"): "f53981fb84a9f76f0001058a2a81fee26522269361ef5f62580e1ca26be5725f",
+    ("undirected", "ci"): "529d95d4d43d5dc1d82a3331373391ca0697a955571bbd88be8b516c2f402c41",
+    ("undirected", "dcsd"): "55950ba40637f4e18654d2466a71946d3bbe1c0d84b686a6686447e6718c4d79",
+    ("undirected", "gp"): "8210c4865d4aed34be2c587ac9f003f8c9f6a69c1792bca57b77d200b644951e",
+    ("loopfree", "naive"): "86b3e76a02dbdb4a1ec197ce0de62e7eab1f64950663f9371fda4a9996bfd184",
+    ("loopfree", "ci"): "be9916f2c898e0b128cefd7449e1bf072b579ae69f9686907b2af54f75b4862e",
+    ("loopfree", "dcsd"): "2903058c0d1d97384f2b5870acca8bbee4a2fdfee4a2c4a18a7dabc8c2965527",
+    ("loopfree", "gp"): "7d6a83c02884877ded9be4ad7ba78007086cf7752691e8e07237e683086d5bc4",
 }
 
+_WORKED_THETA = [[0.9, 0.7], [0.5, 0.3]]
+
 PINNED_CONFIGS = {
-    "worked": ([[0.9, 0.7], [0.5, 0.3]], 3, 2),
-    "plain6": ([[0.9, 0.7], [0.5, 0.3]], 6, 6),  # whole-grid gp
-    "theta3": ([[0.9, 0.6, 0.3], [0.6, 0.5, 0.2], [0.3, 0.2, 0.1]], 4, 2),
+    "worked": make_config(_WORKED_THETA, 3, 2),
+    "plain6": make_config(_WORKED_THETA, 6, 6),  # whole-grid gp
+    "theta3": make_config([[0.9, 0.6, 0.3], [0.6, 0.5, 0.2], [0.3, 0.2, 0.1]], 4, 2),
+    "tied9": make_config(_WORKED_THETA, 9, 3),  # six tied levels
+    "undirected": make_config(_WORKED_THETA, 4, 2, directed=False),
+    "loopfree": make_config(_WORKED_THETA, 5, 5, self_loops=False),  # whole-grid gp
 }
 
 
 @pytest.mark.parametrize("name,strategy", sorted(PINNED_DIGESTS))
 def test_output_bytes_pinned_seed_for_seed(name, strategy):
-    cfg = make_config(*PINNED_CONFIGS[name])
+    cfg = PINNED_CONFIGS[name]
     buf = io.StringIO()
     for seed in (0, 7):
         net, trace = sample(cfg, strategy, seed)

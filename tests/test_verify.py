@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import tracemalloc
 
@@ -468,3 +469,35 @@ def test_run_block_memory_does_not_grow_with_replicates(strategy, want_counts):
     few, many = peak(3), peak(48)
     # 45 more replicates' keys alone would add ~8 MB
     assert many < few + cfg.n_nodes**2 * 8, (few, many)
+
+
+# -- pinned report bytes -----------------------------------------------------------
+
+# sha256 of the sorted-key JSON of each report's to_dict(): the worked example,
+# 300 replicates, master seed 11.  The equivalence pairs are the ones the CLI's
+# verify runs; gp's reports also depend on numpy's Generator.binomial and
+# Generator.choice (README "Determinism").
+PINNED_REPORT_DIGESTS = {
+    ("marginal", "naive"): "ed5ee36ab40b1b51208745593071b4c454b253e6fb72a9335b561f8fde66585b",
+    ("marginal", "ci"): "3204fda4c5a8bdf0f5bf4cf0c72a0f76341bc58bb51df2b868a10a6b0791d49c",
+    ("marginal", "dcsd"): "85e5d5df501dd92ae04585b81860f7de8782b825c0fbd007b6827ff8e082e3a2",
+    ("marginal", "gp"): "f5fde9ebb8613b16012bb13bd11d6120b7198a9bf0447693bdde6e48ce17f983",
+    ("equivalence", "ci~dcsd"): "fdfef7c14aa3e1b60b5a74c1b4da89b9bc103dc45157984a1d8a569a0edeaa75",
+    ("equivalence", "dcsd~gp"): "ace58276a5bac26cc59911c5a46bf7244dde80571412e324cfd7603f02d0bc00",
+    ("audit", "ci,dcsd"): "750d0ebf46dd557ff4b15022bb997e978562503708b00026e01f97326244b855",
+}
+
+
+def _report(kind, strategies, cfg):
+    if kind == "marginal":
+        return marginal_test(cfg, strategies, 300, 11)
+    if kind == "equivalence":
+        return equivalence_test(cfg, *strategies.split("~"), 300, 11)
+    return complexity_audit(cfg, 300, 11)
+
+
+@pytest.mark.parametrize("kind,strategies", sorted(PINNED_REPORT_DIGESTS))
+def test_report_bytes_pinned_seed_for_seed(kind, strategies, worked_cfg):
+    report = _report(kind, strategies, worked_cfg)
+    payload = json.dumps(report.to_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == PINNED_REPORT_DIGESTS[kind, strategies]
