@@ -19,7 +19,7 @@ from typing import Any, Iterator, Mapping
 
 import numpy as np
 
-from .config import DEFAULT_DENSE_CAP, ModelConfig
+from .config import DEFAULT_DENSE_CAP, ModelConfig, check_int
 from .errors import BadArgs, CapExceeded, IndexOutOfRange
 from .kron import ci_rv_count, kronecker_power
 from .rng import check_seed, level_rng
@@ -128,8 +128,10 @@ def build_bn(cfg: ModelConfig, *, dense_cap: int = DEFAULT_DENSE_CAP) -> BayesNe
     The node count equals the full-sweep RV count, so the same cap applies.
 
     Raises:
+        BadArgs: ``dense_cap`` is not an integer.
         CapExceeded: the forest would hold more than ``dense_cap`` nodes.
     """
+    dense_cap = check_int(dense_cap, "dense_cap")
     total = ci_rv_count(cfg)
     if total > dense_cap:
         raise CapExceeded(

@@ -57,7 +57,8 @@ def _common_args(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=DEFAULT_DENSE_CAP,
         help="dense-grid cap in entries: naive, ci and per-cell checks refuse "
-        f"above it, dcsd and gp never do (default {DEFAULT_DENSE_CAP})",
+        "above it; dcsd and gp do not read it, but every strategy refuses a "
+        f"level-0 sweep with rows wider than 2**24 cells (default {DEFAULT_DENSE_CAP})",
     )
     parser.add_argument("--out", help="output path (default: stdout)")
 

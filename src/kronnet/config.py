@@ -16,7 +16,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import BadConfig, BadLevels, EntryOutOfRange, Overflow
+from .errors import BadArgs, BadConfig, BadLevels, EntryOutOfRange, Overflow
 
 U64_MAX = 2**64 - 1
 I64_MAX = 2**63 - 1
@@ -24,6 +24,17 @@ I64_MAX = 2**63 - 1
 # Dense enumerations (probability matrices, per-cell sweeps) refuse to
 # materialize more than this many entries unless the caller raises the cap.
 DEFAULT_DENSE_CAP = 1 << 26
+
+
+def check_int(value: Any, name: str) -> int:
+    """An integer argument as a Python int.
+
+    Python and numpy integers pass; bools, floats, strings and everything
+    else raise ``BadArgs`` rather than being truncated or parsed.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise BadArgs(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

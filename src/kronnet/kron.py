@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import DEFAULT_DENSE_CAP, U64_MAX, ModelConfig, ThetaMatrix
+from .config import DEFAULT_DENSE_CAP, U64_MAX, ModelConfig, ThetaMatrix, check_int
 from .errors import BadArgs, CapExceeded, IndexOutOfRange, Overflow
 
 
@@ -65,9 +65,10 @@ def kronecker_power(theta: ThetaMatrix, power: int, *, dense_cap: int = DEFAULT_
     outermost factor.  Refuses to allocate more than ``dense_cap`` entries.
 
     Raises:
-        BadArgs: power < 1.
+        BadArgs: power < 1, or ``dense_cap`` is not an integer.
         CapExceeded: (side**power)**2 exceeds ``dense_cap``.
     """
+    dense_cap = check_int(dense_cap, "dense_cap")
     if power < 1:
         raise BadArgs(f"power must be >= 1, got {power}")
     side = theta.side**power

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .config import U64_MAX
+from .config import U64_MAX, check_int
 from .errors import BadArgs
 
 _M32 = 0xFFFFFFFF
@@ -156,7 +156,7 @@ def _column_words(items: list, size: int):
 
 def check_seed(seed: int) -> int:
     """Validate a user-facing 64-bit seed and return it as a Python int."""
-    seed = int(seed)
+    seed = check_int(seed, "seed")
     if not (0 <= seed <= U64_MAX):
         raise BadArgs(f"seed {seed} outside the unsigned 64-bit range")
     return seed

@@ -1,40 +1,38 @@
 """Network samplers: dense per-cell, full sweep, pruned sweep, and grouped.
 
-All strategies draw the same model:
+The samplers follow the model's Bayesian-network form, level-0 roots and
+then one child per candidate cell at each tied level, in one level loop,
+``ModelSampler._cells``:
 
-* Level 0 realizes the grid of side**untied_levels cells whose probabilities
-  come from the dense untied product matrix.  Every strategy draws it with
-  one sweep (``naive`` over all ``levels``): one uniform per cell, row-major,
-  in row blocks of at most 2**20 cells.  Grids of at most 2**24 cells keep
-  their blocks per engine; larger ones rebuild them on every sweep.  The
-  draws are the same either way, and ``dense_cap`` plays no part.
+* ``naive`` refuses above ``dense_cap`` cells (n**2), and ``ci`` above
+  ``dense_cap`` RVs (``ci_rv_count``); ``dcsd`` and ``gp`` have no dense cap.
+* Level 0 sweeps the grid of side**untied_levels cells (all ``levels`` for
+  ``naive``): one uniform per cell, row-major, in row blocks of at most
+  2**20 cells, built from the dense untied product.  Engines keep the blocks
+  of grids of at most 2**24 cells, with the same draws either way, and the
+  sweep refuses rows wider than 2**24 cells before allocating them.  On the
+  plain model ``gp`` draws one binomial count per whole-grid probability
+  group instead, unless the grouping exceeds the fixed cap of ``grid_groups``.
 * Each tied level replaces every realized cell with a side x side block of
-  candidate children; child (dr, dc) survives with probability
-  ``theta[dr, dc]``, and children of unrealized cells never survive.
-* The cells realized at the last level are the network's edges (optionally
-  filtered by the directed / self-loop mode, which never alters sampling).
+  candidates; child (dr, dc) survives with probability ``theta[dr, dc]``,
+  and children of unrealized cells never do.  The strategy's children
+  function draws them, one stable sort on the rows puts them in (row, col)
+  order, and the level adds one ``(level, examined, active)`` trace entry.
 
-They differ only in which random variables they touch:
+The strategies differ only in which of a level's RVs they touch: ``ci``
+every candidate, dead parents included; ``dcsd`` only children of realized
+cells; ``gp`` one binomial count per distinct seed value, then that many
+children placed uniformly; ``naive`` has no tied levels.  The last level's
+cells are the edges, filtered by the directed / self-loop mode, which never
+alters sampling.
 
-* ``naive``: every cell of the final untied grid directly (plain model).
-* ``ci``: every candidate cell at every level, dead parents included.
-* ``dcsd``: only children of realized cells; dead subtrees are pruned.
-* ``gp``: like dcsd, but each tied level draws one binomial count per
-  distinct seed value and places that many children uniformly, instead of
-  per-cell Bernoullis.  On the plain model (no tied levels) it draws one
-  binomial count per whole-grid probability group instead of sweeping
-  level 0, unless the grouping exceeds the fixed cap of ``grid_groups``
-  (``DEFAULT_GROUP_CAP`` exponent multisets).
-
-Randomness is consumed per level from ``rng.level_rng(seed, level)`` in a
-documented order (cells row-major; pruned candidates parent-major with
-blocks row-major; groups by descending value or probability, count then
-placement), which makes every run reproducible and lets the full-sweep
-sampler match the Bayesian-network ancestral sampler draw for draw.  Every
-run goes through one cells path, ``ModelSampler._cells``, which takes each
-level's generator from a stream source when it reaches the level: ``run``
-passes ``level_rng``, and the verification harness passes streams it
-derived in bulk for a block of replicates, so both sample the same networks.
+Each level draws from its own stream in a documented order (cells row-major;
+pruned candidates parent-major with blocks row-major; groups by descending
+value or probability, count then placement), so runs are reproducible and
+the full sweep matches the Bayesian-network ancestral sampler draw for draw.
+``_cells`` asks its stream source for a level's generator when it reaches
+the level: ``run`` passes ``level_rng``, and the verification harness
+passes streams derived in bulk for a block of replicates.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from ._kernels import block_children, expand_active
-from .config import DEFAULT_DENSE_CAP, I64_MAX, ModelConfig
+from .config import DEFAULT_DENSE_CAP, I64_MAX, ModelConfig, check_int
 from .errors import BadArgs, CapExceeded, GroupCapExceeded, Overflow
 from .groups import GridUnranker, grid_groups, theta_value_classes
 from .kron import ci_rv_count, fold, row_blocks
@@ -60,6 +58,10 @@ _BLOCK_CELLS = 1 << 20
 # Engines keep the level-0 blocks of grids up to this size (plain K = 12 at
 # b = 2, exactly) and rebuild larger ones on every sweep.
 _CACHE_CELLS = 1 << 24
+# The level-0 sweep refuses grids whose rows are wider than this many cells
+# (plain K = 25 at b = 2 is the first): a block holds at least one row, so a
+# wider row would be allocated whole before its first draw.
+_MAX_ROW_CELLS = 1 << 24
 
 # A run's stream source: level -> that level's generator, called once per
 # level when the level is reached.
@@ -75,9 +77,11 @@ def _hits(stream: np.random.Generator, blocks: Iterable[np.ndarray]) -> np.ndarr
     hits = []
     offset = 0
     for block in blocks:
-        hits.append((stream.random(block.size) < block.ravel()).nonzero()[0] + offset)
+        hit = (stream.random(block.size) < block.ravel()).nonzero()[0]
+        hits.append(hit + offset if offset else hit)
         offset += block.size
-    return np.concatenate(hits)
+    # One block is the common case of small grids: skip the copy.
+    return hits[0] if len(hits) == 1 else np.concatenate(hits)
 
 
 def _grouped_draw(size: int, prob: float, stream: np.random.Generator) -> np.ndarray:
@@ -208,11 +212,7 @@ def mode_filter(cfg: ModelConfig, rows: np.ndarray, cols: np.ndarray):
 def finalize_edges(cfg: ModelConfig, rows: np.ndarray, cols: np.ndarray) -> SampledNetwork:
     """Apply the edge-mode filter to final-level cells and build the network."""
     rows, cols = mode_filter(cfg, rows, cols)
-    edges = (
-        np.column_stack([rows, cols])
-        if rows.size
-        else np.empty((0, 2), dtype=np.int64)
-    )
+    edges = np.column_stack([rows, cols])
     return SampledNetwork(n_nodes=cfg.n_nodes, edges=edges, directed=cfg.directed)
 
 
@@ -223,7 +223,7 @@ class ModelSampler:
     most 2**24 cells), the seed-value classes, and on the first ``gp`` run
     the whole-grid probability groups, so repeated runs (verification,
     benchmarks) avoid redundant setup.  ``dense_cap`` only sets where
-    ``naive`` and ``ci`` refuse; ``dcsd`` and ``gp`` never do.
+    ``naive`` and ``ci`` refuse.
     """
 
     def __init__(self, cfg: ModelConfig, *, dense_cap: int = DEFAULT_DENSE_CAP) -> None:
@@ -232,18 +232,17 @@ class ModelSampler:
             raise Overflow(
                 f"{cfg.n_nodes} nodes exceed signed 64-bit index arithmetic"
             )
-        if dense_cap < 1:
+        self.dense_cap = check_int(dense_cap, "dense_cap")
+        if self.dense_cap < 1:
             raise BadArgs("dense_cap must be positive")
-        self.dense_cap = int(dense_cap)
         self.b = cfg.b
-        self.side0 = cfg.b**cfg.untied_levels
         self._classes = theta_value_classes(cfg.theta)
         self._class_pos = [
             np.asarray(cls.positions, dtype=np.int64) for cls in self._classes
         ]
         self._cached_blocks: dict[int, list[np.ndarray]] = {}
 
-    # -- the level-0 sweep shared by every strategy ------------------------
+    # -- level 0 --------------------------------------------------------------
 
     def _sweep(self, stream: np.random.Generator, levels: int) -> np.ndarray:
         """Flat row-major indices of the realized cells of the ``levels``-fold grid.
@@ -252,90 +251,25 @@ class ModelSampler:
         row block by row block.  The blocks of small grids are kept; the
         draws do not depend on the block size or on whether they were kept.
         """
+        width = self.b**levels
+        if width > _MAX_ROW_CELLS:
+            raise CapExceeded(
+                f"the level-0 sweep would draw rows of {width} cells, above the "
+                f"limit of {_MAX_ROW_CELLS}; tie more levels (lower ell), then "
+                "use dcsd or gp"
+            )
         blocks = self._cached_blocks.get(levels)
         if blocks is None:
             blocks = row_blocks(self.cfg.theta, levels, _BLOCK_CELLS)
-            if self.b ** (2 * levels) <= _CACHE_CELLS:
+            if width * width <= _CACHE_CELLS:
                 blocks = self._cached_blocks[levels] = list(blocks)
         return _hits(stream, blocks)
-
-    # -- strategies --------------------------------------------------------
-
-    def _run_naive(self, streams: Streams):
-        n = self.cfg.n_nodes
-        cells = n * n
-        if cells > self.dense_cap:
-            raise CapExceeded(
-                f"naive sampling needs {cells} dense cells, above the cap "
-                f"{self.dense_cap}; use the dcsd or gp strategy instead"
-            )
-        idx = self._sweep(streams(0), self.cfg.levels)
-        return idx // n, idx % n, [(0, cells, int(idx.size))]
-
-    @cached_property
-    def _ci_total(self) -> int:
-        # Lazy: ci_rv_count overflows at level counts dcsd still samples.
-        return ci_rv_count(self.cfg)
-
-    def _run_ci(self, streams: Streams):
-        if self._ci_total > self.dense_cap:
-            raise CapExceeded(
-                f"full sweep examines {self._ci_total} RVs, above the cap "
-                f"{self.dense_cap}; use the dcsd or gp strategy instead"
-            )
-        side = self.side0
-        idx = self._sweep(streams(0), self.cfg.untied_levels)
-        trace = [(0, side * side, int(idx.size))]
-        bb = self.b * self.b
-        for lam in range(1, self.cfg.tied_levels + 1):
-            active = np.zeros((side, side), dtype=bool)
-            active.flat[idx] = True
-            # A dead parent's children get probability 0 but still take their
-            # uniforms; bands of whole parent rows keep the row-major stream.
-            step = max(1, _BLOCK_CELLS // (bb * side))
-            bands = (
-                fold(active[p : p + step], self.cfg.theta.entries, 1)
-                for p in range(0, side, step)
-            )
-            idx = _hits(streams(lam), bands)
-            side *= self.b
-            trace.append((lam, side * side, int(idx.size)))
-        return idx // side, idx % side, trace
-
-    def _run_tied(self, streams: Streams, children):
-        """Level 0, then every tied level through ``children``.
-
-        ``children(rows, cols, stream)`` realizes the children of the given
-        row-major cells from the level's stream, parent-major.
-        """
-        idx = self._sweep(streams(0), self.cfg.untied_levels)
-        rows, cols = idx // self.side0, idx % self.side0
-        trace = [(0, self.side0 * self.side0, int(idx.size))]
-        bb = self.b * self.b
-        for lam in range(1, self.cfg.tied_levels + 1):
-            n_prev = int(rows.size)
-            rows, cols = children(rows, cols, streams(lam))
-            # Children of row-major parents come parent-major; a stable sort
-            # on the row alone puts them in (row, col) order.  A flat
-            # row * side + col key would overflow once the side reaches 2**32.
-            order = np.argsort(rows, kind="stable")
-            rows, cols = rows[order], cols[order]
-            trace.append((lam, n_prev * bb, int(rows.size)))
-        return rows, cols, trace
-
-    def _dcsd_children(self, rows, cols, stream):
-        """One uniform per candidate child, parent-major."""
-        uniforms = stream.random(rows.size * self.b * self.b)
-        return expand_active(rows, cols, uniforms, self.cfg.theta.flat, self.b)
 
     @cached_property
     def _grid_tables(self):
         """Whole-grid groups for ``gp`` and their ``GridUnranker``, or None to
-        sweep level 0 instead.
-
-        Only the plain model has whole-grid groups.  A grouping above the
-        fixed cap of ``grid_groups`` falls back to the level-0 sweep, which
-        draws the same per-cell marginals; the choice is made once per engine.
+        sweep level 0 instead: on a tied model, or when the grouping is above
+        the fixed cap of ``grid_groups``.  Decided once per engine.
         """
         if self.cfg.tied_levels:
             return None
@@ -345,12 +279,55 @@ class ModelSampler:
             return None
         return groups, GridUnranker(classes, groups, self.cfg.levels, self.b)
 
-    def _gp_children(self, rows, cols, stream):
-        """Children of one tied level: by descending value, one binomial count
-        per seed-value class over its ``parents * class size`` candidates,
-        placed with one ``choose_without_replacement`` call.  The placed ranks
-        become candidate indices ``parent * b*b + block position``; sorted,
-        they give the children parent-major, as ``dcsd`` enumerates survivors.
+    def _level0(self, strategy: Strategy, stream: np.random.Generator):
+        """Level 0's realized cells in (row, col) order, and its level count.
+
+        Whole-grid ``gp`` draws its groups by descending probability, each a
+        count then a placement, and unranks all drawn ranks in one array
+        pass; other runs sweep all ``levels`` (``naive``) or the untied ones.
+        """
+        if strategy is Strategy.GP and self._grid_tables is not None:
+            groups, unranker = self._grid_tables
+            drawn = [(i, _grouped_draw(g.size, g.prob, stream)) for i, g in enumerate(groups)]
+            rows, cols = unranker.cells(drawn)
+            # A flat row * side + col key would overflow once the side reaches 2**32.
+            order = np.lexsort((cols, rows))
+            return rows[order], cols[order], self.cfg.levels
+        levels = self.cfg.levels if strategy is Strategy.NAIVE else self.cfg.untied_levels
+        side = self.b**levels
+        rows, cols = np.unravel_index(self._sweep(stream, levels), (side, side))
+        return rows, cols, levels
+
+    # -- tied-level children: each takes the previous level's realized cells
+    # in (row, col) order, that level's grid side and the level's stream, and
+    # returns the realized children and the number of RVs it examined.
+
+    def _ci_children(self, rows, cols, side, stream):
+        """One uniform per cell of the child grid, row-major, children of
+        dead parents included (they get probability 0)."""
+        active = np.zeros((side, side), dtype=bool)
+        active[rows, cols] = True
+        # Bands of whole parent rows keep the row-major stream.
+        step = max(1, _BLOCK_CELLS // (self.b * self.b * side))
+        bands = (
+            fold(active[p : p + step], self.cfg.theta.entries, 1)
+            for p in range(0, side, step)
+        )
+        side *= self.b
+        return (*np.unravel_index(_hits(stream, bands), (side, side)), side * side)
+
+    def _dcsd_children(self, rows, cols, side, stream):
+        """One uniform per candidate child of a realized parent, parent-major."""
+        examined = rows.size * self.b * self.b
+        uniforms = stream.random(examined)
+        return (*expand_active(rows, cols, uniforms, self.cfg.theta.flat, self.b), examined)
+
+    def _gp_children(self, rows, cols, side, stream):
+        """By descending value, one binomial count per seed-value class over
+        its ``parents * class size`` candidates, placed with one
+        ``choose_without_replacement`` call.  The placed ranks become
+        candidate indices ``parent * b*b + block position``; sorted, they
+        give the children parent-major, as ``dcsd`` enumerates survivors.
         """
         b = self.b
         bb = b * b
@@ -367,44 +344,51 @@ class ModelSampler:
         candidates = np.concatenate(parts)
         candidates.sort()
         parent_idx, block_pos = np.divmod(candidates, bb)
-        return block_children(rows, cols, parent_idx, block_pos, b)
+        return (*block_children(rows, cols, parent_idx, block_pos, b), n_prev * bb)
 
-    def _run_grid_gp(self, streams: Streams):
-        """Whole-grid groups by descending probability, each a binomial count
-        then a placement, all from the level-0 stream; the drawn ranks are
-        then unranked to cells in one array pass and put in (row, col) order.
-        """
-        groups, unranker = self._grid_tables
-        stream = streams(0)
-        drawn = [
-            (index, _grouped_draw(group.size, group.prob, stream))
-            for index, group in enumerate(groups)
-        ]
-        rows, cols = unranker.cells(drawn)
-        # A flat row * side + col key would overflow once the side reaches 2**32.
-        order = np.lexsort((cols, rows))
-        examined = (self.b * self.b) ** self.cfg.levels
-        return rows[order], cols[order], [(0, examined, int(rows.size))]
+    _CHILDREN = {
+        Strategy.CI: _ci_children, Strategy.DCSD: _dcsd_children, Strategy.GP: _gp_children
+    }
 
-    # -- entry point --------------------------------------------------------
+    # -- the level loop -----------------------------------------------------
+
+    @cached_property
+    def _ci_total(self) -> int:
+        # Lazy: ci_rv_count overflows at level counts dcsd still samples.
+        return ci_rv_count(self.cfg)
 
     def _cells(self, strategy: Strategy, streams: Streams):
-        """The cells path every run takes: realized final-level cells and trace.
+        """The level loop every run takes: realized final-level cells and trace.
 
         Returns row and column arrays of the realized cells of the full grid
         in (row, col) order, before the edge-mode filter, and one
         ``(level, rvs_examined, rvs_active)`` tuple per level.  ``streams``
         gives each level's generator; arguments are not checked here.
         """
-        if strategy is Strategy.NAIVE:
-            return self._run_naive(streams)
-        if strategy is Strategy.CI:
-            return self._run_ci(streams)
-        if strategy is Strategy.DCSD:
-            return self._run_tied(streams, self._dcsd_children)
-        if self._grid_tables is not None:
-            return self._run_grid_gp(streams)
-        return self._run_tied(streams, self._gp_children)
+        # naive draws n**2 cells and ci every RV; dcsd and gp have no dense cap.
+        if strategy is Strategy.NAIVE and self.cfg.n_nodes**2 > self.dense_cap:
+            raise CapExceeded(
+                f"naive sampling needs {self.cfg.n_nodes**2} dense cells, above the "
+                f"cap {self.dense_cap}; use the dcsd or gp strategy instead"
+            )
+        if strategy is Strategy.CI and self._ci_total > self.dense_cap:
+            raise CapExceeded(
+                f"full sweep examines {self._ci_total} RVs, above the cap "
+                f"{self.dense_cap}; use the dcsd or gp strategy instead"
+            )
+        rows, cols, levels = self._level0(strategy, streams(0))
+        side = self.b**levels
+        trace = [(0, side * side, int(rows.size))]
+        for lam in range(1, self.cfg.levels - levels + 1):
+            rows, cols, examined = self._CHILDREN[strategy](self, rows, cols, side, streams(lam))
+            # Children come parent-major (ci's row-major); a stable sort on
+            # the row alone puts them in (row, col) order.  A flat
+            # row * side + col key would overflow once the side reaches 2**32.
+            order = rows.argsort(kind="stable")
+            rows, cols = rows[order], cols[order]
+            side *= self.b
+            trace.append((lam, examined, int(rows.size)))
+        return rows, cols, trace
 
     def run(self, strategy: Strategy | str, seed: int) -> tuple[SampledNetwork, SampleTrace]:
         """Sample once; returns the network and its RV-accounting trace.

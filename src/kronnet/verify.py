@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 from scipy.stats import chi2
 
-from .config import DEFAULT_DENSE_CAP, I64_MAX, ModelConfig
+from .config import DEFAULT_DENSE_CAP, I64_MAX, ModelConfig, check_int
 from .errors import BadArgs, CapExceeded, Overflow
 from .kron import ci_rv_count, dcsd_ebound, expected_active, kronecker_power
 from .rng import check_seed, level_states, replicate_seeds, stream_from_state
@@ -122,6 +122,18 @@ def _run_block_args(args):
     return _run_block(*args)
 
 
+def _check_args(name: str, runs, master_seed, workers, dense_cap):
+    """A report's replicate count, master seed, worker count and dense cap,
+    each an integer in range, as Python ints."""
+    runs = check_int(runs, name)
+    if runs < 1:
+        raise BadArgs(f"{name} must be >= 1, got {runs}")
+    workers = check_int(workers, "workers")
+    if workers < 1:
+        raise BadArgs(f"workers must be >= 1, got {workers}")
+    return runs, check_seed(master_seed), workers, check_int(dense_cap, "dense_cap")
+
+
 def _collect(
     cfg: ModelConfig,
     strategy: Strategy,
@@ -133,9 +145,6 @@ def _collect(
     workers: int,
 ):
     """Statistics of replicates [0, n_runs) of the strategy's seed block."""
-    if workers < 1:
-        raise BadArgs(f"workers must be >= 1, got {workers}")
-    master_seed = check_seed(master_seed)
     if workers == 1 or n_runs < 2 * workers:
         return _run_block(cfg, strategy, master_seed, 0, n_runs, dense_cap, want_counts)
     size = -(-n_runs // workers)
@@ -210,12 +219,13 @@ def marginal_test(
     match exactly.  Cells are flagged beyond ``z_threshold``.
 
     Raises:
-        BadArgs: n_samples < 1.
+        BadArgs: a count, seed or cap that is not an integer in range.
         CapExceeded: the dense probability grid exceeds ``dense_cap``.
     """
     strategy = Strategy(strategy)
-    if n_samples < 1:
-        raise BadArgs(f"n_samples must be >= 1, got {n_samples}")
+    n_samples, master_seed, workers, dense_cap = _check_args(
+        "n_samples", n_samples, master_seed, workers, dense_cap
+    )
     theory = kronecker_power(cfg.theta, cfg.levels, dense_cap=dense_cap).probs
     counts, _, _, _ = _collect(
         cfg,
@@ -252,7 +262,7 @@ def marginal_test(
     )
 
 
-def _merge_bins(values: np.ndarray, a: np.ndarray, b: np.ndarray):
+def _merge_bins(a: np.ndarray, b: np.ndarray):
     """Pool adjacent count bins until each holds >= _MIN_BIN_TOTAL draws."""
     bins_a: list[int] = []
     bins_b: list[int] = []
@@ -278,10 +288,9 @@ def _two_sample_chisquare(a_totals: np.ndarray, b_totals: np.ndarray):
     """Two-sample chi-square over pooled edge-count histograms."""
     lo = int(min(a_totals.min(), b_totals.min()))
     hi = int(max(a_totals.max(), b_totals.max()))
-    grid = np.arange(lo, hi + 1)
-    hist_a = np.bincount(a_totals - lo, minlength=grid.size).astype(np.int64)
-    hist_b = np.bincount(b_totals - lo, minlength=grid.size).astype(np.int64)
-    merged_a, merged_b = _merge_bins(grid, hist_a, hist_b)
+    hist_a = np.bincount(a_totals - lo, minlength=hi - lo + 1).astype(np.int64)
+    hist_b = np.bincount(b_totals - lo, minlength=hi - lo + 1).astype(np.int64)
+    merged_a, merged_b = _merge_bins(hist_a, hist_b)
     dof = merged_a.size - 1
     if dof < 1:
         return 0.0, 1.0
@@ -345,13 +354,14 @@ def equivalence_test(
     total-edge-count histograms with a two-sample chi-square.
 
     Raises:
-        BadArgs: n_samples < 1.
+        BadArgs: a count, seed or cap that is not an integer in range.
         CapExceeded: the per-cell comparison needs a dense grid over the cap.
     """
     strategy_a = Strategy(strategy_a)
     strategy_b = Strategy(strategy_b)
-    if n_samples < 1:
-        raise BadArgs(f"n_samples must be >= 1, got {n_samples}")
+    n_samples, master_seed, workers, dense_cap = _check_args(
+        "n_samples", n_samples, master_seed, workers, dense_cap
+    )
     if cfg.n_nodes * cfg.n_nodes > dense_cap:
         raise CapExceeded(
             f"per-cell comparison needs {cfg.n_nodes}**2 dense cells, above the cap"
@@ -463,11 +473,12 @@ def complexity_audit(
     expectations within relative tolerance ``tol``.
 
     Raises:
-        BadArgs: n_runs < 1.
+        BadArgs: a count, seed or cap that is not an integer in range.
         AssertionError: a full-sweep run examined a different RV count.
     """
-    if n_runs < 1:
-        raise BadArgs(f"n_runs must be >= 1, got {n_runs}")
+    n_runs, master_seed, workers, dense_cap = _check_args(
+        "n_runs", n_runs, master_seed, workers, dense_cap
+    )
     expected_ci = ci_rv_count(cfg)
 
     _, _, examined_ci, _ = _collect(

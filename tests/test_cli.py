@@ -152,6 +152,13 @@ def test_generate_cap_refusal(cfg_path, capsys):
     assert "dcsd" in err or "gp" in err
 
 
+def test_generate_refuses_level0_rows_past_the_limit(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"b": 2, "theta": [[0.5, 0.0], [0.0, 0.5]], "K": 40, "ell": 40}))
+    assert main(["generate", "--config", str(path), "--strategy", "dcsd", "--seed", "0"]) == 2
+    assert "level-0 sweep" in capsys.readouterr().err
+
+
 def test_missing_config_file(capsys):
     assert (
         main(["generate", "--config", "/nope/missing.json", "--strategy", "dcsd", "--seed", "1"])

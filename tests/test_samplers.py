@@ -374,6 +374,31 @@ def test_grid_gp_skips_zero_groups_beyond_int64():
     assert all(r == c for r, c in net.edges.tolist())  # a diagonal seed
 
 
+def test_level0_sweep_refuses_rows_past_the_limit():
+    # A 2**40-wide row would be built whole, by repeated folds, before its
+    # first draw; the sweep refuses it up front.
+    with pytest.raises(CapExceeded, match="level-0 sweep"):
+        sample(make_config([[0.5, 0.0], [0.0, 0.5]], 40, 40), Strategy.DCSD, 0)
+    # Over the group cap gp sweeps level 0 too: 5**11 cells a row.
+    rows = [[(5 * r + c + 1) / 100 for c in range(5)] for r in range(5)]
+    cfg = make_config(rows, 11, 11)
+    with pytest.raises(GroupCapExceeded):
+        grid_groups(cfg)
+    with pytest.raises(CapExceeded, match="level-0 sweep"):
+        sample(cfg, Strategy.GP, 0)
+
+
+def test_level0_row_limit_is_inclusive(monkeypatch, worked_cfg):
+    monkeypatch.setattr(samplers_mod, "_MAX_ROW_CELLS", 8)
+    engine = ModelSampler(worked_cfg)  # 8 nodes; level 0 of the tied levels is 4 wide
+    for strategy in ALL_STRATEGIES:
+        engine.run(strategy, 0)
+    deeper = ModelSampler(make_config(worked_cfg.theta.entries.tolist(), 5, 4))
+    for strategy in ALL_STRATEGIES:
+        with pytest.raises(CapExceeded):
+            deeper.run(strategy, 0)
+
+
 def test_bad_seed_rejected(worked_cfg):
     engine = ModelSampler(worked_cfg)
     with pytest.raises(BadArgs):
@@ -438,12 +463,12 @@ def test_override_with_natural_cells_reproduces_run(worked_cfg):
     level0, _ = ModelSampler(untied).run(Strategy.DCSD, 123)
     assert level0.edge_count == trace.per_level[0].rvs_active
     # Its children from level 1's stream, in (row, col) order, are the run.
-    rows, cols = engine._dcsd_children(
-        level0.edges[:, 0], level0.edges[:, 1], level_rng(123, 1)
+    rows, cols, examined = engine._dcsd_children(
+        level0.edges[:, 0], level0.edges[:, 1], level0.n_nodes, level_rng(123, 1)
     )
     order = np.argsort(rows, kind="stable")
     np.testing.assert_array_equal(net.edges, np.column_stack([rows, cols])[order])
-    assert trace.per_level[1].rvs_examined == 4 * level0.edge_count
+    assert trace.per_level[1].rvs_examined == examined == 4 * level0.edge_count
     assert trace.per_level[1].rvs_active == net.edge_count
 
 
@@ -562,7 +587,7 @@ def test_gp_matches_binomial_thinning_oracle():
         counts = {v: Counter() for v in values}
         for rep in range(reps):
             # the level-1 cells, drawn from level 1's stream as a run would
-            rows, cols = children[strategy](parents, parents, level_rng(rep, 1))
+            rows, cols, _ = children[strategy](parents, parents, 2, level_rng(rep, 1))
             per_value = Counter()
             for r, c in zip(rows.tolist(), cols.tolist()):
                 per_value[cfg.theta.entries[r % 2, c % 2]] += 1
@@ -588,7 +613,7 @@ def test_gp_placement_uniform_across_parents():
     reps = 6000
     for rep in range(reps):
         # the level-1 cells, drawn from level 1's stream as a run would
-        rows, cols = engine._gp_children(parents, parents, level_rng(rep, 1))
+        rows, cols, _ = engine._gp_children(parents, parents, 2, level_rng(rep, 1))
         hits = [
             (r // 2, c // 2)
             for r, c in zip(rows.tolist(), cols.tolist())

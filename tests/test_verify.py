@@ -17,10 +17,13 @@ from kronnet import (
     degree_stats,
     equivalence_test,
     kronecker_power,
+    level_rng,
     make_config,
     marginal_test,
     replicate_seed,
+    sample,
 )
+from kronnet.bn import build_bn
 from kronnet.samplers import ModelSampler, mode_filter
 from kronnet.verify import _merge_bins, _two_sample_chisquare
 
@@ -187,10 +190,9 @@ def test_per_cell_reports_over_cap_raise_cap_exceeded(worked_cfg):
 
 
 def test_merge_bins_pools_sparse_tails():
-    grid = np.arange(6)
     a = np.array([1, 2, 30, 30, 2, 1])
     b = np.array([0, 3, 28, 31, 1, 2])
-    merged_a, merged_b = _merge_bins(grid, a, b)
+    merged_a, merged_b = _merge_bins(a, b)
     assert merged_a.sum() == a.sum()
     assert merged_b.sum() == b.sum()
     assert np.all(merged_a + merged_b >= 10)
@@ -469,6 +471,44 @@ def test_run_block_memory_does_not_grow_with_replicates(strategy, want_counts):
     few, many = peak(3), peak(48)
     # 45 more replicates' keys alone would add ~8 MB
     assert many < few + cfg.n_nodes**2 * 8, (few, many)
+
+
+# -- integer arguments -------------------------------------------------------------
+
+INT_ARGS = {
+    "sample seed": lambda cfg, v: sample(cfg, "dcsd", v),
+    "engine dense_cap": lambda cfg, v: ModelSampler(cfg, dense_cap=v),
+    "level_rng seed": lambda cfg, v: level_rng(v, 0),
+    "replicate_seed master": lambda cfg, v: replicate_seed(v, 0, 0),
+    "marginal n_samples": lambda cfg, v: marginal_test(cfg, "dcsd", v, 1),
+    "marginal master_seed": lambda cfg, v: marginal_test(cfg, "dcsd", 10, v),
+    "marginal workers": lambda cfg, v: marginal_test(cfg, "dcsd", 10, 1, workers=v),
+    "marginal dense_cap": lambda cfg, v: marginal_test(cfg, "dcsd", 10, 1, dense_cap=v),
+    "equivalence n_samples": lambda cfg, v: equivalence_test(cfg, "ci", "dcsd", v, 1),
+    "equivalence master_seed": lambda cfg, v: equivalence_test(cfg, "ci", "dcsd", 10, v),
+    "audit n_runs": lambda cfg, v: complexity_audit(cfg, v, 1),
+    "audit workers": lambda cfg, v: complexity_audit(cfg, 10, 1, workers=v),
+    "kronecker_power dense_cap": lambda cfg, v: kronecker_power(cfg.theta, 2, dense_cap=v),
+    "build_bn dense_cap": lambda cfg, v: build_bn(cfg, dense_cap=v),
+}
+
+
+@pytest.mark.parametrize("value", [1.9, 2.0, "7", True, None], ids=repr)
+@pytest.mark.parametrize("call", sorted(INT_ARGS))
+def test_integer_arguments_reject_bool_float_and_str(call, value):
+    with pytest.raises(BadArgs, match="must be an integer"):
+        INT_ARGS[call](small_cfg(), value)
+
+
+def test_numpy_integer_arguments_match_python_ints():
+    cfg = small_cfg()
+    net, trace = sample(cfg, "dcsd", np.uint64(7), dense_cap=np.int64(1 << 26))
+    want_net, want_trace = sample(cfg, "dcsd", 7)
+    np.testing.assert_array_equal(net.edges, want_net.edges)
+    assert trace == want_trace and type(trace.seed) is int
+    report = marginal_test(cfg, "gp", np.int32(200), np.uint64(7), workers=np.int8(1))
+    assert report.to_dict() == marginal_test(cfg, "gp", 200, 7).to_dict()
+    assert type(report.master_seed) is int and type(report.n_samples) is int
 
 
 # -- pinned report bytes -----------------------------------------------------------
