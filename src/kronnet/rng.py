@@ -188,6 +188,7 @@ def stream_from_state(state: np.ndarray) -> np.random.Generator:
 def level_rng(seed: int, level: int) -> np.random.Generator:
     """Child generator for one sampling level of a run."""
     seed = check_seed(seed)
+    level = check_int(level, "level")
     if level < 0:
         raise BadArgs(f"level must be >= 0, got {level}")
     state = _derive(_int_words(seed) + _int_words(level), _STATE_WORDS)
@@ -202,6 +203,9 @@ def level_states(seeds: np.ndarray, levels: int) -> np.ndarray:
     ``level_rng(seeds[i], level)`` draws.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
+    levels = check_int(levels, "levels")
+    if levels < 0:
+        raise BadArgs(f"levels must be >= 0, got {levels}")
     words, present = _column_words(
         [np.repeat(seeds, levels), np.tile(np.arange(levels, dtype=np.uint64), seeds.size)],
         seeds.size * levels,
@@ -213,6 +217,8 @@ def level_states(seeds: np.ndarray, levels: int) -> np.ndarray:
 def replicate_seed(master_seed: int, block: int, index: int) -> int:
     """Sampler seed for replicate ``index`` of experiment arm ``block``."""
     master_seed = check_seed(master_seed)
+    block = check_int(block, "block")
+    index = check_int(index, "index")
     if block < 0 or index < 0:
         raise BadArgs("block and index must be >= 0")
     words = _int_words(master_seed) + _int_words(block) + _int_words(index)
@@ -222,8 +228,11 @@ def replicate_seed(master_seed: int, block: int, index: int) -> int:
 def replicate_seeds(master_seed: int, block: int, start: int, stop: int) -> np.ndarray:
     """``replicate_seed(master_seed, block, i)`` for i in [start, stop), as uint64."""
     master_seed = check_seed(master_seed)
+    block = check_int(block, "block")
+    start = check_int(start, "start")
+    stop = check_int(stop, "stop")
     if block < 0 or not (0 <= start <= stop <= U64_MAX + 1):
         raise BadArgs("need block >= 0 and 0 <= start <= stop <= 2**64")
     index = np.arange(start, stop, dtype=np.uint64)
-    words, present = _column_words([master_seed, int(block), index], index.size)
+    words, present = _column_words([master_seed, block, index], index.size)
     return _derive(words, 1, present)[0]

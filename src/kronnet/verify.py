@@ -3,7 +3,11 @@
 Replicated runs use sampler seeds derived from one master seed (see
 :mod:`kronnet.rng`), so every report is a pure function of its arguments and
 re-running with the same master seed reproduces it bit for bit, regardless
-of the worker count.
+of the worker count.  Each replicate is the network ``ModelSampler.run``
+returns for its seed: ``naive``, ``ci`` and ``dcsd`` replicates are sampled
+a chunk at a time in array passes, each from its own level streams, and
+``gp`` replicates, like those of grids above the chunk bound, one at a time
+through the samplers' level loop.
 """
 
 from __future__ import annotations
@@ -11,16 +15,18 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 import numpy as np
 from scipy.stats import chi2
 
+from ._kernels import expand_active
 from .config import DEFAULT_DENSE_CAP, I64_MAX, ModelConfig, check_int
 from .errors import BadArgs, CapExceeded, Overflow
 from .kron import ci_rv_count, dcsd_ebound, expected_active, kronecker_power
 from .rng import check_seed, level_states, replicate_seeds, stream_from_state
-from .samplers import ModelSampler, SampledNetwork, Strategy, mode_filter, mode_keep
+from .samplers import ModelSampler, SampledNetwork, Strategy, mode_keep
 
 _STRATEGY_BLOCK = {
     Strategy.NAIVE: 1,
@@ -44,9 +50,131 @@ def _mode_mask(cfg: ModelConfig) -> np.ndarray:
 
 # Replicates whose seeds and level states are derived in one bulk call; it
 # bounds the derivation's temporaries (about 1 KiB per replicate and level).
-# Cells go into the counts replicate by replicate, so memory does not grow
-# with the chunk.
 _CHUNK_REPLICATES = 4096
+# A chunk also holds at most this many grid cells (replicates * n**2), which
+# bounds its uniforms and cells.  naive, ci and dcsd chunks within it are
+# sampled in array passes; gp, and grids above it, go replicate by replicate
+# through ModelSampler._cells.
+_CHUNK_CELLS = 1 << 16
+
+
+def _chunk_uniforms(states: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The first ``sizes[r]`` uniforms of each replicate's level stream,
+    concatenated in replicate order; ``states`` holds one 4-word state per
+    replicate."""
+    out = np.empty(int(sizes.sum()))
+    at = 0
+    for state, size in zip(states, sizes.tolist()):
+        if size:
+            stream_from_state(state).random(out=out[at : at + size])
+            at += size
+    return out
+
+
+def _chunk_cells(cfg: ModelConfig, strategy: Strategy, probs0: np.ndarray, states: np.ndarray):
+    """Final-level cells of a chunk of ``naive``/``ci``/``dcsd`` replicates,
+    sampled together in array passes.
+
+    The chunk is one tall grid: cell (row, col) of replicate r sits at
+    stacked row ``r * side + row``.  Row-major order over the stack is
+    replicate order, then each replicate's (row, col) order, and a child's
+    stacked row is its parent's times b plus dr, so every level runs as on
+    one grid, each replicate taking its uniforms from its own level stream
+    (``states[r, level]``) exactly as ``ModelSampler._cells`` does.
+    ``probs0`` are the flat level-0 probabilities.  Returns each cell's
+    replicate, row and column, and a ``(replicates, levels, 3)`` array of
+    ``(level, rvs_examined, rvs_active)`` records.
+    """
+    b = cfg.b
+    theta = cfg.theta
+    reps = len(states)
+    side = math.isqrt(probs0.size)
+    examined = np.full(reps, probs0.size)
+    hits = _chunk_uniforms(states[:, 0], examined).reshape(reps, -1) < probs0
+    rows, cols = np.divmod(np.flatnonzero(hits), side)
+    records = [(examined, np.bincount(rows // side, minlength=reps))]
+    tied = 0 if strategy is Strategy.NAIVE else cfg.tied_levels
+    for lam in range(1, tied + 1):
+        if strategy is Strategy.CI:
+            # One uniform per child-grid cell; children of dead parents see
+            # probability 0, which no uniform in [0, 1) is below.
+            alive = np.zeros((reps * side, side), dtype=bool)
+            alive[rows, cols] = True
+            examined = np.full(reps, side * side * b * b)
+            uniforms = _chunk_uniforms(states[:, lam], examined)
+            hits = uniforms.reshape(reps * side, b, side, b) < theta.entries[:, None, :]
+            hits &= alive[:, None, :, None]
+            side *= b
+            rows, cols = np.divmod(np.flatnonzero(hits), side)
+        else:
+            examined = records[-1][1] * (b * b)
+            uniforms = _chunk_uniforms(states[:, lam], examined)
+            rows, cols = expand_active(rows, cols, uniforms, theta.flat, b)
+            # parent-major children; a stable sort on the stacked row puts
+            # each replicate's in (row, col) order, replicates in order
+            order = rows.argsort(kind="stable")
+            rows, cols = rows[order], cols[order]
+            side *= b
+        records.append((examined, np.bincount(rows // side, minlength=reps)))
+    rep, rows = np.divmod(rows, side)
+    trace = np.array([(np.full(reps, lam), *record) for lam, record in enumerate(records)])
+    return rep, rows, cols, trace.transpose(2, 0, 1)
+
+
+def _replicate_cells(engine: ModelSampler, strategy: Strategy, states: np.ndarray):
+    """``_chunk_cells``' results, one replicate at a time through
+    ``ModelSampler._cells``."""
+    parts = []
+    traces = []
+    for replicate in states:
+        rows, cols, trace = engine._cells(
+            strategy, lambda lam, replicate=replicate: stream_from_state(replicate[lam])
+        )
+        parts.append((rows, cols))
+        traces.append(trace)
+    rep = np.repeat(np.arange(len(parts)), [rows.size for rows, _ in parts])
+    rows = np.concatenate([rows for rows, _ in parts])
+    cols = np.concatenate([cols for _, cols in parts])
+    return rep, rows, cols, np.array(traces, dtype=np.int64)
+
+
+def _tally(cfg: ModelConfig, counts, rep, rows, cols, trace):
+    """Check one chunk's final-level cells and level records, filter the
+    cells by the edge mode and add them into ``counts`` (None: no counts).
+
+    Returns the chunk's edge total per replicate, its examined total and its
+    actives per level.
+    """
+    n = cfg.n_nodes
+    cells = n * n
+    keep = mode_keep(cfg, rows, cols)
+    if keep is not None:
+        rep, rows, cols = rep[keep], rows[keep], cols[keep]
+    keys = rows * n + cols
+    if keys.size:
+        # Columns in [0, n) and keys in [0, n**2), strictly increasing within
+        # each replicate, are exactly SampledNetwork's ordered, in-range,
+        # duplicate-free edges.
+        stacked = rep * cells + keys
+        if not (
+            0 <= cols.min()
+            and cols.max() < n
+            and 0 <= keys.min()
+            and keys.max() < cells
+            and bool((stacked[1:] > stacked[:-1]).all())
+        ):
+            raise BadArgs(
+                f"cells must be strictly increasing keys in [0, {cells}) "
+                f"with columns in [0, {n})"
+            )
+        if counts is not None:
+            np.add.at(counts, keys, 1)
+    level, examined, active = np.moveaxis(trace, -1, 0)
+    bad = (level != np.arange(trace.shape[1])) | (active < 0) | (active > examined)
+    if bad.any():
+        r, lam = np.argwhere(bad)[0]
+        raise BadArgs(f"bad level record {tuple(trace[r, lam].tolist())} at position {lam}")
+    return np.bincount(rep, minlength=trace.shape[0]), int(examined.sum()), active.sum(axis=0)
 
 
 def _run_block(
@@ -61,61 +189,54 @@ def _run_block(
     """Run replicates [start, stop) of the strategy's seed block.
 
     Replicate ``i`` samples exactly what ``ModelSampler.run(strategy,
-    replicate_seed(master_seed, block, i))`` does, through the same cells
-    path and edge-mode filter, with its level streams derived in bulk.  The
-    invariants that ``SampledNetwork`` and ``LevelTrace`` enforce are checked
-    on flat cell keys and columns.  Returns summable per-block statistics.
+    replicate_seed(master_seed, block, i))`` does, from the same level
+    streams, derived in bulk, with the same edge-mode filter.  ``naive``,
+    ``ci`` and ``dcsd`` replicates are sampled chunk-wide in array passes
+    (``_chunk_cells``); ``gp``, whose binomial and placement draws have no
+    bulk form, and grids above ``_CHUNK_CELLS`` cells go replicate by
+    replicate through ``ModelSampler._cells``.  The invariants that
+    ``SampledNetwork`` and ``LevelTrace`` enforce are checked on each
+    chunk's cell keys, columns and level records.  Returns summable
+    per-block statistics.
     """
     engine = ModelSampler(cfg, dense_cap=dense_cap)
     n = cfg.n_nodes
     cells = n * n
     if cells > I64_MAX:
         raise Overflow(f"{n}**2 cells exceed signed 64-bit cell keys")
-    block = _STRATEGY_BLOCK[strategy]
-    levels = cfg.tied_levels + 1
-    counts = np.zeros(cells, dtype=np.int64) if want_counts else None
-    edge_totals = np.empty(stop - start, dtype=np.int64)
-    examined_total = 0
-    level_active: list[int] = []
-    for lo in range(start, stop, _CHUNK_REPLICATES):
-        hi = min(stop, lo + _CHUNK_REPLICATES)
-        states = level_states(replicate_seeds(master_seed, block, lo, hi), levels)
-        for pos, replicate in enumerate(states, lo - start):
-            rows, cols, trace = engine._cells(
-                strategy, lambda lam, replicate=replicate: stream_from_state(replicate[lam])
+    if strategy is not Strategy.GP and cells <= _CHUNK_CELLS:
+        # the dense caps ModelSampler._cells enforces: naive draws n**2
+        # cells and ci every RV
+        dense = {Strategy.NAIVE: cells, Strategy.CI: ci_rv_count(cfg)}.get(strategy, 0)
+        if dense > dense_cap:
+            raise CapExceeded(
+                f"{strategy.value} draws {dense} dense RVs per run, above the cap "
+                f"{dense_cap}; use the dcsd or gp strategy instead"
             )
-            rows, cols = mode_filter(cfg, rows, cols)
-            keys = rows * n + cols
-            if keys.size:
-                # Columns in [0, n) and keys strictly increasing in [0, n**2) are
-                # exactly SampledNetwork's ordered, in-range, duplicate-free edges.
-                if not (
-                    0 <= cols.min()
-                    and cols.max() < n
-                    and 0 <= keys[0]
-                    and keys[-1] < cells
-                    and bool((keys[1:] > keys[:-1]).all())
-                ):
-                    raise BadArgs(
-                        f"cells must be strictly increasing keys in [0, {cells}) "
-                        f"with columns in [0, {n})"
-                    )
-                if counts is not None:
-                    # the keys are unique, so fancy-index += counts each one once
-                    counts[keys] += 1
-            edge_totals[pos] = keys.size
-            if not level_active:
-                level_active = [0] * len(trace)
-            for lam, (level, examined, active) in enumerate(trace):
-                if level != lam or not 0 <= active <= examined:
-                    raise BadArgs(
-                        f"bad level record {(level, examined, active)} at position {lam}"
-                    )
-                examined_total += examined
-                level_active[lam] += active
+        levels0 = cfg.levels if strategy is Strategy.NAIVE else cfg.untied_levels
+        sample = partial(
+            _chunk_cells, cfg, strategy, kronecker_power(cfg.theta, levels0).probs.ravel()
+        )
+    else:
+        sample = partial(_replicate_cells, engine, strategy)
+    block = _STRATEGY_BLOCK[strategy]
+    # a replicate holds at most n**2 cells
+    chunk = max(1, min(_CHUNK_REPLICATES, _CHUNK_CELLS // cells))
+    counts = np.zeros(cells, dtype=np.int64) if want_counts else None
+    edge_totals = []
+    examined_total = 0
+    level_active = []
+    for lo in range(start, stop, chunk):
+        seeds = replicate_seeds(master_seed, block, lo, min(stop, lo + chunk))
+        totals, examined, active = _tally(
+            cfg, counts, *sample(level_states(seeds, cfg.tied_levels + 1))
+        )
+        edge_totals.append(totals)
+        examined_total += examined
+        level_active.append(active)
     if counts is not None:
         counts = counts.reshape(n, n)
-    return counts, edge_totals, examined_total, np.asarray(level_active, dtype=np.int64)
+    return counts, np.concatenate(edge_totals), examined_total, np.sum(level_active, axis=0)
 
 
 def _run_block_args(args):
@@ -171,6 +292,17 @@ def _collect(
     return counts, edge_totals, examined_total, level_active
 
 
+def _check_real(value, name: str, low: float, high: float, *, with_low: bool = False) -> float:
+    """A real, non-bool argument in (low, high), or [low, high) ``with_low``,
+    as a float; NaN and infinities are never in range."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise BadArgs(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    if not ((low < value or (with_low and value == low)) and value < high):
+        raise BadArgs(f"{name} must lie in {'[' if with_low else '('}{low}, {high}), got {value}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class MarginalReport:
     """Per-cell empirical frequencies against exact cell probabilities."""
@@ -219,10 +351,12 @@ def marginal_test(
     match exactly.  Cells are flagged beyond ``z_threshold``.
 
     Raises:
-        BadArgs: a count, seed or cap that is not an integer in range.
+        BadArgs: a count, seed or cap that is not an integer in range, or
+            a ``z_threshold`` that is not a finite number above 0.
         CapExceeded: the dense probability grid exceeds ``dense_cap``.
     """
     strategy = Strategy(strategy)
+    z_threshold = _check_real(z_threshold, "z_threshold", 0.0, math.inf)
     n_samples, master_seed, workers, dense_cap = _check_args(
         "n_samples", n_samples, master_seed, workers, dense_cap
     )
@@ -354,11 +488,15 @@ def equivalence_test(
     total-edge-count histograms with a two-sample chi-square.
 
     Raises:
-        BadArgs: a count, seed or cap that is not an integer in range.
+        BadArgs: a count, seed or cap that is not an integer in range, a
+            ``z_threshold`` that is not a finite number above 0, or a
+            ``p_threshold`` outside (0, 1).
         CapExceeded: the per-cell comparison needs a dense grid over the cap.
     """
     strategy_a = Strategy(strategy_a)
     strategy_b = Strategy(strategy_b)
+    z_threshold = _check_real(z_threshold, "z_threshold", 0.0, math.inf)
+    p_threshold = _check_real(p_threshold, "p_threshold", 0.0, 1.0)
     n_samples, master_seed, workers, dense_cap = _check_args(
         "n_samples", n_samples, master_seed, workers, dense_cap
     )
@@ -473,9 +611,11 @@ def complexity_audit(
     expectations within relative tolerance ``tol``.
 
     Raises:
-        BadArgs: a count, seed or cap that is not an integer in range.
+        BadArgs: a count, seed or cap that is not an integer in range, or
+            a ``tol`` that is not a finite number >= 0.
         AssertionError: a full-sweep run examined a different RV count.
     """
+    tol = _check_real(tol, "tol", 0.0, math.inf, with_low=True)
     n_runs, master_seed, workers, dense_cap = _check_args(
         "n_runs", n_runs, master_seed, workers, dense_cap
     )

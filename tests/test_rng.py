@@ -156,3 +156,34 @@ def test_replicate_seeds_validation():
         replicate_seeds(0, 0, 0, 2**64 + 1)
     assert replicate_seeds(0, 0, 3, 3).size == 0
     assert replicate_seeds(0, 0, 2**64, 2**64).size == 0
+
+
+INT_ARGS = {
+    "level_rng level": lambda v: level_rng(5, v),
+    "replicate_seed block": lambda v: replicate_seed(5, v, 0),
+    "replicate_seed index": lambda v: replicate_seed(5, 1, v),
+    "replicate_seeds block": lambda v: replicate_seeds(5, v, 0, 3),
+    "replicate_seeds start": lambda v: replicate_seeds(5, 1, v, 3),
+    "replicate_seeds stop": lambda v: replicate_seeds(5, 1, 0, v),
+    "level_states levels": lambda v: level_states([1, 2], v),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, "2", True, None], ids=repr)
+@pytest.mark.parametrize("call", sorted(INT_ARGS))
+def test_integer_arguments_reject_bool_float_and_str(call, value):
+    with pytest.raises(BadArgs, match="must be an integer"):
+        INT_ARGS[call](value)
+
+
+def test_integer_arguments_accept_numpy_integers():
+    np.testing.assert_array_equal(
+        level_rng(5, np.int64(1)).random(4), level_rng(5, 1).random(4)
+    )
+    assert replicate_seed(5, np.uint8(1), np.int32(2)) == replicate_seed(5, 1, 2)
+    np.testing.assert_array_equal(
+        replicate_seeds(5, np.int16(1), np.uint64(0), np.int64(3)), replicate_seeds(5, 1, 0, 3)
+    )
+    np.testing.assert_array_equal(level_states([1, 2], np.int8(2)), level_states([1, 2], 2))
+    with pytest.raises(BadArgs):
+        level_states([1, 2], -1)

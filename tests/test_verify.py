@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kronnet.verify as verify_mod
 from kronnet import (
@@ -360,6 +362,16 @@ def _run_block_oracle(cfg, strategy, seeds, dense_cap, want_counts):
     return counts, edge_totals, examined_total, level_active
 
 
+# Chunk bounds under which replicate statistics must not move: the defaults; every
+# replicate through ModelSampler._cells; and chunks of 7 replicates, which
+# divide none of the replicate ranges.
+ROUTES = {
+    "default": {},
+    "per-replicate": {"_CHUNK_CELLS": 1},
+    "chunks-of-7": {"_CHUNK_REPLICATES": 7},
+}
+
+
 BLOCK_CONFIGS = {
     "worked": ([[0.9, 0.7], [0.5, 0.3]], 3, 2),
     "b3-tied": ([[0.9, 0.6, 0.3], [0.6, 0.5, 0.2], [0.3, 0.2, 0.1]], 3, 1),
@@ -406,6 +418,8 @@ def test_run_block_chunks_and_ranges_match_oracle(monkeypatch, worked_cfg):
 
 
 def test_run_block_rejects_duplicate_cells(monkeypatch, worked_cfg):
+    # every replicate through ModelSampler._cells; the chunk path has its own tests
+    monkeypatch.setattr(verify_mod, "_CHUNK_CELLS", 1)
     original = ModelSampler._cells
 
     def duplicate_last(self, *args, **kwargs):
@@ -424,6 +438,7 @@ def test_run_block_rejects_duplicate_cells(monkeypatch, worked_cfg):
 def test_run_block_rejects_out_of_range_columns(monkeypatch, worked_cfg, shift, want_counts):
     # (r, c) -> (r + 1, c - n) or (r - 1, c + n) keeps every key strictly
     # increasing and inside [0, n**2); only the column check catches it
+    monkeypatch.setattr(verify_mod, "_CHUNK_CELLS", 1)
     original = ModelSampler._cells
     n = worked_cfg.n_nodes
 
@@ -441,6 +456,7 @@ def test_run_block_rejects_out_of_range_columns(monkeypatch, worked_cfg, shift, 
 
 
 def test_run_block_rejects_bad_level_records(monkeypatch, worked_cfg):
+    monkeypatch.setattr(verify_mod, "_CHUNK_CELLS", 1)
     original = ModelSampler._cells
 
     def overcount(self, *args, **kwargs):
@@ -450,6 +466,68 @@ def test_run_block_rejects_bad_level_records(monkeypatch, worked_cfg):
 
     monkeypatch.setattr(ModelSampler, "_cells", overcount)
     with pytest.raises(BadArgs):
+        verify_mod._run_block(worked_cfg, Strategy.CI, 5, 0, 10, 1 << 26, False)
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("strategy,cap", [("naive", 64), ("ci", 80)])
+def test_run_block_dense_caps_on_both_routes(monkeypatch, worked_cfg, route, strategy, cap):
+    # naive draws n**2 = 64 cells per run and ci ci_rv_count = 80 RVs
+    for name, value in ROUTES[route].items():
+        monkeypatch.setattr(verify_mod, name, value)
+    verify_mod._run_block(worked_cfg, Strategy(strategy), 5, 0, 3, cap, False)
+    with pytest.raises(CapExceeded):
+        verify_mod._run_block(worked_cfg, Strategy(strategy), 5, 0, 3, cap - 1, False)
+
+
+def _patch_chunk_cells(monkeypatch, fault):
+    original = verify_mod._chunk_cells
+
+    def faulty(*args):
+        return fault(*(part.copy() for part in original(*args)))
+
+    monkeypatch.setattr(verify_mod, "_chunk_cells", faulty)
+
+
+@pytest.mark.parametrize("strategy", ["naive", "ci", "dcsd"])
+def test_chunk_block_rejects_duplicate_cells(monkeypatch, worked_cfg, strategy):
+    def duplicate_last(rep, rows, cols, trace):
+        return np.append(rep, rep[-1:]), np.append(rows, rows[-1:]), np.append(cols, cols[-1:]), trace
+
+    _patch_chunk_cells(monkeypatch, duplicate_last)
+    with pytest.raises(BadArgs, match="strictly increasing"):
+        verify_mod._run_block(worked_cfg, Strategy(strategy), 5, 0, 50, 1 << 26, True)
+
+
+@pytest.mark.parametrize("fault", ["swap replicates", "row past the grid", "column shift"])
+def test_chunk_block_rejects_misplaced_cells(monkeypatch, worked_cfg, fault):
+    n = worked_cfg.n_nodes
+
+    def misplace(rep, rows, cols, trace):
+        if fault == "swap replicates":
+            # the last cell moves to replicate 0, behind later replicates' cells
+            rep[-1] = 0
+        elif fault == "row past the grid":
+            rows[-1] = n
+        else:
+            # (r, c) -> (r - 1, c + n) keeps the key; only the column check sees it
+            rows[-1] -= 1
+            cols[-1] += n
+        return rep, rows, cols, trace
+
+    _patch_chunk_cells(monkeypatch, misplace)
+    with pytest.raises(BadArgs, match="columns"):
+        verify_mod._run_block(worked_cfg, Strategy.DCSD, 5, 0, 50, 1 << 26, False)
+
+
+@pytest.mark.parametrize("field,value", [(0, 0), (1, -1), (2, -1), (2, 10**6)])
+def test_chunk_block_rejects_bad_level_records(monkeypatch, worked_cfg, field, value):
+    def corrupt(rep, rows, cols, trace):
+        trace[-1, -1, field] = value
+        return rep, rows, cols, trace
+
+    _patch_chunk_cells(monkeypatch, corrupt)
+    with pytest.raises(BadArgs, match="bad level record"):
         verify_mod._run_block(worked_cfg, Strategy.CI, 5, 0, 10, 1 << 26, False)
 
 
@@ -541,3 +619,143 @@ def test_report_bytes_pinned_seed_for_seed(kind, strategies, worked_cfg):
     report = _report(kind, strategies, worked_cfg)
     payload = json.dumps(report.to_dict(), sort_keys=True).encode()
     assert hashlib.sha256(payload).hexdigest() == PINNED_REPORT_DIGESTS[kind, strategies]
+
+
+# -- pinned replicate statistics ---------------------------------------------------
+
+# sha256 of _collect's four outputs (counts, edge totals, examined total,
+# per-level actives) as int64 bytes: 300 replicates at master seed 2026
+# (301 on two workers), all four strategies.  Reports keep only flagged
+# cells and extremes of the counts; these digests pin the counts themselves.
+WORKED = [[0.9, 0.7], [0.5, 0.3]]
+THETA3 = [[0.9, 0.6, 0.3], [0.6, 0.5, 0.2], [0.3, 0.2, 0.1]]
+COLLECT_CASES = {
+    "worked": (WORKED, 3, 2, {}, 300, 1),
+    "worked-K4-ell1": (WORKED, 4, 1, {}, 300, 1),
+    "theta3-K3-ell1": (THETA3, 3, 1, {}, 300, 1),
+    "worked-undirected": (WORKED, 3, 2, {"directed": False}, 300, 1),
+    "worked-loop-free": (WORKED, 3, 2, {"self_loops": False}, 300, 1),
+    "worked-workers2": (WORKED, 3, 2, {}, 301, 2),
+}
+PINNED_COLLECT_DIGESTS = {
+    ("worked", "naive"): "fbe385cc4042bcc310f3386f788a80f4ed50c520bbcc5ea7b73ccb11f2f23939",
+    ("worked", "ci"): "ed8571705152ae7fea16445f0acdcb084696834cca1b81612a39702ccac9814a",
+    ("worked", "dcsd"): "95a61d39ec58929087ab0e78d4bec03e2825ff0034178cb26201adb7efc0865e",
+    ("worked", "gp"): "955b03d42a60ba051aadf6c63060844562e37521642d9c350e6ce5277d8038c3",
+    ("worked-K4-ell1", "naive"): "5e476d01ef5db1f787a592540eea69338892f44cff380b508f5729ff810f6d9e",
+    ("worked-K4-ell1", "ci"): "388b9a8fe0d75a49da6bac1b29d4256a8c7df7b2488527e0c1373ebff09daf12",
+    ("worked-K4-ell1", "dcsd"): "3e3faf5acae7576a86fdabac4bc455dbf1286a5dc6b37e583e53cf4d732ba9f8",
+    ("worked-K4-ell1", "gp"): "adcc3ad00fa161cac39366d73d323ff68e7a7dc6ed1f8672655bffa109805ec2",
+    ("theta3-K3-ell1", "naive"): "5f9386acdc942949ee2d82abd08dac9207f9ca01ee8585b0891bda9979118803",
+    ("theta3-K3-ell1", "ci"): "ce784514127a5715f59c5020bc5bdbe283b3c71bb0e2fa18f50ecf15d588c03b",
+    ("theta3-K3-ell1", "dcsd"): "665a23adb7122b4875e39e330820cc40da8fdac2057d36c48a03a24562598881",
+    ("theta3-K3-ell1", "gp"): "daf273dd4cc1c94a73c554883799b5b61ebf073fb959e7412a682e9ca91e6563",
+    ("worked-undirected", "naive"): "fca5ca375475fdc5b8273c3894361b3c16f5da55772a23b833c27cc8433b6d02",
+    ("worked-undirected", "ci"): "5fb9937dacd9fb3e66fb37c00843a419d35ff1a817d8af8a303e04b8d9368136",
+    ("worked-undirected", "dcsd"): "5b308b26f0c048eb016342b66fb59eb8f3ba03f809a7c2d0ca35aa9df6109bdf",
+    ("worked-undirected", "gp"): "0c099ac5a8cbd1c6ef554efc53350c8b25fce3b458502d6f00ac2c631a577a7f",
+    ("worked-loop-free", "naive"): "9b90e7235ddc00dc60cf1fcd732c632b2bcbd66e4c7ffb4171769b4f6451a51e",
+    ("worked-loop-free", "ci"): "bfd4d6246e98a6d5e0fdabfcbc923a6c3467b8822264ce93d2e8150aa54561ba",
+    ("worked-loop-free", "dcsd"): "23c88d8c567876d32d46756228b184d05c3d09d46efe810efc31cf2a48f965f8",
+    ("worked-loop-free", "gp"): "a9cadf559d857dbac0d2b05b1a7041309f5d68f59cdeca65cdef818297bb5893",
+    ("worked-workers2", "naive"): "e8420523237baa452028e6cac48b7a10e8766855a723faf0010c54be6c910e0d",
+    ("worked-workers2", "ci"): "3fc18eb80188d50910feaf3f016caa45e53836fe8b387ab754dc27144ac8acad",
+    ("worked-workers2", "dcsd"): "6d3bd2a2b4ab2593a12cdfee1267fbb80cbae3231a7a70b3422325e3f1d0394b",
+    ("worked-workers2", "gp"): "781fc991ae9b29750292d6fa7aa2a1fc0fc6b9e5b13dbd2a6a7321d55e230247",
+}
+
+
+def _collect_digest(case, strategy):
+    rows, levels, untied, mode, runs, workers = COLLECT_CASES[case]
+    cfg = make_config(rows, levels, untied, **mode)
+    result = verify_mod._collect(
+        cfg, Strategy(strategy), runs, 2026, dense_cap=1 << 26, want_counts=True, workers=workers
+    )
+    digest = hashlib.sha256()
+    for part in (result[0], result[1], np.int64(result[2]), result[3]):
+        digest.update(np.ascontiguousarray(part, dtype=np.int64).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case,strategy", sorted(PINNED_COLLECT_DIGESTS))
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_collect_bytes_pinned_seed_for_seed(monkeypatch, route, case, strategy):
+    for name, value in ROUTES[route].items():
+        monkeypatch.setattr(verify_mod, name, value)
+    assert _collect_digest(case, strategy) == PINNED_COLLECT_DIGESTS[case, strategy]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    b=st.sampled_from([2, 3]),
+    shape=st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, k))),
+    entries=st.lists(st.sampled_from([0.0, 0.1, 0.35, 0.5, 0.8, 1.0]), min_size=9, max_size=9),
+    mode=st.sampled_from(sorted(EDGE_MODES)),
+    master=st.integers(0, 2**64 - 1),
+    runs=st.integers(1, 40),
+)
+def test_run_block_equals_run_replicate_by_replicate(b, shape, entries, mode, master, runs):
+    levels, untied = shape
+    rows = np.reshape(entries[: b * b], (b, b)).tolist()
+    cfg = make_config(rows, levels, untied, **EDGE_MODES[mode])
+    for strategy in Strategy:
+        seeds = [replicate_seed(master, verify_mod._STRATEGY_BLOCK[strategy], i) for i in range(runs)]
+        expected = _run_block_oracle(cfg, strategy, seeds, 1 << 26, True)
+        got = verify_mod._run_block(cfg, strategy, master, 0, runs, 1 << 26, True)
+        _assert_block_equal(got, expected)
+
+
+def test_chunked_marginal_memory_is_bounded():
+    # naive at K = ell = 8: 2**16 cells per replicate, 200 replicates.  The
+    # report holds a few n**2 grids (~3 MiB); a chunk adds ~9 bytes per cell
+    # of its _CHUNK_CELLS (uniforms and their hits), however many replicates run.
+    cfg = make_config([[1.0, 1.0], [1.0, 0.5]], 8, 8)
+    marginal_test(cfg, "naive", 2, 1)
+    tracemalloc.start()
+    try:
+        marginal_test(cfg, "naive", 200, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, peak
+
+
+# -- real-valued thresholds ----------------------------------------------------------
+
+THRESHOLDS = {
+    "marginal z_threshold": lambda cfg, v: marginal_test(cfg, "dcsd", 10, 1, z_threshold=v),
+    "equivalence z_threshold": lambda cfg, v: equivalence_test(cfg, "ci", "dcsd", 10, 1, z_threshold=v),
+    "equivalence p_threshold": lambda cfg, v: equivalence_test(cfg, "ci", "dcsd", 10, 1, p_threshold=v),
+    "audit tol": lambda cfg, v: complexity_audit(cfg, 10, 1, tol=v),
+}
+BAD_THRESHOLDS = {
+    "marginal z_threshold": [0.0, -1.0, float("nan"), float("inf")],
+    "equivalence z_threshold": [0, -4.0, float("nan"), float("inf")],
+    "equivalence p_threshold": [0.0, 1.0, 2.0, -0.5, float("nan")],
+    "audit tol": [-1.0, -1e-12, float("nan"), float("inf")],
+}
+
+
+@pytest.mark.parametrize(
+    "call,value", [(call, v) for call in sorted(BAD_THRESHOLDS) for v in BAD_THRESHOLDS[call]], ids=repr
+)
+def test_thresholds_out_of_range_raise_bad_args(call, value):
+    with pytest.raises(BadArgs, match="must lie in"):
+        THRESHOLDS[call](small_cfg(), value)
+
+
+@pytest.mark.parametrize("value", ["4", True, None, [4.0]], ids=repr)
+@pytest.mark.parametrize("call", sorted(THRESHOLDS))
+def test_thresholds_reject_non_numbers(call, value):
+    with pytest.raises(BadArgs, match="must be a real number"):
+        THRESHOLDS[call](small_cfg(), value)
+
+
+def test_thresholds_accept_ints_and_numpy_reals():
+    cfg = small_cfg()
+    report = marginal_test(cfg, "dcsd", 50, 1, z_threshold=np.float32(4.0))
+    assert report.z_threshold == 4.0 and type(report.z_threshold) is float
+    assert marginal_test(cfg, "dcsd", 50, 1, z_threshold=4).to_dict() == report.to_dict()
+    pair = equivalence_test(cfg, "ci", "dcsd", 50, 1, p_threshold=np.float64(0.01))
+    assert type(pair.p_threshold) is float
+    assert complexity_audit(cfg, 20, 1, tol=0).tol == 0.0
