@@ -492,7 +492,8 @@ def _patch_chunk_cells(monkeypatch, fault):
 @pytest.mark.parametrize("strategy", ["naive", "ci", "dcsd"])
 def test_chunk_block_rejects_duplicate_cells(monkeypatch, worked_cfg, strategy):
     def duplicate_last(rep, rows, cols, trace):
-        return np.append(rep, rep[-1:]), np.append(rows, rows[-1:]), np.append(cols, cols[-1:]), trace
+        rep, rows, cols = (np.append(part, part[-1:]) for part in (rep, rows, cols))
+        return rep, rows, cols, trace
 
     _patch_chunk_cells(monkeypatch, duplicate_last)
     with pytest.raises(BadArgs, match="strictly increasing"):
@@ -699,7 +700,8 @@ def test_run_block_equals_run_replicate_by_replicate(b, shape, entries, mode, ma
     rows = np.reshape(entries[: b * b], (b, b)).tolist()
     cfg = make_config(rows, levels, untied, **EDGE_MODES[mode])
     for strategy in Strategy:
-        seeds = [replicate_seed(master, verify_mod._STRATEGY_BLOCK[strategy], i) for i in range(runs)]
+        block = verify_mod._STRATEGY_BLOCK[strategy]
+        seeds = [replicate_seed(master, block, i) for i in range(runs)]
         expected = _run_block_oracle(cfg, strategy, seeds, 1 << 26, True)
         got = verify_mod._run_block(cfg, strategy, master, 0, runs, 1 << 26, True)
         _assert_block_equal(got, expected)
@@ -724,8 +726,12 @@ def test_chunked_marginal_memory_is_bounded():
 
 THRESHOLDS = {
     "marginal z_threshold": lambda cfg, v: marginal_test(cfg, "dcsd", 10, 1, z_threshold=v),
-    "equivalence z_threshold": lambda cfg, v: equivalence_test(cfg, "ci", "dcsd", 10, 1, z_threshold=v),
-    "equivalence p_threshold": lambda cfg, v: equivalence_test(cfg, "ci", "dcsd", 10, 1, p_threshold=v),
+    "equivalence z_threshold": lambda cfg, v: equivalence_test(
+        cfg, "ci", "dcsd", 10, 1, z_threshold=v
+    ),
+    "equivalence p_threshold": lambda cfg, v: equivalence_test(
+        cfg, "ci", "dcsd", 10, 1, p_threshold=v
+    ),
     "audit tol": lambda cfg, v: complexity_audit(cfg, 10, 1, tol=v),
 }
 BAD_THRESHOLDS = {
@@ -737,7 +743,9 @@ BAD_THRESHOLDS = {
 
 
 @pytest.mark.parametrize(
-    "call,value", [(call, v) for call in sorted(BAD_THRESHOLDS) for v in BAD_THRESHOLDS[call]], ids=repr
+    "call,value",
+    [(call, v) for call in sorted(BAD_THRESHOLDS) for v in BAD_THRESHOLDS[call]],
+    ids=repr,
 )
 def test_thresholds_out_of_range_raise_bad_args(call, value):
     with pytest.raises(BadArgs, match="must lie in"):
