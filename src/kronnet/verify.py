@@ -6,8 +6,8 @@ re-running with the same master seed reproduces it bit for bit, regardless
 of the worker count.  Each replicate is the network ``ModelSampler.run``
 returns for its seed: ``naive``, ``ci`` and ``dcsd`` replicates are sampled
 a chunk at a time in array passes, each from its own level streams, and
-``gp`` replicates, like those of grids above the chunk bound, one at a time
-through the samplers' level loop.
+``gp`` replicates, like those of grids too large for a chunk to hold two,
+one at a time through the samplers' level loop.
 """
 
 from __future__ import annotations
@@ -48,13 +48,18 @@ def _mode_mask(cfg: ModelConfig) -> np.ndarray:
     return np.ones((n, n), dtype=bool) if keep is None else keep
 
 
-# Replicates whose seeds and level states are derived in one bulk call; it
-# bounds the derivation's temporaries (about 1 KiB per replicate and level).
+# Replicates whose seeds and level states are derived in one bulk call,
+# whatever the grid size; it bounds the derivation's temporaries (about
+# 1 KiB per replicate and level).
 _CHUNK_REPLICATES = 4096
-# A chunk also holds at most this many grid cells (replicates * n**2), which
-# bounds its uniforms and cells.  naive, ci and dcsd chunks within it are
-# sampled in array passes; gp, and grids above it, go replicate by replicate
-# through ModelSampler._cells.
+# The derived replicates are sampled and tallied in chunks of at most this
+# many grid cells (replicates * n**2, at least one replicate), which bounds
+# the uniforms and cells held at once.  naive, ci and dcsd chunks of two or
+# more replicates are sampled in array passes.  gp, and grids of more than
+# half this many cells, go replicate by replicate through
+# ModelSampler._cells: a chunk of one replicate shares no pass, and the array
+# passes sampled ci and dcsd chunks of one K = 8 replicate (n**2 = 2**16)
+# 1.3-1.4x slower than _cells did.
 _CHUNK_CELLS = 1 << 16
 
 
@@ -169,7 +174,7 @@ def _tally(cfg: ModelConfig, counts, rep, rows, cols, trace):
             )
         if counts is not None:
             np.add.at(counts, keys, 1)
-    level, examined, active = np.moveaxis(trace, -1, 0)
+    level, examined, active = trace.transpose(2, 0, 1)
     bad = (level != np.arange(trace.shape[1])) | (active < 0) | (active > examined)
     if bad.any():
         r, lam = np.argwhere(bad)[0]
@@ -190,10 +195,12 @@ def _run_block(
 
     Replicate ``i`` samples exactly what ``ModelSampler.run(strategy,
     replicate_seed(master_seed, block, i))`` does, from the same level
-    streams, derived in bulk, with the same edge-mode filter.  ``naive``,
-    ``ci`` and ``dcsd`` replicates are sampled chunk-wide in array passes
-    (``_chunk_cells``); ``gp``, whose binomial and placement draws have no
-    bulk form, and grids above ``_CHUNK_CELLS`` cells go replicate by
+    streams, derived in bulk ``_CHUNK_REPLICATES`` at a time, with the same
+    edge-mode filter.  The derived replicates are sampled in chunks of at
+    most ``_CHUNK_CELLS`` grid cells: ``naive``, ``ci`` and ``dcsd`` chunks
+    in array passes (``_chunk_cells``) when a chunk holds two or more
+    replicates; ``gp``, whose binomial and placement draws have no bulk
+    form, and grids where a chunk holds one replicate, replicate by
     replicate through ``ModelSampler._cells``.  The invariants that
     ``SampledNetwork`` and ``LevelTrace`` enforce are checked on each
     chunk's cell keys, columns and level records.  Returns summable
@@ -204,7 +211,9 @@ def _run_block(
     cells = n * n
     if cells > I64_MAX:
         raise Overflow(f"{n}**2 cells exceed signed 64-bit cell keys")
-    if strategy is not Strategy.GP and cells <= _CHUNK_CELLS:
+    # a replicate holds at most n**2 cells
+    chunk = max(1, _CHUNK_CELLS // cells)
+    if strategy is not Strategy.GP and chunk > 1:
         # the dense caps ModelSampler._cells enforces: naive draws n**2
         # cells and ci every RV
         dense = {Strategy.NAIVE: cells, Strategy.CI: ci_rv_count(cfg)}.get(strategy, 0)
@@ -220,20 +229,18 @@ def _run_block(
     else:
         sample = partial(_replicate_cells, engine, strategy)
     block = _STRATEGY_BLOCK[strategy]
-    # a replicate holds at most n**2 cells
-    chunk = max(1, min(_CHUNK_REPLICATES, _CHUNK_CELLS // cells))
     counts = np.zeros(cells, dtype=np.int64) if want_counts else None
     edge_totals = []
     examined_total = 0
     level_active = []
-    for lo in range(start, stop, chunk):
-        seeds = replicate_seeds(master_seed, block, lo, min(stop, lo + chunk))
-        totals, examined, active = _tally(
-            cfg, counts, *sample(level_states(seeds, cfg.tied_levels + 1))
-        )
-        edge_totals.append(totals)
-        examined_total += examined
-        level_active.append(active)
+    for lo in range(start, stop, _CHUNK_REPLICATES):
+        seeds = replicate_seeds(master_seed, block, lo, min(stop, lo + _CHUNK_REPLICATES))
+        states = level_states(seeds, cfg.tied_levels + 1)
+        for at in range(0, len(states), chunk):
+            totals, examined, active = _tally(cfg, counts, *sample(states[at : at + chunk]))
+            edge_totals.append(totals)
+            examined_total += examined
+            level_active.append(active)
     if counts is not None:
         counts = counts.reshape(n, n)
     return counts, np.concatenate(edge_totals), examined_total, np.sum(level_active, axis=0)

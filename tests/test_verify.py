@@ -363,12 +363,15 @@ def _run_block_oracle(cfg, strategy, seeds, dense_cap, want_counts):
 
 
 # Chunk bounds under which replicate statistics must not move: the defaults; every
-# replicate through ModelSampler._cells; and chunks of 7 replicates, which
-# divide none of the replicate ranges.
+# replicate through ModelSampler._cells; derivation chunks of 7 replicates, which
+# divide none of the replicate ranges; and those chunks sampled 3 + 3 + 1
+# replicates at a time on the worked example's 64-cell grid (larger grids go
+# replicate by replicate).
 ROUTES = {
     "default": {},
     "per-replicate": {"_CHUNK_CELLS": 1},
     "chunks-of-7": {"_CHUNK_REPLICATES": 7},
+    "chunks-of-7-in-3s": {"_CHUNK_REPLICATES": 7, "_CHUNK_CELLS": 3 * 64},
 }
 
 
@@ -467,6 +470,26 @@ def test_run_block_rejects_bad_level_records(monkeypatch, worked_cfg):
     monkeypatch.setattr(ModelSampler, "_cells", overcount)
     with pytest.raises(BadArgs):
         verify_mod._run_block(worked_cfg, Strategy.CI, 5, 0, 10, 1 << 26, False)
+
+
+@pytest.mark.parametrize(
+    "chunk_cells,strategy,chunked",
+    [(128, "dcsd", True), (127, "dcsd", False), (1 << 16, "gp", False)],
+)
+def test_run_block_route(monkeypatch, worked_cfg, chunk_cells, strategy, chunked):
+    # array passes only for naive/ci/dcsd chunks that hold two or more
+    # replicates of the worked example's 64-cell grid
+    monkeypatch.setattr(verify_mod, "_CHUNK_CELLS", chunk_cells)
+    calls = []
+    original = verify_mod._chunk_cells
+
+    def counted(*args):
+        calls.append(len(args[-1]))
+        return original(*args)
+
+    monkeypatch.setattr(verify_mod, "_chunk_cells", counted)
+    verify_mod._run_block(worked_cfg, Strategy(strategy), 5, 0, 5, 1 << 26, False)
+    assert calls == ([2, 2, 1] if chunked else [])
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
@@ -707,11 +730,14 @@ def test_run_block_equals_run_replicate_by_replicate(b, shape, entries, mode, ma
         _assert_block_equal(got, expected)
 
 
-def test_chunked_marginal_memory_is_bounded():
-    # naive at K = ell = 8: 2**16 cells per replicate, 200 replicates.  The
-    # report holds a few n**2 grids (~3 MiB); a chunk adds ~9 bytes per cell
-    # of its _CHUNK_CELLS (uniforms and their hits), however many replicates run.
-    cfg = make_config([[1.0, 1.0], [1.0, 0.5]], 8, 8)
+@pytest.mark.parametrize("levels", [7, 8])
+def test_chunked_marginal_memory_is_bounded(levels):
+    # naive at K = ell = 8: 2**16 cells per replicate, one replicate at a time;
+    # at K = ell = 7, chunks of four replicates in array passes.  200 replicates.
+    # The report holds a few n**2 grids (~3 MiB at K = 8); a chunk adds ~9 bytes
+    # per cell of its _CHUNK_CELLS (uniforms and their hits), however many
+    # replicates run.
+    cfg = make_config([[1.0, 1.0], [1.0, 0.5]], levels, levels)
     marginal_test(cfg, "naive", 2, 1)
     tracemalloc.start()
     try:
