@@ -57,9 +57,9 @@ _CHUNK_REPLICATES = 4096
 # the uniforms and cells held at once.  naive, ci and dcsd chunks of two or
 # more replicates are sampled in array passes.  gp, and grids of more than
 # half this many cells, go replicate by replicate through
-# ModelSampler._cells: a chunk of one replicate shares no pass, and the array
-# passes sampled ci and dcsd chunks of one K = 8 replicate (n**2 = 2**16)
-# 1.3-1.4x slower than _cells did.
+# ModelSampler._cells: a chunk of one replicate shares no pass, and there the
+# array passes ran ci and dcsd 1.3-1.4x slower than _cells (K = 8,
+# n**2 = 2**16, on a 2-vCPU host).
 _CHUNK_CELLS = 1 << 16
 
 
