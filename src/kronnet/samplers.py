@@ -5,7 +5,8 @@ then one child per candidate cell at each tied level, in one level loop,
 ``ModelSampler._cells``:
 
 * ``naive`` refuses above ``dense_cap`` cells (n**2), and ``ci`` above
-  ``dense_cap`` RVs (``ci_rv_count``); ``dcsd`` and ``gp`` have no dense cap.
+  ``dense_cap`` RVs (``ci_rv_count``); ``dcsd`` and ``gp`` have no dense cap
+  (``check_dense_cap``, which the verification harness calls too).
 * Level 0 sweeps the grid of side**untied_levels cells (all ``levels`` for
   ``naive``): one uniform per cell, row-major, in row blocks of at most
   2**20 cells, built from the dense untied product.  Engines keep the blocks
@@ -21,15 +22,19 @@ then one child per candidate cell at each tied level, in one level loop,
 
 The strategies differ only in which of a level's RVs they touch: ``ci``
 every candidate, dead parents included; ``dcsd`` only children of realized
-cells; ``gp`` one binomial count per distinct seed value, then that many
-children placed uniformly; ``naive`` has no tied levels.  The last level's
+cells; ``gp`` draws its tied levels exactly as ``dcsd`` and groups only on
+the whole grid (placing a seed-value class on a tied level instead of
+drawing it cost 1.04-1.39x the run at every value measured, 0.02-0.3 on
+b = 2 and b = 4 seeds); ``naive`` has no tied levels.  The last level's
 cells are the edges, filtered by the directed / self-loop mode, which never
 alters sampling.
 
 Each level draws from its own stream in a documented order (cells row-major;
-pruned candidates parent-major with blocks row-major; groups by descending
-value or probability, count then placement), so runs are reproducible and
-the full sweep matches the Bayesian-network ancestral sampler draw for draw.
+pruned candidates parent-major with blocks row-major, for ``dcsd`` and
+``gp`` alike; whole-grid groups by descending probability, count then
+placement), so runs are reproducible, tied ``gp`` matches ``dcsd`` draw for
+draw, and the full sweep matches the Bayesian-network ancestral sampler draw
+for draw.
 ``_cells`` asks its stream source for a level's generator when it reaches
 the level: ``run`` passes ``level_rng``, and the verification harness
 passes streams derived in bulk for a block of replicates.
@@ -44,10 +49,10 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ._kernels import block_children, expand_active
+from ._kernels import expand_active
 from .config import DEFAULT_DENSE_CAP, I64_MAX, ModelConfig, check_int
 from .errors import BadArgs, CapExceeded, GroupCapExceeded, Overflow
-from .groups import GridUnranker, grid_groups, theta_value_classes
+from .groups import GridUnranker, grid_groups
 from .kron import ci_rv_count, fold, row_blocks
 from .randvar import binomial_draw, choose_without_replacement
 from .rng import check_seed, level_rng
@@ -184,6 +189,27 @@ class SampledNetwork:
         return int(self.edges.shape[0])
 
 
+def check_dense_cap(cfg: ModelConfig, strategy: Strategy, cap: int) -> None:
+    """Refuse a run whose dense draws exceed ``cap``: ``naive`` draws n**2
+    cells and ``ci`` every RV (``ci_rv_count``); ``dcsd`` and ``gp`` have no
+    dense cap.
+
+    Raises:
+        CapExceeded: the strategy's dense draws exceed ``cap``.
+    """
+    if strategy is Strategy.NAIVE and cfg.n_nodes**2 > cap:
+        raise CapExceeded(
+            f"naive sampling needs {cfg.n_nodes**2} dense cells, above the "
+            f"cap {cap}; use the dcsd or gp strategy instead"
+        )
+    # Only for ci: ci_rv_count overflows at level counts dcsd still samples.
+    if strategy is Strategy.CI and (total := ci_rv_count(cfg)) > cap:
+        raise CapExceeded(
+            f"full sweep examines {total} RVs, above the cap "
+            f"{cap}; use the dcsd or gp strategy instead"
+        )
+
+
 def mode_keep(cfg: ModelConfig, rows: np.ndarray, cols: np.ndarray):
     """Which of the cells ``(rows, cols)`` the edge mode keeps, or None for all.
 
@@ -220,10 +246,10 @@ class ModelSampler:
     """Reusable sampling engine for one configuration.
 
     Caches the level-0 probability blocks (per level count, for grids of at
-    most 2**24 cells), the seed-value classes, and on the first ``gp`` run
-    the whole-grid probability groups, so repeated runs (verification,
-    benchmarks) avoid redundant setup.  ``dense_cap`` only sets where
-    ``naive`` and ``ci`` refuse.
+    most 2**24 cells) and, on the first ``gp`` run, the whole-grid
+    probability groups, so repeated runs (verification, benchmarks) avoid
+    redundant setup.  ``dense_cap`` only sets where ``naive`` and ``ci``
+    refuse.
     """
 
     def __init__(self, cfg: ModelConfig, *, dense_cap: int = DEFAULT_DENSE_CAP) -> None:
@@ -236,10 +262,6 @@ class ModelSampler:
         if self.dense_cap < 1:
             raise BadArgs("dense_cap must be positive")
         self.b = cfg.b
-        self._classes = theta_value_classes(cfg.theta)
-        self._class_pos = [
-            np.asarray(cls.positions, dtype=np.int64) for cls in self._classes
-        ]
         self._cached_blocks: dict[int, list[np.ndarray]] = {}
 
     # -- level 0 --------------------------------------------------------------
@@ -322,40 +344,12 @@ class ModelSampler:
         uniforms = stream.random(examined)
         return (*expand_active(rows, cols, uniforms, self.cfg.theta.flat, self.b), examined)
 
-    def _gp_children(self, rows, cols, side, stream):
-        """By descending value, one binomial count per seed-value class over
-        its ``parents * class size`` candidates, placed with one
-        ``choose_without_replacement`` call.  The placed ranks become
-        candidate indices ``parent * b*b + block position``; sorted, they
-        give the children parent-major, as ``dcsd`` enumerates survivors.
-        """
-        b = self.b
-        bb = b * b
-        n_prev = int(rows.size)
-        # Rank r of a class is parent r // m at the class's (r % m)-th
-        # position.  Empty classes are skipped; the empty first part keeps
-        # concatenate valid.
-        parts = [rows[:0]]
-        for cls, positions in zip(self._classes, self._class_pos):
-            m = positions.size
-            ranks = _grouped_draw(n_prev * m, cls.value, stream)
-            if ranks.size:
-                parts.append(ranks // m * bb + positions[ranks % m])
-        candidates = np.concatenate(parts)
-        candidates.sort()
-        parent_idx, block_pos = np.divmod(candidates, bb)
-        return (*block_children(rows, cols, parent_idx, block_pos, b), n_prev * bb)
-
+    # gp's tied levels are dcsd's: no placement measured beat drawing there.
     _CHILDREN = {
-        Strategy.CI: _ci_children, Strategy.DCSD: _dcsd_children, Strategy.GP: _gp_children
+        Strategy.CI: _ci_children, Strategy.DCSD: _dcsd_children, Strategy.GP: _dcsd_children
     }
 
     # -- the level loop -----------------------------------------------------
-
-    @cached_property
-    def _ci_total(self) -> int:
-        # Lazy: ci_rv_count overflows at level counts dcsd still samples.
-        return ci_rv_count(self.cfg)
 
     def _cells(self, strategy: Strategy, streams: Streams):
         """The level loop every run takes: realized final-level cells and trace.
@@ -365,17 +359,7 @@ class ModelSampler:
         ``(level, rvs_examined, rvs_active)`` tuple per level.  ``streams``
         gives each level's generator; arguments are not checked here.
         """
-        # naive draws n**2 cells and ci every RV; dcsd and gp have no dense cap.
-        if strategy is Strategy.NAIVE and self.cfg.n_nodes**2 > self.dense_cap:
-            raise CapExceeded(
-                f"naive sampling needs {self.cfg.n_nodes**2} dense cells, above the "
-                f"cap {self.dense_cap}; use the dcsd or gp strategy instead"
-            )
-        if strategy is Strategy.CI and self._ci_total > self.dense_cap:
-            raise CapExceeded(
-                f"full sweep examines {self._ci_total} RVs, above the cap "
-                f"{self.dense_cap}; use the dcsd or gp strategy instead"
-            )
+        check_dense_cap(self.cfg, strategy, self.dense_cap)
         rows, cols, levels = self._level0(strategy, streams(0))
         side = self.b**levels
         trace = [(0, side * side, int(rows.size))]

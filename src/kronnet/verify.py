@@ -4,10 +4,11 @@ Replicated runs use sampler seeds derived from one master seed (see
 :mod:`kronnet.rng`), so every report is a pure function of its arguments and
 re-running with the same master seed reproduces it bit for bit, regardless
 of the worker count.  Each replicate is the network ``ModelSampler.run``
-returns for its seed: ``naive``, ``ci`` and ``dcsd`` replicates are sampled
-a chunk at a time in array passes, each from its own level streams, and
-``gp`` replicates, like those of grids too large for a chunk to hold two,
-one at a time through the samplers' level loop.
+returns for its seed: ``naive``, ``ci`` and ``dcsd`` replicates, and those
+of tied ``gp`` (which draws exactly as ``dcsd``), are sampled a chunk at a
+time in array passes, each from its own level streams; whole-grid ``gp``
+replicates, like those of grids too large for a chunk to hold two, go one at
+a time through the samplers' level loop.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .config import DEFAULT_DENSE_CAP, I64_MAX, ModelConfig, check_int
 from .errors import BadArgs, CapExceeded, Overflow
 from .kron import ci_rv_count, dcsd_ebound, expected_active, kronecker_power
 from .rng import check_seed, level_states, replicate_seeds, stream_from_state
-from .samplers import ModelSampler, SampledNetwork, Strategy, mode_keep
+from .samplers import ModelSampler, SampledNetwork, Strategy, check_dense_cap, mode_keep
 
 _STRATEGY_BLOCK = {
     Strategy.NAIVE: 1,
@@ -55,11 +56,11 @@ _CHUNK_REPLICATES = 4096
 # The derived replicates are sampled and tallied in chunks of at most this
 # many grid cells (replicates * n**2, at least one replicate), which bounds
 # the uniforms and cells held at once.  naive, ci and dcsd chunks of two or
-# more replicates are sampled in array passes.  gp, and grids of more than
-# half this many cells, go replicate by replicate through
-# ModelSampler._cells: a chunk of one replicate shares no pass, and there the
-# array passes ran ci and dcsd 1.3-1.4x slower than _cells (K = 8,
-# n**2 = 2**16, on a 2-vCPU host).
+# more replicates are sampled in array passes, and so are those of tied gp,
+# as dcsd.  Whole-grid gp, and grids of more than half this many cells, go
+# replicate by replicate through ModelSampler._cells: a chunk of one
+# replicate shares no pass, and there the array passes ran ci and dcsd
+# 1.3-1.4x slower than _cells (K = 8, n**2 = 2**16, on a 2-vCPU host).
 _CHUNK_CELLS = 1 << 16
 
 
@@ -196,12 +197,14 @@ def _run_block(
     Replicate ``i`` samples exactly what ``ModelSampler.run(strategy,
     replicate_seed(master_seed, block, i))`` does, from the same level
     streams, derived in bulk ``_CHUNK_REPLICATES`` at a time, with the same
-    edge-mode filter.  The derived replicates are sampled in chunks of at
-    most ``_CHUNK_CELLS`` grid cells: ``naive``, ``ci`` and ``dcsd`` chunks
-    in array passes (``_chunk_cells``) when a chunk holds two or more
-    replicates; ``gp``, whose binomial and placement draws have no bulk
-    form, and grids where a chunk holds one replicate, replicate by
-    replicate through ``ModelSampler._cells``.  The invariants that
+    edge-mode filter; ``naive`` derives level 0's stream only, the one it
+    reads.  The derived replicates are sampled in chunks of at most
+    ``_CHUNK_CELLS`` grid cells: ``naive``, ``ci`` and ``dcsd`` chunks, and
+    as ``dcsd`` those of tied ``gp``, in array passes (``_chunk_cells``)
+    when a chunk holds two or more replicates; whole-grid ``gp``, whose
+    binomial and placement draws have no bulk form, and grids where a chunk
+    holds one replicate, replicate by replicate through
+    ``ModelSampler._cells``.  The invariants that
     ``SampledNetwork`` and ``LevelTrace`` enforce are checked on each
     chunk's cell keys, columns and level records.  Returns summable
     per-block statistics.
@@ -211,31 +214,28 @@ def _run_block(
     cells = n * n
     if cells > I64_MAX:
         raise Overflow(f"{n}**2 cells exceed signed 64-bit cell keys")
+    check_dense_cap(cfg, strategy, dense_cap)
     # a replicate holds at most n**2 cells
     chunk = max(1, _CHUNK_CELLS // cells)
-    if strategy is not Strategy.GP and chunk > 1:
-        # the dense caps ModelSampler._cells enforces: naive draws n**2
-        # cells and ci every RV
-        dense = {Strategy.NAIVE: cells, Strategy.CI: ci_rv_count(cfg)}.get(strategy, 0)
-        if dense > dense_cap:
-            raise CapExceeded(
-                f"{strategy.value} draws {dense} dense RVs per run, above the cap "
-                f"{dense_cap}; use the dcsd or gp strategy instead"
-            )
+    # tied gp makes exactly dcsd's draws; whole-grid gp places its groups
+    drawn_as = Strategy.DCSD if strategy is Strategy.GP and cfg.tied_levels else strategy
+    if drawn_as is not Strategy.GP and chunk > 1:
         levels0 = cfg.levels if strategy is Strategy.NAIVE else cfg.untied_levels
         sample = partial(
-            _chunk_cells, cfg, strategy, kronecker_power(cfg.theta, levels0).probs.ravel()
+            _chunk_cells, cfg, drawn_as, kronecker_power(cfg.theta, levels0).probs.ravel()
         )
     else:
         sample = partial(_replicate_cells, engine, strategy)
     block = _STRATEGY_BLOCK[strategy]
+    # naive reads only level 0's stream
+    levels = 1 if strategy is Strategy.NAIVE else cfg.tied_levels + 1
     counts = np.zeros(cells, dtype=np.int64) if want_counts else None
     edge_totals = []
     examined_total = 0
     level_active = []
     for lo in range(start, stop, _CHUNK_REPLICATES):
         seeds = replicate_seeds(master_seed, block, lo, min(stop, lo + _CHUNK_REPLICATES))
-        states = level_states(seeds, cfg.tied_levels + 1)
+        states = level_states(seeds, levels)
         for at in range(0, len(states), chunk):
             totals, examined, active = _tally(cfg, counts, *sample(states[at : at + chunk]))
             edge_totals.append(totals)

@@ -54,14 +54,15 @@ def test_fresh_engine_same_output(worked_cfg, strategy):
 
 
 # sha256 of the edge list bytes then the trace JSON of seeds 0 and 7, in
-# that order.  naive, ci and dcsd draw only PCG64 uniforms; gp's digests
-# also depend on numpy's Generator.binomial and Generator.choice (README
-# "Determinism"), so a numpy release that changes those may move them.
+# that order.  naive, ci and dcsd draw only PCG64 uniforms, and so does gp
+# on tied levels; gp's whole-grid digests (plain6, loopfree) also depend on
+# numpy's Generator.binomial and Generator.choice (README "Determinism"), so
+# a numpy release that changes those may move them.
 PINNED_DIGESTS = {
     ("worked", "naive"): "d69cd5f26fed0a555ea5f8ead9a61c68cf405baf20e3ca897f9139662c072e47",
     ("worked", "ci"): "c04b8f6a3e58feb238912f8ff4ead6f295a0899397186952bb458e4c1be43c3a",
     ("worked", "dcsd"): "62ebd12b1c225afc7b1d03cbc103a352728a56222c9682b3a70fe09ae4d0711b",
-    ("worked", "gp"): "a927c56bafb2500bfae3d2f17514f9e95f77bad99deeb901b3bcd6129e8de0d5",
+    ("worked", "gp"): "3f4400c52e91323572265c84db32fb6012231ed663fb2b74937ce22ceb95d1a2",
     ("plain6", "naive"): "74adb52d4a894ebd39f4162c3f8b9e2ef3ccd0cf141cc627dc35c7fff99f1a0f",
     ("plain6", "ci"): "3e20e5442695538d2fc6c44480b51b88fb6ac3ca10c6fc425523568f8447dae7",
     ("plain6", "dcsd"): "98a47ff46e39ea39eaafa10f5ca1ea6fa75187f09ea33e599bd022ac2456cd3b",
@@ -69,15 +70,15 @@ PINNED_DIGESTS = {
     ("theta3", "naive"): "ce927a5506544db732a189ac97d6a3256fd756805276ea2abd713597ab6c74cd",
     ("theta3", "ci"): "8a4732d2a2157ebfdf9a7bcd87ad6e305ddbfb5acde40a543d3a0241d55efc98",
     ("theta3", "dcsd"): "54fcb5f9322054c24924a21f5283103f49fa8317db71efd544ccd3e58905497c",
-    ("theta3", "gp"): "e7778050de4da083f8605cbb9a78da3489e9bf18f689d1238c4173687e862f34",
+    ("theta3", "gp"): "44c7081ca2b7e2435fbf198e468c74c9234b932e26a9c7d82eea2b58d647eabf",
     ("tied9", "naive"): "4414f10e040cb709abbf08626a34e5c74c64d3d7209888311eb63efebe4db03f",
     ("tied9", "ci"): "8ab7b57c29ab216e25319e0486fee7cbbcd1b630e75160fed7544daddf38bbd6",
     ("tied9", "dcsd"): "9322c01a19600a67d86f3a19d67a7f28f8e6893524a497218132506f6a88ff5b",
-    ("tied9", "gp"): "1c74f35b09aaefe190b39dd4e1c8e42eb4ceb82f9d3376bb833a8aabf5bedb64",
+    ("tied9", "gp"): "89aa17c77011046a6af290a145a67cc4674c337070327812fa5df11ceeb2cb7a",
     ("undirected", "naive"): "f53981fb84a9f76f0001058a2a81fee26522269361ef5f62580e1ca26be5725f",
     ("undirected", "ci"): "529d95d4d43d5dc1d82a3331373391ca0697a955571bbd88be8b516c2f402c41",
     ("undirected", "dcsd"): "55950ba40637f4e18654d2466a71946d3bbe1c0d84b686a6686447e6718c4d79",
-    ("undirected", "gp"): "8210c4865d4aed34be2c587ac9f003f8c9f6a69c1792bca57b77d200b644951e",
+    ("undirected", "gp"): "c2908ccea82033df2a4695f7862bd1ffb6d85cb13cb50895322d8ff765cf84fd",
     ("loopfree", "naive"): "86b3e76a02dbdb4a1ec197ce0de62e7eab1f64950663f9371fda4a9996bfd184",
     ("loopfree", "ci"): "be9916f2c898e0b128cefd7449e1bf072b579ae69f9686907b2af54f75b4862e",
     ("loopfree", "dcsd"): "2903058c0d1d97384f2b5870acca8bbee4a2fdfee4a2c4a18a7dabc8c2965527",
@@ -582,12 +583,12 @@ def test_gp_matches_binomial_thinning_oracle():
     reps = 4000
     values = [0.9, 0.7, 0.5, 0.3]
     hists = {}
-    children = {Strategy.DCSD: engine._dcsd_children, Strategy.GP: engine._gp_children}
     for strategy in (Strategy.DCSD, Strategy.GP):
         counts = {v: Counter() for v in values}
+        children = engine._CHILDREN[strategy]
         for rep in range(reps):
             # the level-1 cells, drawn from level 1's stream as a run would
-            rows, cols, _ = children[strategy](parents, parents, 2, level_rng(rep, 1))
+            rows, cols, _ = children(engine, parents, parents, 2, level_rng(rep, 1))
             per_value = Counter()
             for r, c in zip(rows.tolist(), cols.tolist()):
                 per_value[cfg.theta.entries[r % 2, c % 2]] += 1
@@ -613,7 +614,9 @@ def test_gp_placement_uniform_across_parents():
     reps = 6000
     for rep in range(reps):
         # the level-1 cells, drawn from level 1's stream as a run would
-        rows, cols, _ = engine._gp_children(parents, parents, 2, level_rng(rep, 1))
+        rows, cols, _ = engine._CHILDREN[Strategy.GP](
+            engine, parents, parents, 2, level_rng(rep, 1)
+        )
         hits = [
             (r // 2, c // 2)
             for r, c in zip(rows.tolist(), cols.tolist())
@@ -625,6 +628,37 @@ def test_gp_placement_uniform_across_parents():
     assert total == sum(chosen.values())
     z = (chosen[(0, 0)] - total / 2) / math.sqrt(total / 4)
     assert abs(z) < 5.0
+
+
+@pytest.mark.parametrize(
+    "theta,levels,untied",
+    [
+        pytest.param(_WORKED_THETA, 3, 2, id="worked"),
+        pytest.param(_WORKED_THETA, 9, 3, id="tied9"),
+        pytest.param(_WORKED_THETA, 13, 4, id="K13-ell4"),
+        # sparse b = 4 seed with a zero class: still one uniform per candidate
+        pytest.param(
+            [
+                [0.5, 0.1, 0.1, 0.0],
+                [0.1, 0.5, 0.1, 0.1],
+                [0.1, 0.1, 0.5, 0.1],
+                [0.05, 0.1, 0.1, 0.5],
+            ],
+            5,
+            2,
+            id="sparse-b4",
+        ),
+    ],
+)
+def test_tied_gp_draws_as_dcsd(theta, levels, untied):
+    # gp's tied levels make dcsd's draws from the same streams
+    engine = ModelSampler(make_config(theta, levels, untied))
+    for seed in (0, 7, 123):
+        gp_net, gp_trace = engine.run(Strategy.GP, seed)
+        dcsd_net, dcsd_trace = engine.run(Strategy.DCSD, seed)
+        np.testing.assert_array_equal(gp_net.edges, dcsd_net.edges)
+        assert gp_trace.per_level == dcsd_trace.per_level
+        assert gp_net.edge_count > 0
 
 
 def test_grouped_draw_skips_placement_for_zero_counts(monkeypatch, worked_cfg):

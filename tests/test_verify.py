@@ -472,14 +472,8 @@ def test_run_block_rejects_bad_level_records(monkeypatch, worked_cfg):
         verify_mod._run_block(worked_cfg, Strategy.CI, 5, 0, 10, 1 << 26, False)
 
 
-@pytest.mark.parametrize(
-    "chunk_cells,strategy,chunked",
-    [(128, "dcsd", True), (127, "dcsd", False), (1 << 16, "gp", False)],
-)
-def test_run_block_route(monkeypatch, worked_cfg, chunk_cells, strategy, chunked):
-    # array passes only for naive/ci/dcsd chunks that hold two or more
-    # replicates of the worked example's 64-cell grid
-    monkeypatch.setattr(verify_mod, "_CHUNK_CELLS", chunk_cells)
+def _chunk_calls(monkeypatch, cfg, strategy, runs=5):
+    """Replicates per ``_chunk_cells`` call of one ``_run_block``."""
     calls = []
     original = verify_mod._chunk_cells
 
@@ -488,8 +482,36 @@ def test_run_block_route(monkeypatch, worked_cfg, chunk_cells, strategy, chunked
         return original(*args)
 
     monkeypatch.setattr(verify_mod, "_chunk_cells", counted)
-    verify_mod._run_block(worked_cfg, Strategy(strategy), 5, 0, 5, 1 << 26, False)
-    assert calls == ([2, 2, 1] if chunked else [])
+    verify_mod._run_block(cfg, Strategy(strategy), 5, 0, runs, 1 << 26, False)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "chunk_cells,strategy,chunked",
+    [(128, "dcsd", True), (127, "dcsd", False), (1 << 16, "gp", True)],
+)
+def test_run_block_route(monkeypatch, worked_cfg, chunk_cells, strategy, chunked):
+    # array passes only for chunks that hold two or more replicates of the
+    # worked example's 64-cell grid; tied gp takes dcsd's passes
+    monkeypatch.setattr(verify_mod, "_CHUNK_CELLS", chunk_cells)
+    calls = _chunk_calls(monkeypatch, worked_cfg, strategy)
+    per_chunk = chunk_cells // 64
+    assert calls == ([min(per_chunk, 5 - at) for at in range(0, 5, per_chunk)] if chunked else [])
+
+
+@pytest.mark.parametrize(
+    "rows,levels,untied,gp_calls",
+    [
+        pytest.param([[0.6, 0.4], [0.3, 0.05]], 3, 2, [5], id="tied-sparse"),
+        pytest.param([[0.9, 0.7], [0.5, 0.3]], 3, 3, [], id="whole-grid"),
+    ],
+)
+def test_run_block_gp_route(monkeypatch, rows, levels, untied, gp_calls):
+    # tied gp takes dcsd's array passes whatever its values; whole-grid gp
+    # goes through ModelSampler._cells
+    cfg = make_config(rows, levels, untied)
+    assert _chunk_calls(monkeypatch, cfg, "gp") == gp_calls
+    assert _chunk_calls(monkeypatch, cfg, "dcsd") == [5]
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
@@ -617,15 +639,14 @@ def test_numpy_integer_arguments_match_python_ints():
 
 # sha256 of the sorted-key JSON of each report's to_dict(): the worked example,
 # 300 replicates, master seed 11.  The equivalence pairs are the ones the CLI's
-# verify runs; gp's reports also depend on numpy's Generator.binomial and
-# Generator.choice (README "Determinism").
+# verify runs; the worked example's gp draws PCG64 uniforms only, as dcsd.
 PINNED_REPORT_DIGESTS = {
     ("marginal", "naive"): "ed5ee36ab40b1b51208745593071b4c454b253e6fb72a9335b561f8fde66585b",
     ("marginal", "ci"): "3204fda4c5a8bdf0f5bf4cf0c72a0f76341bc58bb51df2b868a10a6b0791d49c",
     ("marginal", "dcsd"): "85e5d5df501dd92ae04585b81860f7de8782b825c0fbd007b6827ff8e082e3a2",
-    ("marginal", "gp"): "f5fde9ebb8613b16012bb13bd11d6120b7198a9bf0447693bdde6e48ce17f983",
+    ("marginal", "gp"): "956effe4e660f0d44d4d115410dd10e217e4142e347d4442486227c257535068",
     ("equivalence", "ci~dcsd"): "fdfef7c14aa3e1b60b5a74c1b4da89b9bc103dc45157984a1d8a569a0edeaa75",
-    ("equivalence", "dcsd~gp"): "ace58276a5bac26cc59911c5a46bf7244dde80571412e324cfd7603f02d0bc00",
+    ("equivalence", "dcsd~gp"): "ff096aa0cdf72a6da090c28bc3ff63e9eac1a93e32a786824f7a3d4b29302e89",
     ("audit", "ci,dcsd"): "750d0ebf46dd557ff4b15022bb997e978562503708b00026e01f97326244b855",
 }
 
@@ -665,27 +686,27 @@ PINNED_COLLECT_DIGESTS = {
     ("worked", "naive"): "fbe385cc4042bcc310f3386f788a80f4ed50c520bbcc5ea7b73ccb11f2f23939",
     ("worked", "ci"): "ed8571705152ae7fea16445f0acdcb084696834cca1b81612a39702ccac9814a",
     ("worked", "dcsd"): "95a61d39ec58929087ab0e78d4bec03e2825ff0034178cb26201adb7efc0865e",
-    ("worked", "gp"): "955b03d42a60ba051aadf6c63060844562e37521642d9c350e6ce5277d8038c3",
+    ("worked", "gp"): "b5ba5713c8597e214a1886b1dcfed49af40deba6de6e661906318e25e6b99419",
     ("worked-K4-ell1", "naive"): "5e476d01ef5db1f787a592540eea69338892f44cff380b508f5729ff810f6d9e",
     ("worked-K4-ell1", "ci"): "388b9a8fe0d75a49da6bac1b29d4256a8c7df7b2488527e0c1373ebff09daf12",
     ("worked-K4-ell1", "dcsd"): "3e3faf5acae7576a86fdabac4bc455dbf1286a5dc6b37e583e53cf4d732ba9f8",
-    ("worked-K4-ell1", "gp"): "adcc3ad00fa161cac39366d73d323ff68e7a7dc6ed1f8672655bffa109805ec2",
+    ("worked-K4-ell1", "gp"): "d6be04e3c90ea713ecc0698433f5ca2a5cde4e8f83ddfc24950dcc3219f7d3a3",
     ("theta3-K3-ell1", "naive"): "5f9386acdc942949ee2d82abd08dac9207f9ca01ee8585b0891bda9979118803",
     ("theta3-K3-ell1", "ci"): "ce784514127a5715f59c5020bc5bdbe283b3c71bb0e2fa18f50ecf15d588c03b",
     ("theta3-K3-ell1", "dcsd"): "665a23adb7122b4875e39e330820cc40da8fdac2057d36c48a03a24562598881",
-    ("theta3-K3-ell1", "gp"): "daf273dd4cc1c94a73c554883799b5b61ebf073fb959e7412a682e9ca91e6563",
+    ("theta3-K3-ell1", "gp"): "d23e9e0a305f1ff6726005ee473bf4b95ac660172b1f1c3c56340e93a69b23c5",
     ("worked-undirected", "naive"): "fca5ca375475fdc5b8273c3894361b3c16f5da55772a23b833c27cc8433b6d02",
     ("worked-undirected", "ci"): "5fb9937dacd9fb3e66fb37c00843a419d35ff1a817d8af8a303e04b8d9368136",
     ("worked-undirected", "dcsd"): "5b308b26f0c048eb016342b66fb59eb8f3ba03f809a7c2d0ca35aa9df6109bdf",
-    ("worked-undirected", "gp"): "0c099ac5a8cbd1c6ef554efc53350c8b25fce3b458502d6f00ac2c631a577a7f",
+    ("worked-undirected", "gp"): "6c61025959aa32be1b65dc680d0ee57ad34665b9bdb45210234e0abf55684c87",
     ("worked-loop-free", "naive"): "9b90e7235ddc00dc60cf1fcd732c632b2bcbd66e4c7ffb4171769b4f6451a51e",
     ("worked-loop-free", "ci"): "bfd4d6246e98a6d5e0fdabfcbc923a6c3467b8822264ce93d2e8150aa54561ba",
     ("worked-loop-free", "dcsd"): "23c88d8c567876d32d46756228b184d05c3d09d46efe810efc31cf2a48f965f8",
-    ("worked-loop-free", "gp"): "a9cadf559d857dbac0d2b05b1a7041309f5d68f59cdeca65cdef818297bb5893",
+    ("worked-loop-free", "gp"): "71885d2b9b4d1681bb75605151bc437db23b568bb307173cb2d4b6000f04ebce",
     ("worked-workers2", "naive"): "e8420523237baa452028e6cac48b7a10e8766855a723faf0010c54be6c910e0d",
     ("worked-workers2", "ci"): "3fc18eb80188d50910feaf3f016caa45e53836fe8b387ab754dc27144ac8acad",
     ("worked-workers2", "dcsd"): "6d3bd2a2b4ab2593a12cdfee1267fbb80cbae3231a7a70b3422325e3f1d0394b",
-    ("worked-workers2", "gp"): "781fc991ae9b29750292d6fa7aa2a1fc0fc6b9e5b13dbd2a6a7321d55e230247",
+    ("worked-workers2", "gp"): "d9a8d2ae860293bad3c607590589a07a3dc87af0e36e80ec644166433a92bde1",
 }
 
 
