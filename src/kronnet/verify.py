@@ -6,9 +6,11 @@ re-running with the same master seed reproduces it bit for bit, regardless
 of the worker count.  Each replicate is the network ``ModelSampler.run``
 returns for its seed: ``naive``, ``ci`` and ``dcsd`` replicates, and those
 of tied ``gp`` (which draws exactly as ``dcsd``), are sampled a chunk at a
-time in array passes, each from its own level streams; whole-grid ``gp``
+time in array passes, each from its own level streams, whose uniforms
+``rng.stream_uniforms`` returns for the whole chunk; whole-grid ``gp``
 replicates, like those of grids too large for a chunk to hold two, go one at
-a time through the samplers' level loop.
+a time through the samplers' level loop and are checked and counted in
+groups.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from ._kernels import expand_active
 from .config import DEFAULT_DENSE_CAP, I64_MAX, ModelConfig, check_int
 from .errors import BadArgs, CapExceeded, Overflow
 from .kron import ci_rv_count, dcsd_ebound, expected_active, kronecker_power
-from .rng import check_seed, level_states, replicate_seeds, stream_from_state
+from .rng import check_seed, level_states, replicate_seeds, stream_from_state, stream_uniforms
 from .samplers import ModelSampler, SampledNetwork, Strategy, check_dense_cap, mode_keep
 
 _STRATEGY_BLOCK = {
@@ -61,20 +63,13 @@ _CHUNK_REPLICATES = 4096
 # replicate by replicate through ModelSampler._cells: a chunk of one
 # replicate shares no pass, and there the array passes ran ci and dcsd
 # 1.3-1.4x slower than _cells (K = 8, n**2 = 2**16, on a 2-vCPU host).
+# Measured again with every chunk level's uniforms computed as uint64
+# columns (same host, interleaved in one process; worked theta, ell = 4, 300
+# replicates), as array-pass over per-replicate time for naive/ci/dcsd:
+# K = 5 (chunks of 64) 0.82/0.77/0.35, K = 6 (16) 1.86/1.62/0.64, K = 7 (4)
+# 4.28/3.77/1.64, against 0.29/0.30/0.20, 0.48/0.60/0.34 and 0.61/0.97/0.60
+# with a generator per stream; so from K = 6 most array passes lose to _cells.
 _CHUNK_CELLS = 1 << 16
-
-
-def _chunk_uniforms(states: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The first ``sizes[r]`` uniforms of each replicate's level stream,
-    concatenated in replicate order; ``states`` holds one 4-word state per
-    replicate."""
-    out = np.empty(int(sizes.sum()))
-    at = 0
-    for state, size in zip(states, sizes.tolist()):
-        if size:
-            stream_from_state(state).random(out=out[at : at + size])
-            at += size
-    return out
 
 
 def _chunk_cells(cfg: ModelConfig, strategy: Strategy, probs0: np.ndarray, states: np.ndarray):
@@ -96,7 +91,7 @@ def _chunk_cells(cfg: ModelConfig, strategy: Strategy, probs0: np.ndarray, state
     reps = len(states)
     side = math.isqrt(probs0.size)
     examined = np.full(reps, probs0.size)
-    hits = _chunk_uniforms(states[:, 0], examined).reshape(reps, -1) < probs0
+    hits = stream_uniforms(states[:, 0], examined).reshape(reps, -1) < probs0
     rows, cols = np.divmod(np.flatnonzero(hits), side)
     records = [(examined, np.bincount(rows // side, minlength=reps))]
     tied = 0 if strategy is Strategy.NAIVE else cfg.tied_levels
@@ -107,14 +102,14 @@ def _chunk_cells(cfg: ModelConfig, strategy: Strategy, probs0: np.ndarray, state
             alive = np.zeros((reps * side, side), dtype=bool)
             alive[rows, cols] = True
             examined = np.full(reps, side * side * b * b)
-            uniforms = _chunk_uniforms(states[:, lam], examined)
+            uniforms = stream_uniforms(states[:, lam], examined)
             hits = uniforms.reshape(reps * side, b, side, b) < theta.entries[:, None, :]
             hits &= alive[:, None, :, None]
             side *= b
             rows, cols = np.divmod(np.flatnonzero(hits), side)
         else:
             examined = records[-1][1] * (b * b)
-            uniforms = _chunk_uniforms(states[:, lam], examined)
+            uniforms = stream_uniforms(states[:, lam], examined)
             rows, cols = expand_active(rows, cols, uniforms, theta.flat, b)
             # parent-major children; a stable sort on the stacked row puts
             # each replicate's in (row, col) order, replicates in order
@@ -128,20 +123,39 @@ def _chunk_cells(cfg: ModelConfig, strategy: Strategy, probs0: np.ndarray, state
 
 
 def _replicate_cells(engine: ModelSampler, strategy: Strategy, states: np.ndarray):
-    """``_chunk_cells``' results, one replicate at a time through
-    ``ModelSampler._cells``."""
-    parts = []
-    traces = []
+    """``_chunk_cells``' results for consecutive groups of replicates, each
+    replicate sampled through ``ModelSampler._cells``.
+
+    A group closes once it holds ``_CHUNK_CELLS // 4`` cells, so one
+    ``_tally`` call (~55 us) checks and counts ~15 replicates at K = 8 on
+    the worked example.  Larger groups raised the memory tests' peak: dense
+    replicates of ~22k cells were grouped at up to 0.6 MB more than alone.
+    """
+    group = []
+    held = 0
     for replicate in states:
-        rows, cols, trace = engine._cells(
-            strategy, lambda lam, replicate=replicate: stream_from_state(replicate[lam])
+        group.append(
+            engine._cells(
+                strategy, lambda lam, replicate=replicate: stream_from_state(replicate[lam])
+            )
         )
-        parts.append((rows, cols))
-        traces.append(trace)
-    rep = np.repeat(np.arange(len(parts)), [rows.size for rows, _ in parts])
-    rows = np.concatenate([rows for rows, _ in parts])
-    cols = np.concatenate([cols for _, cols in parts])
-    return rep, rows, cols, np.array(traces, dtype=np.int64)
+        held += group[-1][0].size
+        if held >= _CHUNK_CELLS // 4:
+            held = 0
+            yield _stack(group)
+    if group:
+        yield _stack(group)
+
+
+def _stack(group: list):
+    """A group's ``ModelSampler._cells`` results as ``_chunk_cells`` returns
+    a chunk's; empties ``group``, so only the stacked copy stays alive."""
+    rep = np.repeat(np.arange(len(group)), [rows.size for rows, _, _ in group])
+    rows = np.concatenate([rows for rows, _, _ in group])
+    cols = np.concatenate([cols for _, cols, _ in group])
+    trace = np.array([trace for _, _, trace in group], dtype=np.int64)
+    group.clear()
+    return rep, rows, cols, trace
 
 
 def _tally(cfg: ModelConfig, counts, rep, rows, cols, trace):
@@ -204,10 +218,10 @@ def _run_block(
     when a chunk holds two or more replicates; whole-grid ``gp``, whose
     binomial and placement draws have no bulk form, and grids where a chunk
     holds one replicate, replicate by replicate through
-    ``ModelSampler._cells``.  The invariants that
-    ``SampledNetwork`` and ``LevelTrace`` enforce are checked on each
-    chunk's cell keys, columns and level records.  Returns summable
-    per-block statistics.
+    ``ModelSampler._cells`` (``_replicate_cells``), then in groups.  The
+    invariants that ``SampledNetwork`` and ``LevelTrace`` enforce are
+    checked on each chunk's or group's cell keys, columns and level
+    records.  Returns summable per-block statistics.
     """
     engine = ModelSampler(cfg, dense_cap=dense_cap)
     n = cfg.n_nodes
@@ -221,9 +235,12 @@ def _run_block(
     drawn_as = Strategy.DCSD if strategy is Strategy.GP and cfg.tied_levels else strategy
     if drawn_as is not Strategy.GP and chunk > 1:
         levels0 = cfg.levels if strategy is Strategy.NAIVE else cfg.untied_levels
-        sample = partial(
-            _chunk_cells, cfg, drawn_as, kronecker_power(cfg.theta, levels0).probs.ravel()
-        )
+        probs0 = kronecker_power(cfg.theta, levels0).probs.ravel()
+
+        def sample(states):
+            for at in range(0, len(states), chunk):
+                yield _chunk_cells(cfg, drawn_as, probs0, states[at : at + chunk])
+
     else:
         sample = partial(_replicate_cells, engine, strategy)
     block = _STRATEGY_BLOCK[strategy]
@@ -236,8 +253,9 @@ def _run_block(
     for lo in range(start, stop, _CHUNK_REPLICATES):
         seeds = replicate_seeds(master_seed, block, lo, min(stop, lo + _CHUNK_REPLICATES))
         states = level_states(seeds, levels)
-        for at in range(0, len(states), chunk):
-            totals, examined, active = _tally(cfg, counts, *sample(states[at : at + chunk]))
+        for part in sample(states):
+            totals, examined, active = _tally(cfg, counts, *part)
+            del part  # free these cells before the next part is sampled
             edge_totals.append(totals)
             examined_total += examined
             level_active.append(active)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kronnet.rng as rng_mod
 from kronnet import BadArgs, level_rng, replicate_seed
-from kronnet.rng import level_states, replicate_seeds, stream_from_state
+from kronnet.rng import level_states, replicate_seeds, stream_from_state, stream_uniforms
 
 
 def test_level_rng_deterministic():
@@ -187,3 +190,144 @@ def test_integer_arguments_accept_numpy_integers():
     np.testing.assert_array_equal(level_states([1, 2], np.int8(2)), level_states([1, 2], 2))
     with pytest.raises(BadArgs):
         level_states([1, 2], -1)
+
+
+# -- replicate streams computed by PCG64 arithmetic --------------------------------
+
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+M128 = (1 << 128) - 1
+M64 = (1 << 64) - 1
+
+
+def _pcg64_reference(words, n):
+    """The first ``n`` doubles of PCG64 seeded with 4 state words, and each
+    one's output rotation, stepped one value at a time on Python ints."""
+    initstate = (int(words[0]) << 64) | int(words[1])
+    inc = (((int(words[2]) << 64) | int(words[3])) << 1 | 1) & M128
+    state = ((initstate + inc) * PCG_MULT + inc) & M128
+    doubles, rotations = [], []
+    for _ in range(n):
+        state = (state * PCG_MULT + inc) & M128
+        hi, lo = state >> 64, state & M64
+        rot = hi >> 58
+        value = hi ^ lo
+        out = ((value >> rot) | (value << (64 - rot))) & M64
+        doubles.append((out >> 11) * 2.0**-53)
+        rotations.append(rot)
+    return np.array(doubles), rotations
+
+
+def _numpy_uniforms(states, sizes):
+    return np.concatenate(
+        [stream_from_state(state).random(size) for state, size in zip(states, sizes)] + [np.empty(0)]
+    )
+
+
+def _assert_stream_uniforms(states, sizes):
+    states = np.asarray(states, dtype=np.uint64).reshape(-1, 4)
+    sizes = np.asarray(sizes, dtype=np.intp)
+    got = stream_uniforms(states, sizes)
+    # numpy's own PCG64 and Generator.random are the oracle; a numpy release
+    # that changes either fails here with its version named
+    np.testing.assert_array_equal(
+        got, _numpy_uniforms(states, sizes), err_msg=f"numpy {np.__version__}"
+    )
+    return got
+
+
+def test_stream_uniforms_match_seed_sequence_streams():
+    for seed in EDGE_SEEDS + tuple(_random_seeds(10)):
+        states = level_states(np.array([seed], dtype=np.uint64), 4)[0]
+        for n in (0, 1, 16, 38, 64, 65, 1000):
+            got = stream_uniforms(states, np.full(4, n))
+            expected = np.concatenate(
+                [
+                    np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, lam]))).random(n)
+                    for lam in range(4)
+                ]
+            )
+            np.testing.assert_array_equal(got, expected, err_msg=f"numpy {np.__version__}")
+
+
+CARRY_STATES = [
+    [0, 0, 0, 0],
+    [M64, M64, M64, M64],
+    # initstate + inc carries out of the low word, and out of the high one
+    [0, M64, 0, 1],
+    [M64, M64, 0, 0],
+    [M64, M64 - 1, M64, M64],
+    [1 << 63, M64, 1 << 63, 1 << 63],
+    [0, 1 << 63, 0, 1 << 62],
+]
+
+
+def test_stream_uniforms_carry_and_extreme_words():
+    for words in CARRY_STATES:
+        got = _assert_stream_uniforms([words], [64])
+        np.testing.assert_array_equal(got, _pcg64_reference(words, 64)[0])
+
+
+def test_stream_uniforms_hit_every_output_rotation():
+    states = np.random.default_rng(20261019).integers(0, 2**64, (40, 4), dtype=np.uint64)
+    rotations = set()
+    for words in states:
+        doubles, rots = _pcg64_reference(words, 48)
+        rotations.update(rots)
+        np.testing.assert_array_equal(stream_uniforms(words[None], np.array([48])), doubles)
+    assert rotations == set(range(64))
+    _assert_stream_uniforms(states, [48] * len(states))
+
+
+@pytest.mark.parametrize("width", [63, 64, 65, 1000])
+def test_stream_uniforms_around_table_sizes(width):
+    # streams under, at and past a 64-entry jump table; 300 streams span tiles
+    states = level_states(replicate_seeds(3, 1, 0, 300), 2)[:, 1]
+    _assert_stream_uniforms(states, [width] * 300)
+
+
+@pytest.mark.parametrize("size", [0, 1])
+def test_stream_uniforms_tiny_sizes(size):
+    states = level_states(replicate_seeds(3, 1, 0, 50), 1)[:, 0]
+    assert _assert_stream_uniforms(states, [size] * 50).size == 50 * size
+    assert stream_uniforms(np.empty((0, 4), dtype=np.uint64), np.empty(0, dtype=np.intp)).size == 0
+
+
+@pytest.mark.parametrize("tile", [1, 7, 64, 1 << 13])
+def test_stream_uniforms_ragged_sizes_across_tiles(monkeypatch, tile):
+    monkeypatch.setattr(rng_mod, "_TILE_VALUES", tile)
+    gen = np.random.default_rng(tile)
+    states = level_states(replicate_seeds(9, 2, 0, 500), 1)[:, 0]
+    for high in (2, 17, 65, 300):
+        sizes = gen.integers(0, high, 500)
+        sizes[gen.random(500) < 0.3] = 0
+        sizes[[0, -1]] = 0
+        _assert_stream_uniforms(states, sizes)
+
+
+def test_stream_uniforms_build_no_generator(monkeypatch):
+    states = level_states(replicate_seeds(4, 1, 0, 8), 1)[:, 0]
+    sizes = np.array([0, 3, 700, 64, 65, 1, 0, 300])
+    expected = _numpy_uniforms(states, sizes)
+
+    def refuse(state):
+        raise AssertionError("stream_uniforms built a generator")
+
+    monkeypatch.setattr(rng_mod, "stream_from_state", refuse)
+    np.testing.assert_array_equal(stream_uniforms(states, sizes), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    streams=st.lists(
+        st.tuples(st.lists(st.integers(0, M64), min_size=4, max_size=4), st.integers(0, 200)),
+        max_size=12,
+    ),
+    tile=st.integers(1, 200),
+)
+def test_stream_uniforms_equal_numpy_property(streams, tile):
+    saved = rng_mod._TILE_VALUES
+    rng_mod._TILE_VALUES = tile
+    try:
+        _assert_stream_uniforms([words for words, _ in streams], [size for _, size in streams])
+    finally:
+        rng_mod._TILE_VALUES = saved

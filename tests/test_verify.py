@@ -375,6 +375,11 @@ ROUTES = {
 }
 
 
+def _take_route(monkeypatch, route):
+    for name, value in ROUTES[route].items():
+        monkeypatch.setattr(verify_mod, name, value)
+
+
 BLOCK_CONFIGS = {
     "worked": ([[0.9, 0.7], [0.5, 0.3]], 3, 2),
     "b3-tied": ([[0.9, 0.6, 0.3], [0.6, 0.5, 0.2], [0.3, 0.2, 0.1]], 3, 1),
@@ -518,8 +523,7 @@ def test_run_block_gp_route(monkeypatch, rows, levels, untied, gp_calls):
 @pytest.mark.parametrize("strategy,cap", [("naive", 64), ("ci", 80)])
 def test_run_block_dense_caps_on_both_routes(monkeypatch, worked_cfg, route, strategy, cap):
     # naive draws n**2 = 64 cells per run and ci ci_rv_count = 80 RVs
-    for name, value in ROUTES[route].items():
-        monkeypatch.setattr(verify_mod, name, value)
+    _take_route(monkeypatch, route)
     verify_mod._run_block(worked_cfg, Strategy(strategy), 5, 0, 3, cap, False)
     with pytest.raises(CapExceeded):
         verify_mod._run_block(worked_cfg, Strategy(strategy), 5, 0, 3, cap - 1, False)
@@ -666,6 +670,13 @@ def test_report_bytes_pinned_seed_for_seed(kind, strategies, worked_cfg):
     assert hashlib.sha256(payload).hexdigest() == PINNED_REPORT_DIGESTS[kind, strategies]
 
 
+@pytest.mark.parametrize("kind,strategies", sorted(PINNED_REPORT_DIGESTS))
+@pytest.mark.parametrize("route", sorted(set(ROUTES) - {"default"}))
+def test_report_bytes_pinned_on_every_route(monkeypatch, route, kind, strategies, worked_cfg):
+    _take_route(monkeypatch, route)
+    test_report_bytes_pinned_seed_for_seed(kind, strategies, worked_cfg)
+
+
 # -- pinned replicate statistics ---------------------------------------------------
 
 # sha256 of _collect's four outputs (counts, edge totals, examined total,
@@ -725,8 +736,7 @@ def _collect_digest(case, strategy):
 @pytest.mark.parametrize("case,strategy", sorted(PINNED_COLLECT_DIGESTS))
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_collect_bytes_pinned_seed_for_seed(monkeypatch, route, case, strategy):
-    for name, value in ROUTES[route].items():
-        monkeypatch.setattr(verify_mod, name, value)
+    _take_route(monkeypatch, route)
     assert _collect_digest(case, strategy) == PINNED_COLLECT_DIGESTS[case, strategy]
 
 
