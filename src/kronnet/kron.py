@@ -133,15 +133,15 @@ def edge_prob(cfg: ModelConfig, row: int, col: int) -> float:
 def ci_rv_count(cfg: ModelConfig) -> int:
     """Exact number of random variables a full per-cell sweep examines.
 
-    Sums the grid sizes of every level from the untied stage onward:
-    sum over lam in [0, tied_levels] of (side**(untied_levels + lam))**2.
+    Sums the grid sizes of every level from the untied stage onward, in
+    closed form: sum over lam in [0, tied_levels] of (side**(untied_levels + lam))**2.
     With untied_levels == levels this is just n_nodes**2.
 
     Raises:
         Overflow: the exact count exceeds the unsigned 64-bit range.
     """
     b2 = cfg.b * cfg.b
-    total = sum(b2 ** (cfg.untied_levels + lam) for lam in range(cfg.tied_levels + 1))
+    total = b2**cfg.untied_levels * (b2 ** (cfg.tied_levels + 1) - 1) // (b2 - 1)
     if total > U64_MAX:
         raise Overflow(f"examined-RV count {total} exceeds the 64-bit range")
     return total

@@ -22,11 +22,13 @@ on every platform numpy supports.  A generator is built from its derived
 4-word PCG64 state (``stream_from_state``); its ``bit_generator.seed_seq`` is
 that stored state, not a ``SeedSequence``, and cannot spawn.
 
-Replicated runs read the first values of thousands of such streams.
-``stream_uniforms`` returns them without a generator per stream: PCG64 is a
-128-bit LCG, so k steps from a state are one multiply-add by precomputed
-constants (O'Neill 2014; Brown 1994), computed on uint64 columns.  Its
-doubles equal ``Generator.random``'s bit for bit, so numpy's PCG64 and
+Every sampler level reads its uniforms, whole or in pieces, through
+``stream_uniforms``: one stream or long ones by numpy's generator moved
+forward by ``bit_generator.advance``, several short ones (a stack of
+verification replicates) with no generator per stream: PCG64 is a 128-bit
+LCG, so k steps from a state are one multiply-add by precomputed constants
+(O'Neill 2014; Brown 1994), computed on uint64 columns.  Both give
+``Generator.random``'s doubles bit for bit, so numpy's PCG64 and
 ``random()`` are part of the contract.
 """
 
@@ -55,6 +57,13 @@ _M128 = (1 << 128) - 1
 # numpy's PCG64 multiplier: each draw steps its 128-bit state to
 # state * _PCG_MULT + inc (mod 2**128).
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Several streams none of which is read past this many values are computed
+# as uint64 columns, others by one numpy generator per stream.  On 1024
+# equal streams (2 vCPUs, numpy 2.4) columns took 0.19-0.24x the generators'
+# time at 16 values, 0.58-0.73x at 64 and 1.09-1.36x at 128; against 64, a
+# limit of 128 ran K = 3 and 4 naive/ci/dcsd marginal_test 0.99/1.00/1.02x
+# and 0.98/0.95/1.17x as long.
+_COLUMN_VALUES = 64
 # Values per tile of stream_uniforms' column arithmetic, which keeps its ~20
 # uint64 temporaries in cache: on 1024 streams of 64 values (2 vCPUs, numpy
 # 2.4), 2**13 took 2.1 ms against 3.0 ms untiled, and on a ragged level (mean
@@ -194,7 +203,8 @@ class _StoredState(ISeedSequence):
         self.state = state
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != _STATE_WORDS or np.dtype(dtype) != np.uint64:
+        # PCG64 passes the np.uint64 type itself; np.dtype() costs ~0.4 us
+        if n_words != _STATE_WORDS or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise BadArgs("a stored stream state only seeds PCG64")
         return self.state
 
@@ -246,27 +256,29 @@ def _jump_table(count: int) -> np.ndarray:
     return table
 
 
-def _column_uniforms(states: np.ndarray, sizes: np.ndarray, jumps: np.ndarray, out: np.ndarray):
-    """Write ``stream_uniforms(states, sizes)`` into ``out`` by PCG64 arithmetic.
+def _column_uniforms(states, sizes, starts, out: np.ndarray) -> None:
+    """Write ``stream_uniforms(states, sizes, starts)`` into ``out`` by PCG64
+    arithmetic: a (stream, k) grid for int ``sizes`` and ``starts``, else a gather.
 
     numpy's PCG64 takes ``initstate = w0:w1`` and ``inc = (w2:w3) << 1 | 1``
     from the 4 words, seeds ``s = (initstate + inc) * M + inc``, and draws
     value k (from 1) from ``x = A_k * s + S_k * inc``: ``rotr64(hi ^ lo, hi >>
     58)`` of x, whose top 53 bits make the double.
     """
+    jumps = _jump_table(_COLUMN_VALUES)
     w0, w1, w2, w3 = states.T
     inc_h, inc_l = (w2 << 1) | (w3 >> 63), (w3 << 1) | 1
     seed_h, seed_l = _add128(
         *_mul128(*_add128(w0, w1, inc_h, inc_l), _PCG_MULT >> 64, _PCG_MULT & _M64), inc_h, inc_l
     )
     per_stream = (seed_h, seed_l, inc_h, inc_l)
-    if sizes.size and (sizes == sizes[0]).all():
-        # equal streams make a (stream, k) grid by broadcasting; gathering
-        # them instead ran K = 3 naive/ci marginal_test 2.2/1.8x as long
-        a_h, a_l, s_h, s_l = jumps[:, : sizes[0]]
+    if isinstance(sizes, int):
+        # gathering equal streams instead ran K = 3 naive/ci marginal_test
+        # 2.2/1.8x as long
+        a_h, a_l, s_h, s_l = jumps[:, starts : starts + sizes]
         seed_h, seed_l, inc_h, inc_l = (words[:, None] for words in per_stream)
     else:
-        k = np.arange(out.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        k = np.arange(out.size) - np.repeat(np.cumsum(sizes) - sizes - starts, sizes)
         a_h, a_l, s_h, s_l = jumps[:, k]
         seed_h, seed_l, inc_h, inc_l = (np.repeat(words, sizes) for words in per_stream)
     x_h, x_l = _mul128(a_h, a_l, seed_h, seed_l)
@@ -285,25 +297,42 @@ def _column_uniforms(states: np.ndarray, sizes: np.ndarray, jumps: np.ndarray, o
     np.multiply(v, 2.0**-53, out=out.reshape(v.shape))
 
 
-def stream_uniforms(states: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The first ``sizes[r]`` uniforms of each stream ``states[r]``,
-    concatenated in stream order; ``states`` is a ``(streams, 4)`` uint64
-    array and ``sizes`` an int array.
+def stream_uniforms(states: np.ndarray, sizes, starts) -> np.ndarray:
+    """Values ``starts[r]`` to ``starts[r] + sizes[r]`` (exclusive) of each
+    stream ``states[r]``, concatenated in stream order.
 
-    Equal bit for bit to ``stream_from_state(states[r]).random(sizes[r])``
-    for each r in turn, computed as uint64 columns ``_TILE_VALUES`` or so
-    values at a time.
+    ``states`` is a ``(streams, 4)`` uint64 array; ``sizes`` and ``starts``
+    are ints shared by every stream, or int arrays of one entry per stream.
+    Equal bit for bit to ``stream_from_state(states[r])`` moved forward by
+    ``starts[r]`` values, then ``random(sizes[r])``, for each r in turn, so
+    a stream read in consecutive pieces gives what one read gives.  Several
+    streams, none read past value ``_COLUMN_VALUES``, are computed as uint64
+    columns ``_TILE_VALUES`` or so values at a time; a stream on its own,
+    and longer ones, by that generator.
     """
-    out = np.empty(int(sizes.sum()))
-    # one table per power of two: 16 at most for the chunk route's <= 2**15 values
-    jumps = _jump_table(1 << (int(sizes.max(initial=1)) - 1).bit_length())
+    count = len(states)
+    shared = isinstance(sizes, int) and isinstance(starts, int)
+    if not shared:
+        sizes, starts = np.broadcast_to(sizes, count), np.broadcast_to(starts, count)
+    if count <= 1 or np.max(sizes + starts) > _COLUMN_VALUES:
+        # advance takes no numpy integer
+        sizes, starts = ([sizes] * count, [starts] * count) if shared else (sizes.tolist(), starts.tolist())
+        parts = []
+        for r in range(count):
+            stream = stream_from_state(states[r])
+            if starts[r]:
+                stream.bit_generator.advance(starts[r])
+            parts.append(stream.random(sizes[r]))
+        return parts[0] if count == 1 else np.concatenate([np.empty(0), *parts])
+    bounds = np.arange(count + 1) * sizes if shared else np.concatenate(([0], np.cumsum(sizes)))
     # stream r's values are out[bounds[r]:bounds[r + 1]]
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    out = np.empty(int(bounds[-1]))
     # tiles of whole streams, each starting at the stream that holds value
     # j * _TILE_VALUES
-    rows = np.searchsorted(bounds, np.arange(0, out.size, _TILE_VALUES), "right") - 1
-    for lo, hi in zip(rows.tolist(), [*rows[1:].tolist(), sizes.size]):
-        _column_uniforms(states[lo:hi], sizes[lo:hi], jumps, out[bounds[lo] : bounds[hi]])
+    tiles = np.searchsorted(bounds, np.arange(0, out.size, _TILE_VALUES), "right") - 1
+    for lo, hi in zip(tiles.tolist(), [*tiles[1:].tolist(), count]):
+        part = (sizes, starts) if shared else (sizes[lo:hi], starts[lo:hi])
+        _column_uniforms(states[lo:hi], *part, out[bounds[lo] : bounds[hi]])
     return out
 
 
@@ -317,17 +346,23 @@ def level_rng(seed: int, level: int) -> np.random.Generator:
     return stream_from_state(state)
 
 
-def level_states(seeds: np.ndarray, levels: int) -> np.ndarray:
+def level_states(seeds, levels: int) -> np.ndarray:
     """States of ``level_rng(seed, level)`` for every seed and level below ``levels``.
 
-    ``seeds`` is a uint64 array; the result has shape ``(seeds.size, levels,
-    4)``, and ``stream_from_state(result[i, level])`` draws exactly what
+    ``seeds`` is a uint64 array, or one checked seed as a Python int; the
+    result has shape ``(seeds.size, levels, 4)``, and
+    ``stream_from_state(result[i, level])`` draws exactly what
     ``level_rng(seeds[i], level)`` draws.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
     levels = check_int(levels, "levels")
     if levels < 0:
         raise BadArgs(f"levels must be >= 0, got {levels}")
+    if isinstance(seeds, int):
+        # on Python ints, as level_rng: ~10 us a level against ~200 us in columns
+        words = _int_words(seeds)
+        state = [_derive(words + _int_words(level), _STATE_WORDS) for level in range(levels)]
+        return np.array([state], dtype=np.uint64).reshape(1, levels, _STATE_WORDS)
+    seeds = np.asarray(seeds, dtype=np.uint64)
     words, present = _column_words(
         [np.repeat(seeds, levels), np.tile(np.arange(levels, dtype=np.uint64), seeds.size)],
         seeds.size * levels,

@@ -2,23 +2,28 @@
 
 The samplers follow the model's Bayesian-network form, level-0 roots and
 then one child per candidate cell at each tied level, in one level loop,
-``ModelSampler._cells``:
+``ModelSampler._cells``, over a stack of replicates that share the network:
+replicate r's cell (row, col) of a level of side s sits at stacked row
+``r * s + row``, so each level runs once for the whole stack.  ``run`` is a
+stack of one; the verification harness sends stacks of many.
 
 * ``naive`` refuses above ``dense_cap`` cells (n**2), and ``ci`` above
   ``dense_cap`` RVs (``ci_rv_count``); ``dcsd`` and ``gp`` have no dense cap
-  (``check_dense_cap``, which the verification harness calls too).
+  (``check_dense_cap``, which ``run`` and the verification harness call).
 * Level 0 sweeps the grid of side**untied_levels cells (all ``levels`` for
   ``naive``): one uniform per cell, row-major, in row blocks of at most
-  2**20 cells, built from the dense untied product.  Engines keep the blocks
-  of grids of at most 2**24 cells, with the same draws either way, and the
-  sweep refuses rows wider than 2**24 cells before allocating them.  On the
-  plain model ``gp`` draws one binomial count per whole-grid probability
-  group instead, unless the grouping exceeds the fixed cap of ``grid_groups``.
+  2**20 cells of the dense untied product, each against a (replicates,
+  block) slab of uniforms.  Engines keep the blocks of grids of at most
+  2**24 cells, with the same draws either way, and the sweep refuses rows
+  wider than 2**24 cells before allocating them.  On the plain model ``gp``
+  draws each replicate's whole-grid probability groups instead, one
+  binomial count per group, unless the grouping exceeds the fixed cap of
+  ``grid_groups``.
 * Each tied level replaces every realized cell with a side x side block of
   candidates; child (dr, dc) survives with probability ``theta[dr, dc]``,
   and children of unrealized cells never do.  The strategy's children
-  function draws them, one stable sort on the rows puts them in (row, col)
-  order, and the level adds one ``(level, examined, active)`` trace entry.
+  function returns them in stacked (row, col) order, and the level adds
+  one ``(level, examined, active)`` record per replicate.
 
 The strategies differ only in which of a level's RVs they touch: ``ci``
 every candidate, dead parents included; ``dcsd`` only children of realized
@@ -34,28 +39,26 @@ pruned candidates parent-major with blocks row-major, for ``dcsd`` and
 ``gp`` alike; whole-grid groups by descending probability, count then
 placement), so runs are reproducible, tied ``gp`` matches ``dcsd`` draw for
 draw, and the full sweep matches the Bayesian-network ancestral sampler draw
-for draw.
-``_cells`` asks its stream source for a level's generator when it reaches
-the level: ``run`` passes ``level_rng``, and the verification harness
-passes streams derived in bulk for a block of replicates.
+for draw.  Replicate r's level ``lam`` is stream ``states[r, lam]``, read
+through ``rng.stream_uniforms`` whole or in pieces, so a stack draws what
+its replicates draw alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
-from typing import Callable, Iterable
+from functools import cache, cached_property
+from typing import Iterable
 
 import numpy as np
 
-from ._kernels import expand_active
 from .config import DEFAULT_DENSE_CAP, I64_MAX, ModelConfig, check_int
 from .errors import BadArgs, CapExceeded, GroupCapExceeded, Overflow
 from .groups import GridUnranker, grid_groups
 from .kron import ci_rv_count, fold, row_blocks
 from .randvar import binomial_draw, choose_without_replacement
-from .rng import check_seed, level_rng
+from .rng import check_seed, level_states, stream_from_state, stream_uniforms
 
 # Per-cell draws take their probabilities in row blocks of at most this
 # many cells, so a sweep holds O(block) memory beyond its hits.
@@ -68,25 +71,61 @@ _CACHE_CELLS = 1 << 24
 # wider row would be allocated whole before its first draw.
 _MAX_ROW_CELLS = 1 << 24
 
-# A run's stream source: level -> that level's generator, called once per
-# level when the level is reached.
-Streams = Callable[[int], np.random.Generator]
 
+def _hits(states: np.ndarray, blocks: Iterable[np.ndarray], cells: int) -> np.ndarray:
+    """Ascending stacked indices ``r * cells + i`` of the cells i whose
+    uniform falls below their probability, in each replicate r's grid.
 
-def _hits(stream: np.random.Generator, blocks: Iterable[np.ndarray]) -> np.ndarray:
-    """Flat row-major indices of the cells whose uniform falls below their probability.
-
-    ``blocks`` are consecutive row blocks of one probability grid; each cell
-    takes one uniform from ``stream``, in row-major order over the whole grid.
+    ``blocks`` are consecutive row blocks of a grid of ``cells`` cells, 2-D
+    ones shared by every replicate or 3-D ones holding each replicate's.
+    Replicate r draws one uniform per cell from stream ``states[r]``,
+    row-major over its whole grid.
     """
     hits = []
     offset = 0
     for block in blocks:
-        hit = (stream.random(block.size) < block.ravel()).nonzero()[0]
-        hits.append(hit + offset if offset else hit)
-        offset += block.size
+        size = block.shape[-2] * block.shape[-1]
+        # a (replicates, block) slab; a stack of one compares flat
+        slab = (-1, size) if len(states) > 1 else (size,)
+        # the draws die inside this line, so the next block's reuse their memory
+        hit = (stream_uniforms(states, size, offset).reshape(slab) < block.reshape(slab)).ravel().nonzero()[0]
+        if size != cells:
+            # replicate r's hit j of this block: r * size + j -> r * cells + offset + j
+            hit += offset + hit // size * (cells - size)
+        hits.append(hit)
+        offset += size
     # One block is the common case of small grids: skip the copy.
-    return hits[0] if len(hits) == 1 else np.concatenate(hits)
+    if len(hits) == 1:
+        return hits[0]
+    hits = np.concatenate(hits)
+    # a stack's blocks interleave its replicates
+    return hits if len(states) == 1 else np.sort(hits)
+
+
+def expand_active(rows, cols, uniforms, theta_flat, b):
+    """Realize the b*b child cells of each active parent cell.
+
+    ``uniforms`` holds one draw per candidate child, parent-major with the
+    block scanned row-major; child (dr, dc) of parent p survives when
+    ``uniforms[p*b*b + dr*b + dc] < theta_flat[dr*b + dc]``.  Returns child
+    row/column index arrays in that enumeration order.
+    """
+    bb = b * b
+    # One flat scan of the (parents x b*b) survivor mask, then a divmod:
+    # the same children as a 3-D nonzero, with dcsd 1.24x faster on a
+    # tied K=13, ell=4 run (2 vCPUs).
+    survivors = (uniforms.reshape(rows.size, bb) < theta_flat).ravel().nonzero()[0]
+    parent_idx, pos = np.divmod(survivors, bb)
+    dr, dc = _child_offsets(b)
+    return rows[parent_idx] * b + dr[pos], cols[parent_idx] * b + dc[pos]
+
+
+@cache
+def _child_offsets(b: int):
+    """Row and column offsets of a cell's b*b children, row-major (read-only)."""
+    dr, dc = np.divmod(np.arange(b * b), b)
+    dr.flags.writeable = dc.flags.writeable = False
+    return dr, dc
 
 
 def _grouped_draw(size: int, prob: float, stream: np.random.Generator) -> np.ndarray:
@@ -177,7 +216,7 @@ class SampledNetwork:
         if edges.shape[0] > 1:
             r0, r1 = edges[:-1, 0], edges[1:, 0]
             c0, c1 = edges[:-1, 1], edges[1:, 1]
-            if not bool(((r1 > r0) | ((r1 == r0) & (c1 > c0))).all()):
+            if not ((r1 > r0) | ((r1 == r0) & (c1 > c0))).all():
                 raise BadArgs("edges must be strictly increasing in (row, col) order")
         if edges.size and (edges.min() < 0 or edges.max() >= self.n_nodes):
             raise BadArgs(f"edge endpoints outside [0, {self.n_nodes})")
@@ -210,6 +249,12 @@ def check_dense_cap(cfg: ModelConfig, strategy: Strategy, cap: int) -> None:
         )
 
 
+def stream_levels(cfg: ModelConfig, strategy: Strategy) -> int:
+    """Level streams a run reads: level 0's alone for ``naive`` (and for
+    whole-grid ``gp``, which has no tied level), else one per tied level too."""
+    return 1 if strategy is Strategy.NAIVE else cfg.tied_levels + 1
+
+
 def mode_keep(cfg: ModelConfig, rows: np.ndarray, cols: np.ndarray):
     """Which of the cells ``(rows, cols)`` the edge mode keeps, or None for all.
 
@@ -224,21 +269,18 @@ def mode_keep(cfg: ModelConfig, rows: np.ndarray, cols: np.ndarray):
     return None
 
 
-def mode_filter(cfg: ModelConfig, rows: np.ndarray, cols: np.ndarray):
-    """The final-level cells the edge mode keeps, in their order.
+def finalize_edges(cfg: ModelConfig, rows: np.ndarray, cols: np.ndarray) -> SampledNetwork:
+    """Build the network from the final-level cells the edge mode keeps.
 
     Sampling itself always works on the full grid; the mode only filters.
     """
     keep = mode_keep(cfg, rows, cols)
-    if keep is None:
-        return rows, cols
-    return rows[keep], cols[keep]
-
-
-def finalize_edges(cfg: ModelConfig, rows: np.ndarray, cols: np.ndarray) -> SampledNetwork:
-    """Apply the edge-mode filter to final-level cells and build the network."""
-    rows, cols = mode_filter(cfg, rows, cols)
-    edges = np.column_stack([rows, cols])
+    if keep is not None:
+        rows, cols = rows[keep], cols[keep]
+    # two column writes cost half of np.column_stack on a small network
+    edges = np.empty((rows.size, 2), dtype=np.int64)
+    edges[:, 0] = rows
+    edges[:, 1] = cols
     return SampledNetwork(n_nodes=cfg.n_nodes, edges=edges, directed=cfg.directed)
 
 
@@ -266,12 +308,11 @@ class ModelSampler:
 
     # -- level 0 --------------------------------------------------------------
 
-    def _sweep(self, stream: np.random.Generator, levels: int) -> np.ndarray:
-        """Flat row-major indices of the realized cells of the ``levels``-fold grid.
-
-        One uniform per cell, row-major, from the level-0 ``stream``, drawn
-        row block by row block.  The blocks of small grids are kept; the
-        draws do not depend on the block size or on whether they were kept.
+    def _sweep(self, states: np.ndarray, levels: int) -> np.ndarray:
+        """``_hits`` of a stack of ``levels``-fold grids, replicate r's from
+        level-0 stream ``states[r]``, drawn row block by row block.  The
+        blocks of small grids are kept; the draws do not depend on the block
+        size or on whether they were kept.
         """
         width = self.b**levels
         if width > _MAX_ROW_CELLS:
@@ -285,7 +326,7 @@ class ModelSampler:
             blocks = row_blocks(self.cfg.theta, levels, _BLOCK_CELLS)
             if width * width <= _CACHE_CELLS:
                 blocks = self._cached_blocks[levels] = list(blocks)
-        return _hits(stream, blocks)
+        return _hits(states, blocks, width * width)
 
     @cached_property
     def _grid_tables(self):
@@ -301,48 +342,62 @@ class ModelSampler:
             return None
         return groups, GridUnranker(classes, groups, self.cfg.levels, self.b)
 
-    def _level0(self, strategy: Strategy, stream: np.random.Generator):
-        """Level 0's realized cells in (row, col) order, and its level count.
-
-        Whole-grid ``gp`` draws its groups by descending probability, each a
-        count then a placement, and unranks all drawn ranks in one array
-        pass; other runs sweep all ``levels`` (``naive``) or the untied ones.
+    def _level0(self, strategy: Strategy, states: np.ndarray):
+        """Level 0's realized cells of a stack in stacked (row, col) order,
+        and its level count.  Whole-grid ``gp`` draws each replicate's groups
+        by descending probability from its stream's generator, each a count
+        then a placement, and unranks them in one array pass; other runs
+        sweep all ``levels`` (``naive``) or the untied ones.
         """
         if strategy is Strategy.GP and self._grid_tables is not None:
             groups, unranker = self._grid_tables
-            drawn = [(i, _grouped_draw(g.size, g.prob, stream)) for i, g in enumerate(groups)]
-            rows, cols = unranker.cells(drawn)
+            side = self.b**self.cfg.levels
+            cells = []
+            for r, state in enumerate(states):
+                stream = stream_from_state(state)
+                drawn = [(i, _grouped_draw(g.size, g.prob, stream)) for i, g in enumerate(groups)]
+                rows, cols = unranker.cells(drawn)
+                cells.append((rows + r * side, cols))
+            rows, cols = map(np.concatenate, zip(*cells))
             # A flat row * side + col key would overflow once the side reaches 2**32.
             order = np.lexsort((cols, rows))
             return rows[order], cols[order], self.cfg.levels
         levels = self.cfg.levels if strategy is Strategy.NAIVE else self.cfg.untied_levels
-        side = self.b**levels
-        rows, cols = np.unravel_index(self._sweep(stream, levels), (side, side))
-        return rows, cols, levels
+        # divmod, not unravel_index, whose strided views slow later passes
+        return (*np.divmod(self._sweep(states, levels), self.b**levels), levels)
 
-    # -- tied-level children: each takes the previous level's realized cells
-    # in (row, col) order, that level's grid side and the level's stream, and
-    # returns the realized children and the number of RVs it examined.
+    # -- tied-level children: each takes a stack's previous-level cells in
+    # stacked (row, col) order, that level's side, the level's streams and
+    # each replicate's cell count, and returns the children in stacked (row,
+    # col) order and the RVs each replicate examined.
 
-    def _ci_children(self, rows, cols, side, stream):
-        """One uniform per cell of the child grid, row-major, children of
+    def _ci_children(self, rows, cols, side, states, active):
+        """One uniform per cell of each child grid, row-major, children of
         dead parents included (they get probability 0)."""
-        active = np.zeros((side, side), dtype=bool)
-        active[rows, cols] = True
-        # Bands of whole parent rows keep the row-major stream.
-        step = max(1, _BLOCK_CELLS // (self.b * self.b * side))
+        reps = len(states)
+        alive = np.zeros((reps * side, side), dtype=bool)
+        alive[rows, cols] = True
+        alive = alive.reshape(reps, side, side)
+        # Bands of whole parent rows of every replicate keep each row-major stream.
+        step = max(1, _BLOCK_CELLS // (reps * self.b * self.b * side))
+        child = side * self.b
         bands = (
-            fold(active[p : p + step], self.cfg.theta.entries, 1)
+            fold(alive[:, p : p + step].reshape(-1, side), self.cfg.theta.entries, 1).reshape(
+                reps, -1, child
+            )
             for p in range(0, side, step)
         )
-        side *= self.b
-        return (*np.unravel_index(_hits(stream, bands), (side, side)), side * side)
+        return (*np.divmod(_hits(states, bands, child * child), child), child * child)
 
-    def _dcsd_children(self, rows, cols, side, stream):
+    def _dcsd_children(self, rows, cols, side, states, active):
         """One uniform per candidate child of a realized parent, parent-major."""
-        examined = rows.size * self.b * self.b
-        uniforms = stream.random(examined)
-        return (*expand_active(rows, cols, uniforms, self.cfg.theta.flat, self.b), examined)
+        examined = active * (self.b * self.b)
+        uniforms = stream_uniforms(states, examined, 0)
+        rows, cols = expand_active(rows, cols, uniforms, self.cfg.theta.flat, self.b)
+        # parent-major children in (row, col) order by a stable sort on the row
+        # alone; a flat row * side + col key overflows once the side is 2**32
+        order = rows.argsort(kind="stable")
+        return rows[order], cols[order], examined
 
     # gp's tied levels are dcsd's: no placement measured beat drawing there.
     _CHILDREN = {
@@ -351,41 +406,54 @@ class ModelSampler:
 
     # -- the level loop -----------------------------------------------------
 
-    def _cells(self, strategy: Strategy, streams: Streams):
-        """The level loop every run takes: realized final-level cells and trace.
+    def _cells(self, strategy: Strategy, states: np.ndarray):
+        """The level loop every run takes, for a stack of replicates.
 
-        Returns row and column arrays of the realized cells of the full grid
-        in (row, col) order, before the edge-mode filter, and one
-        ``(level, rvs_examined, rvs_active)`` tuple per level.  ``streams``
-        gives each level's generator; arguments are not checked here.
+        ``states`` is a ``(replicates, stream_levels(...), 4)`` array:
+        replicate r's level ``lam`` draws from stream ``states[r, lam]``, and
+        its cells sit at stacked rows ``r * side + row``.  Returns each
+        realized final-level cell's replicate, row and column, replicates in
+        order and each one's cells in (row, col) order, before the edge-mode
+        filter, and a ``(replicates, levels, 3)`` array of ``(level,
+        rvs_examined, rvs_active)`` records.  Callers check the arguments
+        and the dense cap.
         """
-        check_dense_cap(self.cfg, strategy, self.dense_cap)
-        rows, cols, levels = self._level0(strategy, streams(0))
+        reps = len(states)
+        rows, cols, levels = self._level0(strategy, states[:, 0])
         side = self.b**levels
-        trace = [(0, side * side, int(rows.size))]
-        for lam in range(1, self.cfg.levels - levels + 1):
-            rows, cols, examined = self._CHILDREN[strategy](self, rows, cols, side, streams(lam))
-            # Children come parent-major (ci's row-major); a stable sort on
-            # the row alone puts them in (row, col) order.  A flat
-            # row * side + col key would overflow once the side reaches 2**32.
-            order = rows.argsort(kind="stable")
-            rows, cols = rows[order], cols[order]
-            side *= self.b
-            trace.append((lam, examined, int(rows.size)))
-        return rows, cols, trace
+        examined = side * side
+        records = []
+        for lam in range(self.cfg.levels - levels + 1):
+            if lam:
+                rows, cols, examined = self._CHILDREN[strategy](
+                    self, rows, cols, side, states[:, lam], active
+                )
+                side *= self.b
+            # each replicate's cells: its stretch of the ascending stacked rows
+            active = rows.size if reps == 1 else np.diff(rows.searchsorted(np.arange(reps + 1) * side))
+            records.append((lam, examined, active))
+        if reps == 1:
+            # object records past 2**63 (whole-grid gp's level 0 may be larger)
+            return np.zeros(rows.size, dtype=np.int64), rows, cols, np.array([records])
+        trace = np.empty((reps, len(records), 3), dtype=np.int64)
+        for lam, record in enumerate(records):
+            trace[:, lam, 0], trace[:, lam, 1], trace[:, lam, 2] = record
+        return (*np.divmod(rows, side), cols, trace)
 
     def run(self, strategy: Strategy | str, seed: int) -> tuple[SampledNetwork, SampleTrace]:
         """Sample once; returns the network and its RV-accounting trace.
 
-        Level ``lam`` draws from ``level_rng(seed, lam)``.
+        Level ``lam`` draws from the stream of ``level_rng(seed, lam)``.
         """
         strategy = Strategy(strategy)
         seed = check_seed(seed)
-        rows, cols, trace = self._cells(strategy, partial(level_rng, seed))
+        check_dense_cap(self.cfg, strategy, self.dense_cap)
+        states = level_states(seed, stream_levels(self.cfg, strategy))
+        _, rows, cols, trace = self._cells(strategy, states)
         return finalize_edges(self.cfg, rows, cols), SampleTrace(
             seed=seed,
             strategy=strategy,
-            per_level=tuple(LevelTrace(*entry) for entry in trace),
+            per_level=tuple(LevelTrace(*entry) for entry in trace[0].tolist()),
         )
 
 

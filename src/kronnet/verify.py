@@ -4,13 +4,11 @@ Replicated runs use sampler seeds derived from one master seed (see
 :mod:`kronnet.rng`), so every report is a pure function of its arguments and
 re-running with the same master seed reproduces it bit for bit, regardless
 of the worker count.  Each replicate is the network ``ModelSampler.run``
-returns for its seed: ``naive``, ``ci`` and ``dcsd`` replicates, and those
-of tied ``gp`` (which draws exactly as ``dcsd``), are sampled a chunk at a
-time in array passes, each from its own level streams, whose uniforms
-``rng.stream_uniforms`` returns for the whole chunk; whole-grid ``gp``
-replicates, like those of grids too large for a chunk to hold two, go one at
-a time through the samplers' level loop and are checked and counted in
-groups.
+returns for its seed, sampled by the same level loop: the replicates' level
+streams are derived in bulk, and ``ModelSampler._cells`` samples them in
+stacks that share each level's array passes (a stack of one on grids too
+large for two), each replicate from its own streams.  Each stack, or group
+of one-replicate stacks, is checked and counted in one pass.
 """
 
 from __future__ import annotations
@@ -18,18 +16,23 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Any
 
 import numpy as np
 from scipy.stats import chi2
 
-from ._kernels import expand_active
 from .config import DEFAULT_DENSE_CAP, I64_MAX, ModelConfig, check_int
 from .errors import BadArgs, CapExceeded, Overflow
 from .kron import ci_rv_count, dcsd_ebound, expected_active, kronecker_power
-from .rng import check_seed, level_states, replicate_seeds, stream_from_state, stream_uniforms
-from .samplers import ModelSampler, SampledNetwork, Strategy, check_dense_cap, mode_keep
+from .rng import check_seed, level_states, replicate_seeds
+from .samplers import (
+    ModelSampler,
+    SampledNetwork,
+    Strategy,
+    check_dense_cap,
+    mode_keep,
+    stream_levels,
+)
 
 _STRATEGY_BLOCK = {
     Strategy.NAIVE: 1,
@@ -55,114 +58,49 @@ def _mode_mask(cfg: ModelConfig) -> np.ndarray:
 # whatever the grid size; it bounds the derivation's temporaries (about
 # 1 KiB per replicate and level).
 _CHUNK_REPLICATES = 4096
-# The derived replicates are sampled and tallied in chunks of at most this
-# many grid cells (replicates * n**2, at least one replicate), which bounds
-# the uniforms and cells held at once.  naive, ci and dcsd chunks of two or
-# more replicates are sampled in array passes, and so are those of tied gp,
-# as dcsd.  Whole-grid gp, and grids of more than half this many cells, go
-# replicate by replicate through ModelSampler._cells: a chunk of one
-# replicate shares no pass, and there the array passes ran ci and dcsd
-# 1.3-1.4x slower than _cells (K = 8, n**2 = 2**16, on a 2-vCPU host).
-# Measured again with every chunk level's uniforms computed as uint64
-# columns (same host, interleaved in one process; worked theta, ell = 4, 300
-# replicates), as array-pass over per-replicate time for naive/ci/dcsd:
-# K = 5 (chunks of 64) 0.82/0.77/0.35, K = 6 (16) 1.86/1.62/0.64, K = 7 (4)
-# 4.28/3.77/1.64, against 0.29/0.30/0.20, 0.48/0.60/0.34 and 0.61/0.97/0.60
-# with a generator per stream; so from K = 6 most array passes lose to _cells.
+# The derived replicates are sampled in stacks of at most this many grid
+# cells (at least one replicate), one ModelSampler._cells call each, which
+# bounds the uniforms and cells held at once.  Stacks of one replicate are
+# tallied in groups of a quarter of it in realized cells: at half, the
+# memory tests' peak grew with the replicate count.  Joining larger stacks
+# only copied them (K = 3 marginal_test ran ~3% longer).
 _CHUNK_CELLS = 1 << 16
 
 
-def _chunk_cells(cfg: ModelConfig, strategy: Strategy, probs0: np.ndarray, states: np.ndarray):
-    """Final-level cells of a chunk of ``naive``/``ci``/``dcsd`` replicates,
-    sampled together in array passes.
-
-    The chunk is one tall grid: cell (row, col) of replicate r sits at
-    stacked row ``r * side + row``.  Row-major order over the stack is
-    replicate order, then each replicate's (row, col) order, and a child's
-    stacked row is its parent's times b plus dr, so every level runs as on
-    one grid, each replicate taking its uniforms from its own level stream
-    (``states[r, level]``) exactly as ``ModelSampler._cells`` does.
-    ``probs0`` are the flat level-0 probabilities.  Returns each cell's
-    replicate, row and column, and a ``(replicates, levels, 3)`` array of
-    ``(level, rvs_examined, rvs_active)`` records.
-    """
-    b = cfg.b
-    theta = cfg.theta
-    reps = len(states)
-    side = math.isqrt(probs0.size)
-    examined = np.full(reps, probs0.size)
-    hits = stream_uniforms(states[:, 0], examined).reshape(reps, -1) < probs0
-    rows, cols = np.divmod(np.flatnonzero(hits), side)
-    records = [(examined, np.bincount(rows // side, minlength=reps))]
-    tied = 0 if strategy is Strategy.NAIVE else cfg.tied_levels
-    for lam in range(1, tied + 1):
-        if strategy is Strategy.CI:
-            # One uniform per child-grid cell; children of dead parents see
-            # probability 0, which no uniform in [0, 1) is below.
-            alive = np.zeros((reps * side, side), dtype=bool)
-            alive[rows, cols] = True
-            examined = np.full(reps, side * side * b * b)
-            uniforms = stream_uniforms(states[:, lam], examined)
-            hits = uniforms.reshape(reps * side, b, side, b) < theta.entries[:, None, :]
-            hits &= alive[:, None, :, None]
-            side *= b
-            rows, cols = np.divmod(np.flatnonzero(hits), side)
-        else:
-            examined = records[-1][1] * (b * b)
-            uniforms = stream_uniforms(states[:, lam], examined)
-            rows, cols = expand_active(rows, cols, uniforms, theta.flat, b)
-            # parent-major children; a stable sort on the stacked row puts
-            # each replicate's in (row, col) order, replicates in order
-            order = rows.argsort(kind="stable")
-            rows, cols = rows[order], cols[order]
-            side *= b
-        records.append((examined, np.bincount(rows // side, minlength=reps)))
-    rep, rows = np.divmod(rows, side)
-    trace = np.array([(np.full(reps, lam), *record) for lam, record in enumerate(records)])
-    return rep, rows, cols, trace.transpose(2, 0, 1)
-
-
-def _replicate_cells(engine: ModelSampler, strategy: Strategy, states: np.ndarray):
-    """``_chunk_cells``' results for consecutive groups of replicates, each
-    replicate sampled through ``ModelSampler._cells``.
-
-    A group closes once it holds ``_CHUNK_CELLS // 4`` cells, so one
-    ``_tally`` call (~55 us) checks and counts ~15 replicates at K = 8 on
-    the worked example.  Larger groups raised the memory tests' peak: dense
-    replicates of ~22k cells were grouped at up to 0.6 MB more than alone.
-    """
+def _stacks(engine: ModelSampler, strategy: Strategy, states: np.ndarray, size: int):
+    """``engine._cells`` results for stacks of ``size`` replicates; stacks of
+    one are joined in groups, so one ``_tally`` call (~55 us) checks ~15
+    replicates at K = 8 on the worked example."""
     group = []
     held = 0
-    for replicate in states:
-        group.append(
-            engine._cells(
-                strategy, lambda lam, replicate=replicate: stream_from_state(replicate[lam])
-            )
-        )
-        held += group[-1][0].size
-        if held >= _CHUNK_CELLS // 4:
+    for at in range(0, len(states), size):
+        group.append(engine._cells(strategy, states[at : at + size]))
+        held += group[-1][1].size
+        if size > 1 or held >= _CHUNK_CELLS // 4:
             held = 0
-            yield _stack(group)
+            yield _join(group)
     if group:
-        yield _stack(group)
+        yield _join(group)
 
 
-def _stack(group: list):
-    """A group's ``ModelSampler._cells`` results as ``_chunk_cells`` returns
-    a chunk's; empties ``group``, so only the stacked copy stays alive."""
-    rep = np.repeat(np.arange(len(group)), [rows.size for rows, _, _ in group])
-    rows = np.concatenate([rows for rows, _, _ in group])
-    cols = np.concatenate([cols for _, cols, _ in group])
-    trace = np.array([trace for _, _, trace in group], dtype=np.int64)
+def _join(group: list):
+    """A group of ``_cells`` results as one, replicates numbered in order;
+    empties ``group``, so only the joined copy stays alive."""
+    if len(group) == 1:
+        return group.pop()
+    rep = np.repeat(np.arange(len(group)), [rows.size for _, rows, _, _ in group])
+    rows = np.concatenate([rows for _, rows, _, _ in group])
+    cols = np.concatenate([cols for _, _, cols, _ in group])
+    trace = np.concatenate([trace for *_, trace in group])
     group.clear()
     return rep, rows, cols, trace
 
 
 def _tally(cfg: ModelConfig, counts, rep, rows, cols, trace):
-    """Check one chunk's final-level cells and level records, filter the
+    """Check one group's final-level cells and level records, filter the
     cells by the edge mode and add them into ``counts`` (None: no counts).
 
-    Returns the chunk's edge total per replicate, its examined total and its
+    Returns the group's edge total per replicate, its examined total and its
     actives per level.
     """
     n = cfg.n_nodes
@@ -209,19 +147,12 @@ def _run_block(
     """Run replicates [start, stop) of the strategy's seed block.
 
     Replicate ``i`` samples exactly what ``ModelSampler.run(strategy,
-    replicate_seed(master_seed, block, i))`` does, from the same level
-    streams, derived in bulk ``_CHUNK_REPLICATES`` at a time, with the same
-    edge-mode filter; ``naive`` derives level 0's stream only, the one it
-    reads.  The derived replicates are sampled in chunks of at most
-    ``_CHUNK_CELLS`` grid cells: ``naive``, ``ci`` and ``dcsd`` chunks, and
-    as ``dcsd`` those of tied ``gp``, in array passes (``_chunk_cells``)
-    when a chunk holds two or more replicates; whole-grid ``gp``, whose
-    binomial and placement draws have no bulk form, and grids where a chunk
-    holds one replicate, replicate by replicate through
-    ``ModelSampler._cells`` (``_replicate_cells``), then in groups.  The
-    invariants that ``SampledNetwork`` and ``LevelTrace`` enforce are
-    checked on each chunk's or group's cell keys, columns and level
-    records.  Returns summable per-block statistics.
+    replicate_seed(master_seed, block, i))`` does, through the same level
+    loop in stacks (``_stacks``), from the same level streams derived in
+    bulk, with the same edge-mode filter.  The invariants that
+    ``SampledNetwork`` and ``LevelTrace`` enforce are checked on each
+    group's cell keys, columns and level records.  Returns summable
+    per-block statistics.
     """
     engine = ModelSampler(cfg, dense_cap=dense_cap)
     n = cfg.n_nodes
@@ -230,32 +161,18 @@ def _run_block(
         raise Overflow(f"{n}**2 cells exceed signed 64-bit cell keys")
     check_dense_cap(cfg, strategy, dense_cap)
     # a replicate holds at most n**2 cells
-    chunk = max(1, _CHUNK_CELLS // cells)
-    # tied gp makes exactly dcsd's draws; whole-grid gp places its groups
-    drawn_as = Strategy.DCSD if strategy is Strategy.GP and cfg.tied_levels else strategy
-    if drawn_as is not Strategy.GP and chunk > 1:
-        levels0 = cfg.levels if strategy is Strategy.NAIVE else cfg.untied_levels
-        probs0 = kronecker_power(cfg.theta, levels0).probs.ravel()
-
-        def sample(states):
-            for at in range(0, len(states), chunk):
-                yield _chunk_cells(cfg, drawn_as, probs0, states[at : at + chunk])
-
-    else:
-        sample = partial(_replicate_cells, engine, strategy)
+    stack = max(1, _CHUNK_CELLS // cells)
     block = _STRATEGY_BLOCK[strategy]
-    # naive reads only level 0's stream
-    levels = 1 if strategy is Strategy.NAIVE else cfg.tied_levels + 1
+    levels = stream_levels(cfg, strategy)
     counts = np.zeros(cells, dtype=np.int64) if want_counts else None
     edge_totals = []
     examined_total = 0
     level_active = []
     for lo in range(start, stop, _CHUNK_REPLICATES):
         seeds = replicate_seeds(master_seed, block, lo, min(stop, lo + _CHUNK_REPLICATES))
-        states = level_states(seeds, levels)
-        for part in sample(states):
+        for part in _stacks(engine, strategy, level_states(seeds, levels), stack):
             totals, examined, active = _tally(cfg, counts, *part)
-            del part  # free these cells before the next part is sampled
+            del part  # free these cells before the next stack is sampled
             edge_totals.append(totals)
             examined_total += examined
             level_active.append(active)

@@ -80,6 +80,17 @@ def test_level_states_match_seed_sequence():
             np.testing.assert_array_equal(states[i, level], _numpy_level_state(seed, level))
 
 
+def test_level_states_of_one_int_seed_match_the_columns():
+    # run derives its states on Python ints; verify derives columns
+    for seed in EDGE_SEEDS + tuple(_random_seeds(20)):
+        state = level_states(int(seed), 5)
+        assert state.shape == (1, 5, 4) and state.dtype == np.uint64
+        np.testing.assert_array_equal(state, level_states(np.array([seed], dtype=np.uint64), 5))
+        for level in range(5):
+            np.testing.assert_array_equal(state[0, level], _numpy_level_state(seed, level))
+    assert level_states(3, 0).shape == (1, 0, 4)
+
+
 def test_level_rng_state_matches_seed_sequence():
     for seed in EDGE_SEEDS + tuple(_random_seeds(20)):
         for level in (0, 1, 2, 31, 63):
@@ -226,7 +237,7 @@ def _numpy_uniforms(states, sizes):
 def _assert_stream_uniforms(states, sizes):
     states = np.asarray(states, dtype=np.uint64).reshape(-1, 4)
     sizes = np.asarray(sizes, dtype=np.intp)
-    got = stream_uniforms(states, sizes)
+    got = stream_uniforms(states, sizes, 0)
     # numpy's own PCG64 and Generator.random are the oracle; a numpy release
     # that changes either fails here with its version named
     np.testing.assert_array_equal(
@@ -239,7 +250,7 @@ def test_stream_uniforms_match_seed_sequence_streams():
     for seed in EDGE_SEEDS + tuple(_random_seeds(10)):
         states = level_states(np.array([seed], dtype=np.uint64), 4)[0]
         for n in (0, 1, 16, 38, 64, 65, 1000):
-            got = stream_uniforms(states, np.full(4, n))
+            got = stream_uniforms(states, np.full(4, n), 0)
             expected = np.concatenate(
                 [
                     np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, lam]))).random(n)
@@ -262,19 +273,22 @@ CARRY_STATES = [
 
 
 def test_stream_uniforms_carry_and_extreme_words():
-    for words in CARRY_STATES:
-        got = _assert_stream_uniforms([words], [64])
-        np.testing.assert_array_equal(got, _pcg64_reference(words, 64)[0])
+    # several streams, so the column arithmetic computes them
+    got = _assert_stream_uniforms(CARRY_STATES, [64] * len(CARRY_STATES))
+    expected = np.concatenate([_pcg64_reference(words, 64)[0] for words in CARRY_STATES])
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_stream_uniforms_hit_every_output_rotation():
     states = np.random.default_rng(20261019).integers(0, 2**64, (40, 4), dtype=np.uint64)
     rotations = set()
+    expected = []
     for words in states:
         doubles, rots = _pcg64_reference(words, 48)
         rotations.update(rots)
-        np.testing.assert_array_equal(stream_uniforms(words[None], np.array([48])), doubles)
+        expected.append(doubles)
     assert rotations == set(range(64))
+    np.testing.assert_array_equal(stream_uniforms(states, 48, 0), np.concatenate(expected))
     _assert_stream_uniforms(states, [48] * len(states))
 
 
@@ -289,7 +303,7 @@ def test_stream_uniforms_around_table_sizes(width):
 def test_stream_uniforms_tiny_sizes(size):
     states = level_states(replicate_seeds(3, 1, 0, 50), 1)[:, 0]
     assert _assert_stream_uniforms(states, [size] * 50).size == 50 * size
-    assert stream_uniforms(np.empty((0, 4), dtype=np.uint64), np.empty(0, dtype=np.intp)).size == 0
+    assert stream_uniforms(np.empty((0, 4), dtype=np.uint64), np.empty(0, dtype=np.intp), 0).size == 0
 
 
 @pytest.mark.parametrize("tile", [1, 7, 64, 1 << 13])
@@ -304,30 +318,108 @@ def test_stream_uniforms_ragged_sizes_across_tiles(monkeypatch, tile):
         _assert_stream_uniforms(states, sizes)
 
 
-def test_stream_uniforms_build_no_generator(monkeypatch):
-    states = level_states(replicate_seeds(4, 1, 0, 8), 1)[:, 0]
-    sizes = np.array([0, 3, 700, 64, 65, 1, 0, 300])
-    expected = _numpy_uniforms(states, sizes)
-
+def _refuse_generators(monkeypatch):
     def refuse(state):
         raise AssertionError("stream_uniforms built a generator")
 
     monkeypatch.setattr(rng_mod, "stream_from_state", refuse)
-    np.testing.assert_array_equal(stream_uniforms(states, sizes), expected)
+
+
+def test_stream_uniforms_build_no_generator(monkeypatch):
+    # several streams read up to value _COLUMN_VALUES at most: uint64 columns
+    states = level_states(replicate_seeds(4, 1, 0, 8), 1)[:, 0]
+    sizes = np.array([0, 3, 64, 17, 63, 1, 0, 40])
+    starts = np.array([5, 0, 0, 47, 1, 63, 64, 24])
+    expected = _numpy_pieces(states, sizes, starts)
+    _refuse_generators(monkeypatch)
+    np.testing.assert_array_equal(stream_uniforms(states, sizes, 0), _numpy_uniforms(states, sizes))
+    np.testing.assert_array_equal(stream_uniforms(states, sizes, starts), expected)
+    np.testing.assert_array_equal(
+        stream_uniforms(states, 16, 48), _numpy_pieces(states, np.full(8, 16), np.full(8, 48))
+    )
+
+
+def test_stream_uniforms_long_or_single_streams_use_generators(monkeypatch):
+    states = level_states(replicate_seeds(4, 1, 0, 8), 1)[:, 0]
+    _refuse_generators(monkeypatch)
+    for sizes, starts in ((65, 0), (64, 1), (np.array([0, 1, 2, 3, 4, 5, 6, 65]), 0)):
+        with pytest.raises(AssertionError, match="built a generator"):
+            stream_uniforms(states, sizes, starts)
+    with pytest.raises(AssertionError, match="built a generator"):
+        stream_uniforms(states[:1], 4, 0)
+
+
+def _numpy_pieces(states, sizes, starts):
+    """Values starts[r] .. starts[r] + sizes[r] of each stream, from numpy's generators."""
+    return np.concatenate(
+        [
+            stream_from_state(state).random(start + size)[start:]
+            for state, size, start in zip(states, sizes, starts)
+        ]
+        + [np.empty(0)]
+    )
+
+
+def _pieces_of(gen, n, cuts):
+    """Cut points splitting [0, n) into ``cuts`` + 1 ascending pieces."""
+    return np.concatenate(([0], np.sort(gen.integers(0, n + 1, cuts)), [n]))
+
+
+@pytest.mark.parametrize("tile", [5, 1 << 13])
+@pytest.mark.parametrize("streams", [1, 9, 300])
+@pytest.mark.parametrize("n", [40, 64, 200])
+def test_stream_uniforms_pieces_equal_one_draw(monkeypatch, tile, streams, n):
+    # any split of a level into consecutive pieces, per stream or shared by
+    # every stream, reads what one draw of n values reads
+    monkeypatch.setattr(rng_mod, "_TILE_VALUES", tile)
+    gen = np.random.default_rng([tile, streams, n])
+    states = level_states(replicate_seeds(8, 2, 0, streams), 2)[:, 1]
+    whole = _numpy_uniforms(states, [n] * streams).reshape(streams, n)
+    # pieces that differ per stream: stream r's k-th piece is cuts[r, k]..cuts[r, k + 1]
+    cuts = np.array([_pieces_of(gen, n, 4) for _ in range(streams)])
+    got = [
+        stream_uniforms(states, cuts[:, k + 1] - cuts[:, k], cuts[:, k]).tolist()
+        for k in range(cuts.shape[1] - 1)
+    ]
+    for r in range(streams):
+        pieces = []
+        for k, part in enumerate(got):
+            size = cuts[: r + 1, k + 1] - cuts[: r + 1, k]
+            pieces += part[int(size[:-1].sum()) : int(size.sum())]
+        np.testing.assert_array_equal(pieces, whole[r], err_msg=f"numpy {np.__version__}")
+    # pieces shared by every stream
+    shared = _pieces_of(gen, n, 5)
+    parts = [
+        stream_uniforms(states, int(hi - lo), int(lo)).reshape(streams, -1)
+        for lo, hi in zip(shared[:-1], shared[1:])
+    ]
+    np.testing.assert_array_equal(np.concatenate(parts, axis=1), whole)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     streams=st.lists(
-        st.tuples(st.lists(st.integers(0, M64), min_size=4, max_size=4), st.integers(0, 200)),
+        st.tuples(
+            st.lists(st.integers(0, M64), min_size=4, max_size=4),
+            st.integers(0, 200),
+            st.integers(0, 60),
+        ),
         max_size=12,
     ),
     tile=st.integers(1, 200),
 )
 def test_stream_uniforms_equal_numpy_property(streams, tile):
-    saved = rng_mod._TILE_VALUES
-    rng_mod._TILE_VALUES = tile
+    # column limit raised so that the columns compute streams of every size
+    saved = rng_mod._TILE_VALUES, rng_mod._COLUMN_VALUES
+    rng_mod._TILE_VALUES, rng_mod._COLUMN_VALUES = tile, 260
     try:
-        _assert_stream_uniforms([words for words, _ in streams], [size for _, size in streams])
+        states = np.array([words for words, _, _ in streams], dtype=np.uint64).reshape(-1, 4)
+        sizes = np.array([size for _, size, _ in streams], dtype=np.intp)
+        starts = np.array([start for _, _, start in streams], dtype=np.intp)
+        np.testing.assert_array_equal(
+            stream_uniforms(states, sizes, starts),
+            _numpy_pieces(states, sizes, starts),
+            err_msg=f"numpy {np.__version__}",
+        )
     finally:
-        rng_mod._TILE_VALUES = saved
+        rng_mod._TILE_VALUES, rng_mod._COLUMN_VALUES = saved

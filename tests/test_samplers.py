@@ -23,12 +23,13 @@ from kronnet import (
     ci_rv_count,
     grid_groups,
     kronecker_power,
-    level_rng,
     make_config,
     replicate_seed,
     sample,
 )
 from kronnet.output import dump_json, trace_to_dict, write_edgelist
+from kronnet.rng import level_states
+from kronnet.samplers import expand_active, stream_levels
 
 ALL_STRATEGIES = list(Strategy)
 
@@ -413,31 +414,27 @@ def test_unknown_strategy_rejected(worked_cfg):
         sample(worked_cfg, "bogus", 1)
 
 
-class _ConstantStream:
-    """A level-0 stream whose every uniform is ``u``: 1.0 realizes no cell,
-    0.0 every cell of positive probability."""
+def _cells_with_level0(monkeypatch, engine, strategy, u, seed):
+    """``engine._cells`` for one replicate of ``seed`` with every level-0
+    uniform pinned to ``u`` (1.0 realizes no cell, 0.0 every cell of positive
+    probability) and the tied levels drawn from ``seed``'s streams as a run
+    would."""
+    states = level_states(seed, stream_levels(engine.cfg, strategy))
+    drawn = samplers_mod.stream_uniforms
 
-    def __init__(self, u: float) -> None:
-        self.u = u
+    def constant_level0(level_states_, sizes, starts):
+        if np.array_equal(level_states_, states[:, 0]):
+            return np.full(int(np.sum(np.broadcast_to(sizes, len(level_states_)))), u)
+        return drawn(level_states_, sizes, starts)
 
-    def random(self, size: int) -> np.ndarray:
-        return np.full(size, self.u)
-
-
-def _cells_with_level0(engine, strategy, u, seed):
-    """``engine._cells`` with level 0 pinned by a constant stream and the
-    tied levels drawn from ``seed``'s streams as a run would."""
-
-    def streams(lam):
-        return _ConstantStream(u) if lam == 0 else level_rng(seed, lam)
-
-    rows, cols, trace = engine._cells(strategy, streams)
-    return rows, cols, [LevelTrace(*entry) for entry in trace]
+    monkeypatch.setattr(samplers_mod, "stream_uniforms", constant_level0)
+    _, rows, cols, trace = engine._cells(strategy, states)
+    return rows, cols, [LevelTrace(*entry) for entry in trace[0].tolist()]
 
 
-def test_override_empty_level0_dcsd(worked_cfg):
+def test_override_empty_level0_dcsd(monkeypatch, worked_cfg):
     engine = ModelSampler(worked_cfg)
-    rows, _, trace = _cells_with_level0(engine, Strategy.DCSD, 1.0, 17)
+    rows, _, trace = _cells_with_level0(monkeypatch, engine, Strategy.DCSD, 1.0, 17)
     assert rows.size == 0
     assert trace[0].rvs_examined == 16
     assert trace[0].rvs_active == 0
@@ -446,9 +443,9 @@ def test_override_empty_level0_dcsd(worked_cfg):
     assert trace[1].rvs_active == 0
 
 
-def test_override_empty_level0_ci_still_examines_everything(worked_cfg):
+def test_override_empty_level0_ci_still_examines_everything(monkeypatch, worked_cfg):
     engine = ModelSampler(worked_cfg)
-    rows, _, trace = _cells_with_level0(engine, Strategy.CI, 1.0, 17)
+    rows, _, trace = _cells_with_level0(monkeypatch, engine, Strategy.CI, 1.0, 17)
     assert rows.size == 0
     assert trace[0].rvs_examined == 16
     assert trace[1].rvs_examined == 64
@@ -465,7 +462,11 @@ def test_override_with_natural_cells_reproduces_run(worked_cfg):
     assert level0.edge_count == trace.per_level[0].rvs_active
     # Its children from level 1's stream, in (row, col) order, are the run.
     rows, cols, examined = engine._dcsd_children(
-        level0.edges[:, 0], level0.edges[:, 1], level0.n_nodes, level_rng(123, 1)
+        level0.edges[:, 0],
+        level0.edges[:, 1],
+        level0.n_nodes,
+        level_states(123, 2)[:, 1],
+        level0.edge_count,
     )
     order = np.argsort(rows, kind="stable")
     np.testing.assert_array_equal(net.edges, np.column_stack([rows, cols])[order])
@@ -473,10 +474,10 @@ def test_override_with_natural_cells_reproduces_run(worked_cfg):
     assert trace.per_level[1].rvs_active == net.edge_count
 
 
-def test_override_full_level0_saturates_level0(worked_cfg):
+def test_override_full_level0_saturates_level0(monkeypatch, worked_cfg):
     side0 = worked_cfg.b**worked_cfg.untied_levels
     engine = ModelSampler(worked_cfg)
-    _, _, trace = _cells_with_level0(engine, Strategy.DCSD, 0.0, 3)
+    _, _, trace = _cells_with_level0(monkeypatch, engine, Strategy.DCSD, 0.0, 3)
     assert trace[0].rvs_active == side0 * side0
     assert trace[1].rvs_examined == 4 * side0 * side0
 
@@ -588,7 +589,7 @@ def test_gp_matches_binomial_thinning_oracle():
         children = engine._CHILDREN[strategy]
         for rep in range(reps):
             # the level-1 cells, drawn from level 1's stream as a run would
-            rows, cols, _ = children(engine, parents, parents, 2, level_rng(rep, 1))
+            rows, cols, _ = children(engine, parents, parents, 2, level_states(rep, 2)[:, 1], 2)
             per_value = Counter()
             for r, c in zip(rows.tolist(), cols.tolist()):
                 per_value[cfg.theta.entries[r % 2, c % 2]] += 1
@@ -615,7 +616,7 @@ def test_gp_placement_uniform_across_parents():
     for rep in range(reps):
         # the level-1 cells, drawn from level 1's stream as a run would
         rows, cols, _ = engine._CHILDREN[Strategy.GP](
-            engine, parents, parents, 2, level_rng(rep, 1)
+            engine, parents, parents, 2, level_states(rep, 2)[:, 1], 2
         )
         hits = [
             (r // 2, c // 2)
@@ -761,3 +762,56 @@ def test_network_validation_rejects_out_of_range():
     edges = np.array([[0, 5]], dtype=np.int64)
     with pytest.raises(BadArgs):
         SampledNetwork(n_nodes=2, edges=edges)
+
+
+# -- expand_active, the tied-level kernel of dcsd and gp ----------------------------
+
+
+def random_case(seed, n_active, b):
+    rng = np.random.default_rng(seed)
+    side = 64
+    flat = rng.choice(side * side, size=n_active, replace=False)
+    flat.sort()
+    rows = (flat // side).astype(np.int64)
+    cols = (flat % side).astype(np.int64)
+    theta_flat = rng.random(b * b)
+    uniforms = rng.random(n_active * b * b)
+    return rows, cols, uniforms, theta_flat
+
+
+def expand_active_reference(rows, cols, uniforms, theta_flat, b):
+    bb = b * b
+    out = [
+        (rows[p] * b + q // b, cols[p] * b + q % b)
+        for p in range(rows.size)
+        for q in range(bb)
+        if uniforms[p * bb + q] < theta_flat[q]
+    ]
+    return [r for r, _ in out], [c for _, c in out]
+
+
+@pytest.mark.parametrize("b,seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
+def test_expand_active_matches_reference(b, seed):
+    rows, cols, uniforms, theta_flat = random_case(seed, n_active=50, b=b)
+    r, c = expand_active(rows, cols, uniforms, theta_flat, b)
+    ref_r, ref_c = expand_active_reference(rows, cols, uniforms, theta_flat, b)
+    assert r.tolist() == ref_r and c.tolist() == ref_c
+
+
+def test_expand_active_empty_input():
+    empty = np.empty(0, dtype=np.int64)
+    r, c = expand_active(
+        empty, empty, np.empty(0), np.array([0.5, 0.5, 0.5, 0.5]), 2
+    )
+    assert r.size == 0 and c.size == 0
+
+
+def test_expand_active_oracle_tiny():
+    # one parent at (1, 2), thresholds hand-picked around the uniforms
+    rows = np.array([1], dtype=np.int64)
+    cols = np.array([2], dtype=np.int64)
+    theta_flat = np.array([0.9, 0.1, 0.6, 0.4])
+    uniforms = np.array([0.5, 0.05, 0.7, 0.39])
+    # kept offsets: 0 (0.5 < 0.9), 1 (0.05 < 0.1), 3 (0.39 < 0.4)
+    r, c = expand_active(rows, cols, uniforms, theta_flat, 2)
+    assert list(zip(r.tolist(), c.tolist())) == [(2, 4), (2, 5), (3, 5)]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kronnet.samplers as samplers_mod
 import kronnet.verify as verify_mod
 from kronnet import (
     BadArgs,
@@ -26,7 +27,7 @@ from kronnet import (
     sample,
 )
 from kronnet.bn import build_bn
-from kronnet.samplers import ModelSampler, mode_filter
+from kronnet.samplers import ModelSampler, finalize_edges
 from kronnet.verify import _merge_bins, _two_sample_chisquare
 
 
@@ -105,9 +106,9 @@ def test_mode_mask_matches_mode_filter(directed, self_loops):
     cfg = make_config([[0.9, 0.7], [0.5, 0.3]], 3, 2, directed=directed, self_loops=self_loops)
     n = cfg.n_nodes
     rows, cols = np.divmod(np.arange(n * n), n)
-    kept_rows, kept_cols = mode_filter(cfg, rows, cols)
+    edges = finalize_edges(cfg, rows, cols).edges
     expected = np.zeros((n, n), dtype=bool)
-    expected[kept_rows, kept_cols] = True
+    expected[edges[:, 0], edges[:, 1]] = True
     np.testing.assert_array_equal(verify_mod._mode_mask(cfg), expected)
 
 
@@ -362,11 +363,11 @@ def _run_block_oracle(cfg, strategy, seeds, dense_cap, want_counts):
     return counts, edge_totals, examined_total, level_active
 
 
-# Chunk bounds under which replicate statistics must not move: the defaults; every
-# replicate through ModelSampler._cells; derivation chunks of 7 replicates, which
-# divide none of the replicate ranges; and those chunks sampled 3 + 3 + 1
-# replicates at a time on the worked example's 64-cell grid (larger grids go
-# replicate by replicate).
+# Chunk bounds under which replicate statistics must not move: the defaults;
+# stacks of one replicate through ModelSampler._cells, as run samples;
+# derivation chunks of 7 replicates, which divide none of the replicate
+# ranges; and those chunks sampled in stacks of 3 + 3 + 1 replicates on the
+# worked example's 64-cell grid (larger grids go one replicate per stack).
 ROUTES = {
     "default": {},
     "per-replicate": {"_CHUNK_CELLS": 1},
@@ -425,14 +426,31 @@ def test_run_block_chunks_and_ranges_match_oracle(monkeypatch, worked_cfg):
     _assert_block_equal(got, expected)
 
 
+@pytest.mark.parametrize("block_cells", [1, 20])
+def test_run_block_stacks_in_row_blocks_match_oracle(monkeypatch, worked_cfg, block_cells):
+    # level-0 row blocks and ci bands smaller than one replicate's grid: each
+    # block reads one piece of every stacked replicate's level stream
+    expected = {}
+    for strategy in Strategy:
+        block = verify_mod._STRATEGY_BLOCK[strategy]
+        seeds = [replicate_seed(5, block, i) for i in range(40)]
+        expected[strategy] = _run_block_oracle(worked_cfg, strategy, seeds, 1 << 26, True)
+    monkeypatch.setattr(samplers_mod, "_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(samplers_mod, "_CACHE_CELLS", 0)
+    for strategy in Strategy:
+        got = verify_mod._run_block(worked_cfg, strategy, 5, 0, 40, 1 << 26, True)
+        _assert_block_equal(got, expected[strategy])
+
+
 def test_run_block_rejects_duplicate_cells(monkeypatch, worked_cfg):
-    # every replicate through ModelSampler._cells; the chunk path has its own tests
+    # stacks of one replicate, as run samples; larger stacks have their own tests
     monkeypatch.setattr(verify_mod, "_CHUNK_CELLS", 1)
     original = ModelSampler._cells
 
     def duplicate_last(self, *args, **kwargs):
-        rows, cols, trace = original(self, *args, **kwargs)
-        return np.append(rows, rows[-1:]), np.append(cols, cols[-1:]), trace
+        rep, rows, cols, trace = original(self, *args, **kwargs)
+        rep, rows, cols = (np.append(part, part[-1:]) for part in (rep, rows, cols))
+        return rep, rows, cols, trace
 
     monkeypatch.setattr(ModelSampler, "_cells", duplicate_last)
     with pytest.raises(BadArgs):
@@ -451,12 +469,12 @@ def test_run_block_rejects_out_of_range_columns(monkeypatch, worked_cfg, shift, 
     n = worked_cfg.n_nodes
 
     def shift_last(self, *args, **kwargs):
-        rows, cols, trace = original(self, *args, **kwargs)
+        rep, rows, cols, trace = original(self, *args, **kwargs)
         rows, cols = rows.copy(), cols.copy()
         if rows.size and 0 <= rows[-1] + shift < n:
             rows[-1] += shift
             cols[-1] -= shift * n
-        return rows, cols, trace
+        return rep, rows, cols, trace
 
     monkeypatch.setattr(ModelSampler, "_cells", shift_last)
     with pytest.raises(BadArgs, match="columns"):
@@ -468,25 +486,26 @@ def test_run_block_rejects_bad_level_records(monkeypatch, worked_cfg):
     original = ModelSampler._cells
 
     def overcount(self, *args, **kwargs):
-        rows, cols, trace = original(self, *args, **kwargs)
-        level, examined, active = trace[-1]
-        return rows, cols, trace[:-1] + [(level, examined, examined + 1)]
+        rep, rows, cols, trace = original(self, *args, **kwargs)
+        trace = trace.copy()
+        trace[0, -1, 2] = trace[0, -1, 1] + 1
+        return rep, rows, cols, trace
 
     monkeypatch.setattr(ModelSampler, "_cells", overcount)
     with pytest.raises(BadArgs):
         verify_mod._run_block(worked_cfg, Strategy.CI, 5, 0, 10, 1 << 26, False)
 
 
-def _chunk_calls(monkeypatch, cfg, strategy, runs=5):
-    """Replicates per ``_chunk_cells`` call of one ``_run_block``."""
+def _stack_sizes(monkeypatch, cfg, strategy, runs=5):
+    """Replicates per ``ModelSampler._cells`` call of one ``_run_block``."""
     calls = []
-    original = verify_mod._chunk_cells
+    original = ModelSampler._cells
 
-    def counted(*args):
-        calls.append(len(args[-1]))
-        return original(*args)
+    def counted(self, strategy, states):
+        calls.append(len(states))
+        return original(self, strategy, states)
 
-    monkeypatch.setattr(verify_mod, "_chunk_cells", counted)
+    monkeypatch.setattr(ModelSampler, "_cells", counted)
     verify_mod._run_block(cfg, Strategy(strategy), 5, 0, runs, 1 << 26, False)
     return calls
 
@@ -496,27 +515,41 @@ def _chunk_calls(monkeypatch, cfg, strategy, runs=5):
     [(128, "dcsd", True), (127, "dcsd", False), (1 << 16, "gp", True)],
 )
 def test_run_block_route(monkeypatch, worked_cfg, chunk_cells, strategy, chunked):
-    # array passes only for chunks that hold two or more replicates of the
-    # worked example's 64-cell grid; tied gp takes dcsd's passes
+    # stacks of _CHUNK_CELLS // n**2 replicates of the worked example's
+    # 64-cell grid, at least one
     monkeypatch.setattr(verify_mod, "_CHUNK_CELLS", chunk_cells)
-    calls = _chunk_calls(monkeypatch, worked_cfg, strategy)
-    per_chunk = chunk_cells // 64
-    assert calls == ([min(per_chunk, 5 - at) for at in range(0, 5, per_chunk)] if chunked else [])
+    calls = _stack_sizes(monkeypatch, worked_cfg, strategy)
+    per_stack = max(1, chunk_cells // 64)
+    assert calls == [min(per_stack, 5 - at) for at in range(0, 5, per_stack)]
+    assert (max(calls) > 1) == chunked
+
+
+@pytest.mark.parametrize("levels,stack", [(3, 1024), (7, 4), (8, 1), (9, 1)])
+def test_replicates_per_cells_call_follow_chunk_cells(monkeypatch, levels, stack):
+    # _CHUNK_CELLS // n**2 replicates per stack (one at least), and no more
+    # than the block's range holds
+    cfg = make_config([[0.9, 0.7], [0.5, 0.3]], levels, 2)
+    assert stack == max(1, verify_mod._CHUNK_CELLS // cfg.n_nodes**2)
+    runs = min(2 * stack + 1, 7)
+    assert _stack_sizes(monkeypatch, cfg, "dcsd", runs) == [
+        min(stack, runs - at) for at in range(0, runs, stack)
+    ]
 
 
 @pytest.mark.parametrize(
     "rows,levels,untied,gp_calls",
     [
         pytest.param([[0.6, 0.4], [0.3, 0.05]], 3, 2, [5], id="tied-sparse"),
-        pytest.param([[0.9, 0.7], [0.5, 0.3]], 3, 3, [], id="whole-grid"),
+        pytest.param([[0.9, 0.7], [0.5, 0.3]], 3, 3, [5], id="whole-grid"),
     ],
 )
 def test_run_block_gp_route(monkeypatch, rows, levels, untied, gp_calls):
-    # tied gp takes dcsd's array passes whatever its values; whole-grid gp
-    # goes through ModelSampler._cells
+    # tied gp and whole-grid gp are stacked like dcsd; whole-grid gp draws
+    # its groups replicate by replicate inside the stack
     cfg = make_config(rows, levels, untied)
-    assert _chunk_calls(monkeypatch, cfg, "gp") == gp_calls
-    assert _chunk_calls(monkeypatch, cfg, "dcsd") == [5]
+    assert _stack_sizes(monkeypatch, cfg, "gp") == gp_calls
+    assert _stack_sizes(monkeypatch, cfg, "dcsd") == [5]
+    assert (ModelSampler(cfg)._grid_tables is None) == bool(cfg.tied_levels)
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
@@ -530,12 +563,13 @@ def test_run_block_dense_caps_on_both_routes(monkeypatch, worked_cfg, route, str
 
 
 def _patch_chunk_cells(monkeypatch, fault):
-    original = verify_mod._chunk_cells
+    """Apply ``fault`` to a copy of every stack ``ModelSampler._cells`` returns."""
+    original = ModelSampler._cells
 
-    def faulty(*args):
-        return fault(*(part.copy() for part in original(*args)))
+    def faulty(self, *args):
+        return fault(*(part.copy() for part in original(self, *args)))
 
-    monkeypatch.setattr(verify_mod, "_chunk_cells", faulty)
+    monkeypatch.setattr(ModelSampler, "_cells", faulty)
 
 
 @pytest.mark.parametrize("strategy", ["naive", "ci", "dcsd"])
