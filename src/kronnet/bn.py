@@ -10,6 +10,10 @@ node has exactly one parent (the cell it refines) and the conditional table
 so the network is a forest of (side*side)-ary trees, one per root.  Ancestral
 sampling of this forest, visiting levels in order and cells row-major, is
 draw-for-draw identical to the full-sweep sampler.
+
+Independence queries (:func:`check_csi`) are exact without enumeration: a
+joint probability is a product of messages along the assigned nodes' paths
+to their roots, so its cost grows with depth, not with tree size.
 """
 
 from __future__ import annotations
@@ -27,11 +31,7 @@ from .samplers import LevelTrace, SampleTrace, SampledNetwork, Strategy, finaliz
 
 NodeId = tuple[int, int, int]  # (level, row, col)
 
-# check_csi enumerates every assignment of the involved trees; refuse beyond
-# this many nodes (2**cap assignments).
-DEFAULT_ENUM_CAP = 22
-
-# Two conditionals closer than this are treated as equal; exact enumeration
+# Two conditionals closer than this are treated as equal; exact elimination
 # leaves only accumulated float rounding, orders of magnitude below this.
 _CSI_TOL = 1e-9
 
@@ -69,14 +69,17 @@ class BayesNet:
     def side(self, level: int) -> int:
         return self.cfg.b ** (self.cfg.untied_levels + level)
 
-    def _check_id(self, node_id: NodeId) -> NodeId:
-        level, row, col = node_id
+    def _check_id(self, node_id: Any) -> NodeId:
+        """``node_id`` as three ints; BadArgs if malformed, IndexOutOfRange if no such node."""
+        if not isinstance(node_id, (tuple, list)) or len(node_id) != 3:
+            raise BadArgs(f"node id must be (level, row, col), got {node_id!r}")
+        level, row, col = (check_int(part, f"node id {node_id!r} entry") for part in node_id)
         if not (0 <= level < len(self.levels)):
             raise IndexOutOfRange(f"level {level} outside [0, {len(self.levels)})")
         side = self.side(level)
         if not (0 <= row < side and 0 <= col < side):
             raise IndexOutOfRange(f"cell ({row}, {col}) outside [0, {side})^2")
-        return node_id
+        return (level, row, col)
 
     def node(self, node_id: NodeId) -> BnNode:
         level, row, col = self._check_id(node_id)
@@ -90,8 +93,8 @@ class BayesNet:
 
     def tree_ids(self, root_id: NodeId) -> Iterator[NodeId]:
         """All node ids of one tree, level by level, row-major."""
-        _, row0, col0 = self._check_id(root_id)
-        if root_id[0] != 0:
+        level0, row0, col0 = self._check_id(root_id)
+        if level0 != 0:
             raise BadArgs("tree_ids expects a level-0 root id")
         b = self.cfg.b
         for level in range(len(self.levels)):
@@ -226,81 +229,77 @@ def ancestral_sample(
     return net, trace
 
 
+def _joint(bn: BayesNet, assignment: Mapping[NodeId, int]) -> float:
+    """P(assignment), every unassigned node summed out.
+
+    A subtree holding no assigned node sums to 1, so only the assigned
+    nodes and their ancestors are visited, deepest first.  Each such node
+    sends its parent the pair P(assigned values in its subtree | parent =
+    0, 1): the product of its own path children's pairs at each of its
+    values, weighted by its table and summed over its allowed values.
+    """
+    b = bn.cfg.b
+    parent: dict[NodeId, NodeId | None] = {}
+    for nid in assignment:
+        while nid is not None and nid not in parent:
+            level, row, col = nid
+            parent[nid] = (level - 1, row // b, col // b) if level else None
+            nid = parent[nid]
+    below = {nid: [1.0, 1.0] for nid in parent}  # children's pairs, multiplied
+    prob = 1.0
+    for nid in sorted(parent, reverse=True):
+        node = bn.node(nid)
+        wanted = assignment.get(nid)
+        # the subtree's weight with this node at 0 and at 1; 0 where not allowed
+        at0 = below[nid][0] if wanted != 1 else 0.0
+        at1 = below[nid][1] if wanted != 0 else 0.0
+        if node.is_root:
+            prob *= (1.0 - node.prior) * at0 + node.prior * at1
+        else:
+            p0, p1 = node.p_given_parent_zero, node.p_given_parent_one
+            pair = below[parent[nid]]
+            pair[0] *= (1.0 - p0) * at0 + p0 * at1
+            pair[1] *= (1.0 - p1) * at0 + p1 * at1
+    return prob
+
+
 def check_csi(
     bn: BayesNet,
     x: NodeId,
     y: NodeId,
     context: Mapping[NodeId, int] | None = None,
-    *,
-    enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> bool:
     """Decide whether x and y are independent given the fixed ``context``.
 
-    Exact: enumerates every assignment of the trees containing x, y, and the
-    context nodes, and compares P(x=1 | y, context) with P(x=1 | context)
-    for each y value of positive probability.  Contexts that cannot occur
-    make the condition vacuous (returns True).
+    Exact: computes the four joints P(context, x=a, y=c) by elimination
+    over the assigned nodes' ancestor paths (:func:`_joint`), so the cost
+    grows with the depth of the forest, not with the size of its trees,
+    and no tree is too large.  Then compares P(x=1 | y, context) with
+    P(x=1 | context) for each y value of positive probability.  Contexts
+    that cannot occur make the condition vacuous (returns True).
 
     Raises:
-        BadArgs: x == y, or x or y appears in the context.
+        BadArgs: a node id is not three integers, a context value is not
+            the integer 0 or 1, x == y, or x or y appears in the context.
         IndexOutOfRange: an id does not name a node.
-        CapExceeded: more than ``enum_cap`` nodes would be enumerated.
     """
-    context = dict(context or {})
-    x = bn._check_id(tuple(x))
-    y = bn._check_id(tuple(y))
+    x = bn._check_id(x)
+    y = bn._check_id(y)
     if x == y:
         raise BadArgs("x and y must be distinct nodes")
-    if x in context or y in context:
-        raise BadArgs("x and y must not be assigned by the context")
-    for nid, value in context.items():
-        bn._check_id(tuple(nid))
+    fixed: dict[NodeId, int] = {}
+    for nid, value in (context or {}).items():
+        nid = bn._check_id(nid)
+        value = check_int(value, f"context value for {nid}")
         if value not in (0, 1):
             raise BadArgs(f"context value for {nid} must be 0 or 1, got {value!r}")
+        fixed[nid] = value
+    if x in fixed or y in fixed:
+        raise BadArgs("x and y must not be assigned by the context")
 
-    roots = {bn.root_of(x), bn.root_of(y)}
-    roots.update(bn.root_of(nid) for nid in context)
-    node_ids: list[NodeId] = []
-    for root in sorted(roots):
-        node_ids.extend(bn.tree_ids(root))
-    if len(node_ids) > enum_cap:
-        raise CapExceeded(
-            f"{len(node_ids)} nodes to enumerate exceed the cap {enum_cap}"
-        )
-    nodes = [bn.node(nid) for nid in node_ids]
-    positions = {nid: pos for pos, nid in enumerate(node_ids)}
-
-    n = len(nodes)
-    totals = np.zeros((2, 2), dtype=np.float64)  # [x value, y value]
-    x_pos, y_pos = positions[x], positions[y]
-    chunk = 1 << 20
-    for start in range(0, 1 << n, chunk):
-        stop = min(start + chunk, 1 << n)
-        codes = np.arange(start, stop, dtype=np.int64)
-        bits = [(codes >> pos) & 1 for pos in range(n)]
-        joint = np.ones(stop - start, dtype=np.float64)
-        for pos, node in enumerate(nodes):
-            bit = bits[pos]
-            if node.is_root:
-                p_one = node.prior
-                joint *= np.where(bit == 1, p_one, 1.0 - p_one)
-            else:
-                parent_bit = bits[positions[node.parent_id]]
-                p_one = np.where(
-                    parent_bit == 1,
-                    node.p_given_parent_one,
-                    node.p_given_parent_zero,
-                )
-                joint *= np.where(bit == 1, p_one, 1.0 - p_one)
-        mask = np.ones(stop - start, dtype=bool)
-        for nid, value in context.items():
-            mask &= bits[positions[nid]] == value
-        joint *= mask
-        for xv in (0, 1):
-            for yv in (0, 1):
-                sel = (bits[x_pos] == xv) & (bits[y_pos] == yv)
-                totals[xv, yv] += float(joint[sel].sum())
-
+    totals = np.array(
+        [[_joint(bn, {**fixed, x: a, y: c}) for c in (0, 1)] for a in (0, 1)]
+    )  # [x value, y value]
     total_mass = float(totals.sum())
     if total_mass == 0.0:
         return True

@@ -1,18 +1,14 @@
 """Grouping cells by shared probability for collective binomial sampling.
 
-Two flavors are needed:
-
-* Within one tied level, every candidate child cell inherits its probability
-  from a single seed entry, so the distinct seed values partition the
-  candidates into at most side*side groups (``theta_value_classes``).
-* For the untied whole-grid model, a cell's probability is the product of
-  one seed value per level, so it depends only on how many levels pick each
-  distinct value.  Exponent multisets over the distinct values enumerate the
-  possible products; equal float products are merged (``grid_groups``).
-  Cells inside a group are addressed by an exact integer rank, so group
-  membership is never materialized; :class:`GridUnranker` maps all the
-  ranks drawn in one run to their cells with one pass of int64 array
-  arithmetic.
+Used by the whole-grid ``gp`` strategy on the untied model.  A cell's
+probability is the product of one seed value per level, so it depends only
+on how many levels pick each distinct value (``theta_value_classes``).
+Exponent multisets over the distinct values enumerate the possible
+products; equal float products are merged (``grid_groups``).  Cells inside
+a group are addressed by an exact integer rank, so group membership is
+never materialized; :class:`GridUnranker` maps all the ranks drawn in one
+run to their cells with one pass of int64 array arithmetic.  Tied levels
+are not grouped: ``gp`` draws them exactly as ``dcsd`` does.
 """
 
 from __future__ import annotations

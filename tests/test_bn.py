@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_acceptance import _brute_force_joint, _csi_from_joint
 
 from kronnet import (
     BadArgs,
@@ -323,13 +326,98 @@ def test_check_csi_argument_validation(worked_cfg):
         check_csi(bn, (5, 0, 0), (1, 0, 1))
 
 
-def test_check_csi_enum_cap():
-    cfg = make_config([[0.9, 0.7], [0.5, 0.3]], 3, 1)
+@pytest.mark.parametrize(
+    "query",
+    [
+        pytest.param(lambda bn: check_csi(bn, (1, 0.5, 0), (1, 0, 1)), id="float-id-entry"),
+        pytest.param(lambda bn: check_csi(bn, (1, 0), (1, 0, 1)), id="two-entry-id"),
+        pytest.param(
+            lambda bn: check_csi(bn, (1, 0, 0), (1, 0, 1), {(0, 0): 1}), id="short-ctx-id"
+        ),
+        pytest.param(lambda bn: bn.node((1, 0.5, 0)), id="node-float-entry"),
+        pytest.param(lambda bn: bn.node((True, 0, 0)), id="node-bool-entry"),
+        pytest.param(lambda bn: bn.node(7), id="node-not-a-tuple"),
+        pytest.param(
+            lambda bn: check_csi(bn, (1, 0, 0), (1, 0, 1), {(0, 0, 0): 1.0}), id="float-ctx-value"
+        ),
+        pytest.param(
+            lambda bn: check_csi(bn, (1, 0, 0), (1, 0, 1), {(0, 0, 0): True}), id="bool-ctx-value"
+        ),
+    ],
+)
+def test_malformed_ids_and_context_values_raise_bad_args(worked_cfg, query):
+    with pytest.raises(BadArgs):
+        query(build_bn(worked_cfg))
+
+
+def test_numpy_integer_ids_and_values_are_accepted(worked_cfg):
+    bn = build_bn(worked_cfg)
+    assert bn.node((np.int64(1), np.int32(0), 0)) == bn.node((1, 0, 0))
+    assert check_csi(bn, (1, 0, 0), [1, 0, np.int64(1)], {(0, 0, 0): np.int64(1)})
+
+
+_THETA_VALUES = st.sampled_from([0.0, 0.3, 0.5, 0.7, 0.9, 1.0])
+
+
+@st.composite
+def _csi_queries(draw):
+    """A forest with exact 0/1 tables allowed, x != y and 0-3 context nodes.
+
+    Nodes fall in the trees of roots (0, 0) and (0, 1), so queries often
+    share a tree; other trees differ only in their root priors.
+    """
+    b = draw(st.sampled_from([2, 3]))
+    levels = draw(st.integers(1, 3))
+    # trees of at least two levels whenever K > 1
+    untied = levels - draw(st.integers(min(1, levels - 1), levels - 1))
+    rows = [[draw(_THETA_VALUES) for _ in range(b)] for _ in range(b)]
+    cfg = make_config(rows, levels, untied)
+
+    def in_tree(level):
+        span = b**level
+        offset = st.integers(0, span - 1)
+        col = st.builds(lambda root, off: root * span + off, st.integers(0, 1), offset)
+        return st.tuples(st.just(level), offset, col)
+
+    nodes = st.integers(0, levels - untied).flatmap(in_tree)
+    ids = draw(st.lists(nodes, min_size=2, max_size=5, unique=True))
+    values = draw(st.lists(st.integers(0, 1), min_size=len(ids) - 2, max_size=len(ids) - 2))
+    return cfg, ids[0], ids[1], dict(zip(ids[2:], values))
+
+
+@settings(max_examples=50, deadline=None)
+@given(query=_csi_queries())
+def test_check_csi_matches_oracles_property(query):
+    cfg, x, y, ctx = query
     bn = build_bn(cfg)
-    # two 21-node trees exceed the default enumeration cap
-    with pytest.raises(CapExceeded):
-        check_csi(bn, (2, 0, 0), (2, 7, 7))
-    with pytest.raises(CapExceeded):
-        check_csi(bn, (2, 0, 0), (2, 0, 1), enum_cap=5)
-    # a single tree fits exactly
-    assert check_csi(bn, (2, 0, 0), (2, 0, 1), {(1, 0, 0): 1}, enum_cap=21)
+    got = check_csi(bn, x, y, ctx)
+    assert got == csi_oracle(bn, x, y, ctx)
+    roots = {bn.root_of(nid) for nid in (x, y, *ctx)}
+    if len(roots) * bn.tree_size() <= 10:
+        assert got == _csi_from_joint(_brute_force_joint, bn, x, y, ctx)
+
+
+def _dcsd_pattern(levels):
+    """Criterion 5's probes with their verdicts, on a forest with ell=1."""
+    d = levels - 1  # leaf level
+    siblings = ((d, 0, 0), (d, 0, 1))
+    cousins = ((d, 0, 0), (d, 0, 2))  # parents (d-1, 0, 0) and (d-1, 0, 1)
+    return [
+        (*siblings, None, False),
+        (*siblings, {(d - 1, 0, 0): 0}, True),
+        (*siblings, {(d - 1, 0, 0): 1}, True),
+        ((0, 0, 0), (d, 0, 0), None, False),
+        (*cousins, {(d - 2, 0, 0): 1}, True),
+        (*cousins, None, False),
+    ]
+
+
+@pytest.mark.parametrize("levels", [6, 7, 8])
+def test_dcsd_not_csi_on_large_trees(levels):
+    small = build_bn(make_config([[0.9, 0.7], [0.5, 0.3]], 3, 1))
+    for x, y, ctx, expected in _dcsd_pattern(3):
+        assert check_csi(small, x, y, ctx) == csi_oracle(small, x, y, ctx) == expected
+    bn = build_bn(make_config([[0.9, 0.7], [0.5, 0.3]], levels, 1))
+    assert bn.tree_size() == (4**levels - 1) // 3
+    for x, y, ctx, expected in _dcsd_pattern(levels):
+        assert check_csi(bn, x, y, ctx) == expected, (x, y, ctx)
