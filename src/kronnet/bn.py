@@ -1,13 +1,17 @@
-"""Explicit Bayesian-network view of the tied-level sampling process.
+"""Bayesian-network view of the tied-level sampling process.
 
 Every candidate cell of every level is one binary node.  Level-0 nodes are
-roots carrying their dense untied-stage probability as a prior; each deeper
-node has exactly one parent (the cell it refines) and the conditional table
+roots carrying their dense untied-stage probability as a prior; each node of
+tied level ``lam`` has exactly one parent (the cell it refines) and the
+conditional table
 
-    P(node = 1 | parent = 1) = theta[dr, dc]
-    P(node = 1 | parent = 0) = 0
+    P(node = 1 | parent = v) = tables[lam - 1, v][row % b, col % b]
 
-so the network is a forest of (side*side)-ary trees, one per root.  Ancestral
+so the network is a forest of (b*b)-ary trees, one per root.  :func:`build_bn`
+gives every tied level the pair (0, theta): a dead parent kills its children
+deterministically (DCSD), and a nonzero ``v = 0`` entry would be a leak.
+:class:`BayesNet` stores only the config and that ``(tied_levels, 2, b, b)``
+array; a node's tables are derived from its id on demand.  Ancestral
 sampling of this forest, visiting levels in order and cells row-major, is
 draw-for-draw identical to the full-sweep sampler.
 
@@ -25,14 +29,16 @@ import numpy as np
 
 from .config import DEFAULT_DENSE_CAP, ModelConfig, check_int
 from .errors import BadArgs, CapExceeded, IndexOutOfRange
-from .kron import ci_rv_count, kronecker_power
+from .kron import kronecker_power
 from .rng import check_seed, level_rng
 from .samplers import LevelTrace, SampleTrace, SampledNetwork, Strategy, finalize_edges
 
 NodeId = tuple[int, int, int]  # (level, row, col)
 
-# Two conditionals closer than this are treated as equal; exact elimination
-# leaves only accumulated float rounding, orders of magnitude below this.
+# x and y are independent given a context when the 2x2 table of joints
+# P(context, x=a, y=c) has rank one: its two diagonal products agree.  They
+# are compared relative to their sum, so the verdict holds at any magnitude;
+# exact elimination leaves only float rounding, orders of magnitude below this.
 _CSI_TOL = 1e-9
 
 
@@ -56,15 +62,33 @@ class BnNode:
 
 
 class BayesNet:
-    """Forest of per-level nodes; indexable by (level, row, col)."""
+    """Forest of per-level nodes; indexable by (level, row, col).
 
-    def __init__(self, cfg: ModelConfig, levels: tuple[tuple[BnNode, ...], ...]):
+    ``tables[lam - 1, v][dr, dc]`` is P(node = 1 | parent = v) for a node of
+    tied level ``lam`` at position (dr, dc) of its parent's b x b block.
+
+    Raises:
+        BadArgs: ``tables`` is not a float array of shape
+            ``(cfg.tied_levels, 2, cfg.b, cfg.b)`` with entries in [0, 1].
+    """
+
+    def __init__(self, cfg: ModelConfig, tables: Any):
+        try:
+            arr = np.array(tables, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise BadArgs(f"tables must be a float array: {exc}") from None
+        shape = (cfg.tied_levels, 2, cfg.b, cfg.b)
+        if arr.shape != shape:
+            raise BadArgs(f"tables shape {arr.shape} is not {shape}")
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails both
+            raise BadArgs("table entries must lie in [0, 1]")
+        arr.setflags(write=False)
         self.cfg = cfg
-        self.levels = levels
+        self.tables = arr
 
     @property
     def node_count(self) -> int:
-        return sum(len(level) for level in self.levels)
+        return self.side(0) ** 2 * self.tree_size()
 
     def side(self, level: int) -> int:
         return self.cfg.b ** (self.cfg.untied_levels + level)
@@ -74,8 +98,8 @@ class BayesNet:
         if not isinstance(node_id, (tuple, list)) or len(node_id) != 3:
             raise BadArgs(f"node id must be (level, row, col), got {node_id!r}")
         level, row, col = (check_int(part, f"node id {node_id!r} entry") for part in node_id)
-        if not (0 <= level < len(self.levels)):
-            raise IndexOutOfRange(f"level {level} outside [0, {len(self.levels)})")
+        if not (0 <= level <= self.cfg.tied_levels):
+            raise IndexOutOfRange(f"level {level} outside [0, {self.cfg.tied_levels + 1})")
         side = self.side(level)
         if not (0 <= row < side and 0 <= col < side):
             raise IndexOutOfRange(f"cell ({row}, {col}) outside [0, {side})^2")
@@ -83,7 +107,15 @@ class BayesNet:
 
     def node(self, node_id: NodeId) -> BnNode:
         level, row, col = self._check_id(node_id)
-        return self.levels[level][row * self.side(level) + col]
+        b = self.cfg.b
+        if level == 0:
+            # one theta factor per untied digit, outermost first, as kronecker_power multiplies
+            prior = 1.0
+            for shift in reversed(range(self.cfg.untied_levels)):
+                prior *= float(self.cfg.theta.entries[row // b**shift % b, col // b**shift % b])
+            return BnNode((0, row, col), None, prior, None, None)
+        p0, p1 = self.tables[level - 1, :, row % b, col % b]
+        return BnNode((level, row, col), (level - 1, row // b, col // b), None, float(p1), float(p0))
 
     def root_of(self, node_id: NodeId) -> NodeId:
         """Root of the tree containing ``node_id``."""
@@ -97,7 +129,7 @@ class BayesNet:
         if level0 != 0:
             raise BadArgs("tree_ids expects a level-0 root id")
         b = self.cfg.b
-        for level in range(len(self.levels)):
+        for level in range(self.cfg.tied_levels + 1):
             span = b**level
             for row in range(row0 * span, (row0 + 1) * span):
                 for col in range(col0 * span, (col0 + 1) * span):
@@ -106,72 +138,14 @@ class BayesNet:
     def tree_size(self) -> int:
         """Node count of each tree (all trees are congruent)."""
         bb = self.cfg.b * self.cfg.b
-        return sum(bb**level for level in range(len(self.levels)))
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready dump of every node with parent and probabilities."""
-        nodes = []
-        for level in self.levels:
-            for node in level:
-                nodes.append(
-                    {
-                        "id": list(node.node_id),
-                        "parent": None if node.parent_id is None else list(node.parent_id),
-                        "prior": node.prior,
-                        "p_given_parent_one": node.p_given_parent_one,
-                        "p_given_parent_zero": node.p_given_parent_zero,
-                    }
-                )
-        return {"node_count": self.node_count, "nodes": nodes}
+        return sum(bb**level for level in range(self.cfg.tied_levels + 1))
 
 
-def build_bn(cfg: ModelConfig, *, dense_cap: int = DEFAULT_DENSE_CAP) -> BayesNet:
-    """Materialize the forest for ``cfg``.
-
-    The node count equals the full-sweep RV count, so the same cap applies.
-
-    Raises:
-        BadArgs: ``dense_cap`` is not an integer.
-        CapExceeded: the forest would hold more than ``dense_cap`` nodes.
-    """
-    dense_cap = check_int(dense_cap, "dense_cap")
-    total = ci_rv_count(cfg)
-    if total > dense_cap:
-        raise CapExceeded(
-            f"forest of {total} nodes exceeds the cap {dense_cap}"
-        )
-    b = cfg.b
-    probs0 = kronecker_power(cfg.theta, cfg.untied_levels, dense_cap=dense_cap).probs
-    ent = cfg.theta.entries
-    levels: list[tuple[BnNode, ...]] = []
-    side = cfg.b**cfg.untied_levels
-    roots = tuple(
-        BnNode(
-            node_id=(0, row, col),
-            parent_id=None,
-            prior=float(probs0[row, col]),
-            p_given_parent_one=None,
-            p_given_parent_zero=None,
-        )
-        for row in range(side)
-        for col in range(side)
-    )
-    levels.append(roots)
-    for lam in range(1, cfg.tied_levels + 1):
-        side *= b
-        level_nodes = tuple(
-            BnNode(
-                node_id=(lam, row, col),
-                parent_id=(lam - 1, row // b, col // b),
-                prior=None,
-                p_given_parent_one=float(ent[row % b, col % b]),
-                p_given_parent_zero=0.0,
-            )
-            for row in range(side)
-            for col in range(side)
-        )
-        levels.append(level_nodes)
-    return BayesNet(cfg, tuple(levels))
+def build_bn(cfg: ModelConfig) -> BayesNet:
+    """The forest for ``cfg``: every tied level's table pair is (0, theta)."""
+    tables = np.zeros((cfg.tied_levels, 2, cfg.b, cfg.b))
+    tables[:, 1] = cfg.theta.entries
+    return BayesNet(cfg, tables)
 
 
 def check_dcsd(bn: BayesNet) -> bool:
@@ -180,13 +154,7 @@ def check_dcsd(bn: BayesNet) -> bool:
     Requires, for every non-root node, P(1 | parent=0) == 0 together with
     P(1 | parent=1) > 0; a zero seed entry breaks the second condition.
     """
-    for level in bn.levels[1:]:
-        for node in level:
-            if node.p_given_parent_zero != 0.0:
-                return False
-            if not (node.p_given_parent_one is not None and node.p_given_parent_one > 0.0):
-                return False
-    return True
+    return bool(np.all(bn.tables[:, 0] == 0.0) and np.all(bn.tables[:, 1] > 0.0))
 
 
 def ancestral_sample(
@@ -195,38 +163,34 @@ def ancestral_sample(
     """Sample the forest root-to-leaves; equals the full-sweep sampler.
 
     Uses the same per-level streams and row-major cell order as the ci
-    strategy, so identical seeds give identical networks and traces.
+    strategy, so identical seeds give identical networks and traces.  Each
+    level is one array pass: the parents' values repeated b x b select, cell
+    by cell, from the level's table pair tiled over the grid.
+
+    Raises:
+        CapExceeded: the forest holds more than ``DEFAULT_DENSE_CAP`` nodes.
     """
     seed = check_seed(seed)
     cfg = bn.cfg
-    values: np.ndarray | None = None
-    trace_entries: list[tuple[int, int, int]] = []
-    for lam, level_nodes in enumerate(bn.levels):
+    if bn.node_count > DEFAULT_DENSE_CAP:
+        raise CapExceeded(
+            f"forest of {bn.node_count} nodes exceeds the cap {DEFAULT_DENSE_CAP}"
+        )
+    b = cfg.b
+    per_level = []
+    for lam in range(cfg.tied_levels + 1):
         side = bn.side(lam)
-        uniforms = level_rng(seed, lam).random(side * side)
-        new_values = np.empty(side * side, dtype=bool)
-        for flat, node in enumerate(level_nodes):
-            if node.is_root:
-                prob = node.prior
-            else:
-                parent_level, parent_row, parent_col = node.parent_id
-                parent_flat = parent_row * bn.side(parent_level) + parent_col
-                if values[parent_flat]:
-                    prob = node.p_given_parent_one
-                else:
-                    prob = node.p_given_parent_zero
-            new_values[flat] = uniforms[flat] < prob
-        values = new_values
-        trace_entries.append((lam, side * side, int(values.sum())))
-    side = bn.side(len(bn.levels) - 1)
-    idx = np.flatnonzero(values)
-    net = finalize_edges(cfg, idx // side, idx % side)
-    trace = SampleTrace(
-        seed=seed,
-        strategy=Strategy.CI,
-        per_level=tuple(LevelTrace(*entry) for entry in trace_entries),
-    )
-    return net, trace
+        if lam == 0:
+            probs = kronecker_power(cfg.theta, cfg.untied_levels).probs
+        else:
+            alive = values.repeat(b, axis=0).repeat(b, axis=1)
+            p0, p1 = (np.tile(table, (side // b, side // b)) for table in bn.tables[lam - 1])
+            probs = np.where(alive, p1, p0)
+        values = level_rng(seed, lam).random(side * side).reshape(side, side) < probs
+        per_level.append(LevelTrace(lam, side * side, int(values.sum())))
+    rows, cols = np.nonzero(values)
+    net = finalize_edges(cfg, rows, cols)
+    return net, SampleTrace(seed=seed, strategy=Strategy.CI, per_level=tuple(per_level))
 
 
 def _joint(bn: BayesNet, assignment: Mapping[NodeId, int]) -> float:
@@ -271,12 +235,13 @@ def check_csi(
 ) -> bool:
     """Decide whether x and y are independent given the fixed ``context``.
 
-    Exact: computes the four joints P(context, x=a, y=c) by elimination
-    over the assigned nodes' ancestor paths (:func:`_joint`), so the cost
-    grows with the depth of the forest, not with the size of its trees,
-    and no tree is too large.  Then compares P(x=1 | y, context) with
-    P(x=1 | context) for each y value of positive probability.  Contexts
-    that cannot occur make the condition vacuous (returns True).
+    Exact: computes the four joints t[a][c] = P(context, x=a, y=c) by
+    elimination over the assigned nodes' ancestor paths (:func:`_joint`),
+    so the cost grows with the depth of the forest, not with the size of
+    its trees, and no tree is too large.  Independent means the table has
+    rank one: |t00*t11 - t01*t10| <= _CSI_TOL * (t00*t11 + t01*t10).  The
+    rule is symmetric in x and y, relative at any magnitude, and true for
+    a context that cannot occur (both sides are 0).
 
     Raises:
         BadArgs: a node id is not three integers, a context value is not
@@ -297,17 +262,6 @@ def check_csi(
     if x in fixed or y in fixed:
         raise BadArgs("x and y must not be assigned by the context")
 
-    totals = np.array(
-        [[_joint(bn, {**fixed, x: a, y: c}) for c in (0, 1)] for a in (0, 1)]
-    )  # [x value, y value]
-    total_mass = float(totals.sum())
-    if total_mass == 0.0:
-        return True
-    p_x_given_context = (totals[1, 0] + totals[1, 1]) / total_mass
-    for yv in (0, 1):
-        mass_y = totals[0, yv] + totals[1, yv]
-        if mass_y > 0.0:
-            p_x_given_y = totals[1, yv] / mass_y
-            if abs(p_x_given_y - p_x_given_context) > _CSI_TOL:
-                return False
-    return True
+    t = [[_joint(bn, {**fixed, x: a, y: c}) for c in (0, 1)] for a in (0, 1)]
+    agree, cross = t[0][0] * t[1][1], t[0][1] * t[1][0]
+    return abs(agree - cross) <= _CSI_TOL * (agree + cross)

@@ -131,6 +131,7 @@ def _brute_force_joint(bn, assignment):
     """Joint probability by full enumeration of every involved tree."""
     roots = sorted({bn.root_of(nid) for nid in assignment})
     nodes = [nid for root in roots for nid in bn.tree_ids(root)]
+    table = {nid: bn.node(nid) for nid in nodes}
     total = 0.0
     for values in itertools.product((0, 1), repeat=len(nodes)):
         state = dict(zip(nodes, values))
@@ -138,7 +139,7 @@ def _brute_force_joint(bn, assignment):
             continue
         prob = 1.0
         for nid, value in state.items():
-            node = bn.node(nid)
+            node = table[nid]
             if node.is_root:
                 p_one = node.prior
             elif state[node.parent_id] == 1:
@@ -166,7 +167,7 @@ def _sum_product_joint(bn, assignment):
         wanted = assignment.get(node_id)
         level, row, col = node_id
         b = bn.cfg.b
-        has_children = level + 1 < len(bn.levels)
+        has_children = level < bn.cfg.tied_levels
         total = 0.0
         for value in (0, 1) if wanted is None else (wanted,):
             weight = p_one if value == 1 else 1.0 - p_one
@@ -194,12 +195,12 @@ def _csi_from_joint(joint, bn, x, y, context, tol=1e-9):
     p_ctx = joint(bn, context) if context else 1.0
     if p_ctx == 0.0:
         return True
+    p_x = [joint(bn, {**context, x: xv}) for xv in (0, 1)]
+    p_y = [joint(bn, {**context, y: yv}) for yv in (0, 1)]
     for xv in (0, 1):
         for yv in (0, 1):
             p_xy = joint(bn, {**context, x: xv, y: yv})
-            p_x = joint(bn, {**context, x: xv})
-            p_y = joint(bn, {**context, y: yv})
-            if abs(p_xy * p_ctx - p_x * p_y) > tol:
+            if abs(p_xy * p_ctx - p_x[xv] * p_y[yv]) > tol:
                 return False
     return True
 
@@ -234,7 +235,7 @@ def test_criterion_5_bn_oracle():
     ):
         bn_probe = build_bn(cfg_probe)
         assert bn_probe.tree_size() <= 21
-        deepest = len(bn_probe.levels) - 1
+        deepest = cfg_probe.tied_levels
         cases = [
             ((deepest, 0, 0), (deepest, 0, 1), None),
             ((deepest, 0, 0), (deepest, 0, 1), {(deepest - 1, 0, 0): 1}),

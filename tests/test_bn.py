@@ -1,16 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import _brute_force_joint, _csi_from_joint
 
 from kronnet import (
     BadArgs,
     BayesNet,
-    BnNode,
     CapExceeded,
+    DEFAULT_DENSE_CAP,
     IndexOutOfRange,
     ModelSampler,
     Strategy,
@@ -41,9 +42,8 @@ def test_worked_example_structure(worked_cfg):
     assert bn.node_count == 80
     assert bn.side(0) == 4
     assert bn.side(1) == 8
-    assert len(bn.levels[0]) == 16
-    assert len(bn.levels[1]) == 64
     assert bn.tree_size() == 5
+    assert bn.tables.shape == (1, 2, 2, 2) and not bn.tables.flags.writeable
 
 
 def test_root_priors_are_untied_grid_cells(worked_cfg):
@@ -97,22 +97,19 @@ def test_node_id_validation(worked_cfg):
             bn.node(bad)
 
 
-def test_build_bn_cap(worked_cfg):
-    with pytest.raises(CapExceeded):
-        build_bn(worked_cfg, dense_cap=79)
-    assert build_bn(worked_cfg, dense_cap=80).node_count == 80
-
-
-def test_to_dict_round_trip_fields(worked_cfg):
-    payload = build_bn(worked_cfg).to_dict()
-    assert payload["node_count"] == 80
-    assert len(payload["nodes"]) == 80
-    roots = [n for n in payload["nodes"] if n["parent"] is None]
-    assert len(roots) == 16
-    leaf = next(n for n in payload["nodes"] if n["id"] == [1, 7, 7])
-    assert leaf["parent"] == [0, 3, 3]
-    assert leaf["p_given_parent_one"] == pytest.approx(0.3)
-    assert leaf["p_given_parent_zero"] == 0.0
+@pytest.mark.parametrize(
+    "tables",
+    [
+        pytest.param(np.zeros((2, 2, 2)), id="shape"),
+        pytest.param(np.full((1, 2, 2, 2), -0.1), id="below-0"),
+        pytest.param(np.full((1, 2, 2, 2), 1.5), id="above-1"),
+        pytest.param(np.full((1, 2, 2, 2), np.nan), id="nan"),
+        pytest.param([[["a"]]], id="not-numbers"),
+    ],
+)
+def test_bayes_net_rejects_bad_tables(worked_cfg, tables):
+    with pytest.raises(BadArgs):
+        BayesNet(worked_cfg, tables)
 
 
 # -- hierarchical-determinism property ----------------------------------------
@@ -128,18 +125,12 @@ def test_check_dcsd_false_with_zero_entry():
 
 
 def test_check_dcsd_false_with_parent_zero_leak(worked_cfg):
-    bn = build_bn(worked_cfg)
-    # hand-build a forest where a dead parent can still spawn children
-    leaky = [list(level) for level in bn.levels]
-    node = leaky[1][0]
-    leaky[1][0] = BnNode(
-        node_id=node.node_id,
-        parent_id=node.parent_id,
-        prior=node.prior,
-        p_given_parent_one=node.p_given_parent_one,
-        p_given_parent_zero=0.25,
-    )
-    assert not check_dcsd(BayesNet(cfg=bn.cfg, levels=tuple(tuple(l) for l in leaky)))
+    # a forest where a dead parent can still spawn children
+    tables = build_bn(worked_cfg).tables.copy()
+    tables[0, 0, 0, 0] = 0.25
+    leaky = BayesNet(worked_cfg, tables)
+    assert not check_dcsd(leaky)
+    assert leaky.node((1, 2, 4)).p_given_parent_zero == 0.25
 
 
 # -- ancestral sampling --------------------------------------------------------
@@ -157,12 +148,32 @@ def test_ancestral_sampling_equals_full_sweep_exactly(worked_cfg, seed):
 
 
 def test_ancestral_sampling_three_levels():
-    cfg = make_config([[0.9, 0.7], [0.5, 0.3]], 3, 1)
-    bn = build_bn(cfg)
-    for seed in (3, 99):
-        net_bn, _ = ancestral_sample(bn, seed)
-        net_ci, _ = ModelSampler(cfg).run(Strategy.CI, seed)
-        np.testing.assert_array_equal(net_bn.edges, net_ci.edges)
+    # b=3 with an asymmetric seed and no self loops checks the tiled tables'
+    # orientation and the edge-mode filter
+    theta3 = [[0.9, 0.6, 0.3], [0.8, 0.5, 0.2], [0.7, 0.4, 0.1]]
+    for cfg in (
+        make_config([[0.9, 0.7], [0.5, 0.3]], 3, 1),
+        make_config(theta3, 3, 1, self_loops=False),
+    ):
+        bn = build_bn(cfg)
+        for seed in (3, 99):
+            net_bn, trace_bn = ancestral_sample(bn, seed)
+            net_ci, trace_ci = ModelSampler(cfg).run(Strategy.CI, seed)
+            np.testing.assert_array_equal(net_bn.edges, net_ci.edges)
+            assert trace_bn == trace_ci
+
+
+def test_ancestral_sampling_refuses_above_the_dense_cap_without_allocating():
+    bn = build_bn(make_config([[0.5, 0.5], [0.5, 0.5]], 14, 1))
+    assert bn.node_count > DEFAULT_DENSE_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            ancestral_sample(bn, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 # -- conditional independence oracle -------------------------------------------
@@ -170,7 +181,7 @@ def test_ancestral_sampling_three_levels():
 
 def _children(bn, node_id):
     level, row, col = node_id
-    if level + 1 >= len(bn.levels):
+    if level >= bn.cfg.tied_levels:
         return []
     b = bn.cfg.b
     return [
@@ -221,12 +232,12 @@ def csi_oracle(bn, x, y, context=None, tol=1e-9):
     p_ctx = joint_prob_oracle(bn, context)
     if p_ctx == 0.0:
         return True
+    p_x = [joint_prob_oracle(bn, {**context, x: xv}) for xv in (0, 1)]
+    p_y = [joint_prob_oracle(bn, {**context, y: yv}) for yv in (0, 1)]
     for xv in (0, 1):
         for yv in (0, 1):
             p_xy = joint_prob_oracle(bn, {**context, x: xv, y: yv})
-            p_x = joint_prob_oracle(bn, {**context, x: xv})
-            p_y = joint_prob_oracle(bn, {**context, y: yv})
-            if abs(p_xy * p_ctx - p_x * p_y) > tol:
+            if abs(p_xy * p_ctx - p_x[xv] * p_y[yv]) > tol:
                 return False
     return True
 
@@ -302,18 +313,6 @@ def test_check_csi_impossible_context_is_vacuous():
     assert check_csi(bn, (1, 0, 0), (1, 1, 1), impossible)
 
 
-def test_check_csi_symmetry():
-    cfg = make_config([[0.9, 0.7], [0.5, 0.3]], 3, 1)
-    bn = build_bn(cfg)
-    probes = [
-        ((2, 0, 0), (2, 0, 1), None),
-        ((2, 0, 0), (0, 0, 0), None),
-        ((2, 0, 0), (2, 0, 2), {(0, 0, 0): 1}),
-    ]
-    for x, y, ctx in probes:
-        assert check_csi(bn, x, y, ctx) == check_csi(bn, y, x, ctx)
-
-
 def test_check_csi_argument_validation(worked_cfg):
     bn = build_bn(worked_cfg)
     with pytest.raises(BadArgs):
@@ -360,28 +359,29 @@ _THETA_VALUES = st.sampled_from([0.0, 0.3, 0.5, 0.7, 0.9, 1.0])
 
 
 @st.composite
-def _csi_queries(draw):
-    """A forest with exact 0/1 tables allowed, x != y and 0-3 context nodes.
+def _csi_queries(draw, theta_values=_THETA_VALUES, max_levels=3):
+    """A forest with K <= ``max_levels``, x != y and 0-3 context nodes.
 
     Nodes fall in the trees of roots (0, 0) and (0, 1), so queries often
     share a tree; other trees differ only in their root priors.
     """
     b = draw(st.sampled_from([2, 3]))
-    levels = draw(st.integers(1, 3))
+    levels = draw(st.integers(1, max_levels))
     # trees of at least two levels whenever K > 1
     untied = levels - draw(st.integers(min(1, levels - 1), levels - 1))
-    rows = [[draw(_THETA_VALUES) for _ in range(b)] for _ in range(b)]
+    rows = [[draw(theta_values) for _ in range(b)] for _ in range(b)]
     cfg = make_config(rows, levels, untied)
-
-    def in_tree(level):
+    # nodes are drawn as plain integers in a loop: strategies built per
+    # example (flatmap, builds) cost hypothesis ~10 ms an example
+    ids = []
+    for _ in range(draw(st.integers(2, 5))):
+        level = draw(st.integers(0, levels - untied))
         span = b**level
-        offset = st.integers(0, span - 1)
-        col = st.builds(lambda root, off: root * span + off, st.integers(0, 1), offset)
-        return st.tuples(st.just(level), offset, col)
-
-    nodes = st.integers(0, levels - untied).flatmap(in_tree)
-    ids = draw(st.lists(nodes, min_size=2, max_size=5, unique=True))
-    values = draw(st.lists(st.integers(0, 1), min_size=len(ids) - 2, max_size=len(ids) - 2))
+        row, root, col = (draw(st.integers(0, top)) for top in (span - 1, 1, span - 1))
+        if (nid := (level, row, root * span + col)) not in ids:
+            ids.append(nid)
+    assume(len(ids) >= 2)
+    values = [draw(st.integers(0, 1)) for _ in ids[2:]]
     return cfg, ids[0], ids[1], dict(zip(ids[2:], values))
 
 
@@ -395,6 +395,25 @@ def test_check_csi_matches_oracles_property(query):
     roots = {bn.root_of(nid) for nid in (x, y, *ctx)}
     if len(roots) * bn.tree_size() <= 10:
         assert got == _csi_from_joint(_brute_force_joint, bn, x, y, ctx)
+
+
+_TINY_THETA = make_config([[0.01, 0.01], [0.01, 0.01]], 6, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(query=_csi_queries(st.floats(1e-3, 1.0), max_levels=8))
+@example(query=(_TINY_THETA, (5, 0, 0), (0, 0, 0), {}))
+def test_check_csi_symmetry(query):
+    cfg, x, y, ctx = query
+    bn = build_bn(cfg)
+    assert check_csi(bn, x, y, ctx) == check_csi(bn, y, x, ctx)
+
+
+def test_check_csi_is_relative_at_small_magnitudes():
+    # P(leaf=1 | root=1) = 1e-10 against P(leaf=1) = 1e-12: dependent either way round
+    bn = build_bn(_TINY_THETA)
+    assert not check_csi(bn, (5, 0, 0), (0, 0, 0))
+    assert not check_csi(bn, (0, 0, 0), (5, 0, 0))
 
 
 def _dcsd_pattern(levels):
@@ -412,7 +431,7 @@ def _dcsd_pattern(levels):
     ]
 
 
-@pytest.mark.parametrize("levels", [6, 7, 8])
+@pytest.mark.parametrize("levels", [6, 7, 8, 12])
 def test_dcsd_not_csi_on_large_trees(levels):
     small = build_bn(make_config([[0.9, 0.7], [0.5, 0.3]], 3, 1))
     for x, y, ctx, expected in _dcsd_pattern(3):

@@ -26,7 +26,6 @@ from kronnet import (
     replicate_seed,
     sample,
 )
-from kronnet.bn import build_bn
 from kronnet.samplers import ModelSampler, finalize_edges
 from kronnet.verify import _merge_bins, _two_sample_chisquare
 
@@ -651,7 +650,6 @@ INT_ARGS = {
     "audit n_runs": lambda cfg, v: complexity_audit(cfg, v, 1),
     "audit workers": lambda cfg, v: complexity_audit(cfg, 10, 1, workers=v),
     "kronecker_power dense_cap": lambda cfg, v: kronecker_power(cfg.theta, 2, dense_cap=v),
-    "build_bn dense_cap": lambda cfg, v: build_bn(cfg, dense_cap=v),
 }
 
 
