@@ -164,8 +164,10 @@ def ancestral_sample(
 
     Uses the same per-level streams and row-major cell order as the ci
     strategy, so identical seeds give identical networks and traces.  Each
-    level is one array pass: the parents' values repeated b x b select, cell
-    by cell, from the level's table pair tiled over the grid.
+    level is one array pass: every parent's value selects its b x b block
+    of probabilities from the level's table pair, broadcast without
+    repeating either, so a level holds its uniforms, its probabilities and
+    the two levels' values (~17 bytes per cell) at its peak.
 
     Raises:
         CapExceeded: the forest holds more than ``DEFAULT_DENSE_CAP`` nodes.
@@ -183,9 +185,9 @@ def ancestral_sample(
         if lam == 0:
             probs = kronecker_power(cfg.theta, cfg.untied_levels).probs
         else:
-            alive = values.repeat(b, axis=0).repeat(b, axis=1)
-            p0, p1 = (np.tile(table, (side // b, side // b)) for table in bn.tables[lam - 1])
-            probs = np.where(alive, p1, p0)
+            # cell (i*b + dr, j*b + dc) as [i, dr, j, dc]: P(1 | parent value)
+            p0, p1 = bn.tables[lam - 1, :, None, :, None, :]
+            probs = np.where(values[:, None, :, None], p1, p0).reshape(side, side)
         values = level_rng(seed, lam).random(side * side).reshape(side, side) < probs
         per_level.append(LevelTrace(lam, side * side, int(values.sum())))
     rows, cols = np.nonzero(values)

@@ -21,9 +21,13 @@ stack of one; the verification harness sends stacks of many.
   ``grid_groups``.
 * Each tied level replaces every realized cell with a side x side block of
   candidates; child (dr, dc) survives with probability ``theta[dr, dc]``,
-  and children of unrealized cells never do.  The strategy's children
-  function returns them in stacked (row, col) order, and the level adds
-  one ``(level, examined, active)`` record per replicate.
+  and children of unrealized cells never do.  The level loop carries a
+  level's cells as one ``(m, 2)`` array, each replicate's contiguous and in
+  replicate order, and adds one ``(level, examined, active)`` record per
+  replicate.  ``ci``'s children come in stacked (row, col) order; ``dcsd``
+  and tied ``gp`` keep theirs parent-major, each block row-major, so each
+  level's parents are the previous level's children in the order they were
+  made, and the last level is sorted once.
 
 The strategies differ only in which of a level's RVs they touch: ``ci``
 every candidate, dead parents included; ``dcsd`` only children of realized
@@ -35,13 +39,14 @@ cells are the edges, filtered by the directed / self-loop mode, which never
 alters sampling.
 
 Each level draws from its own stream in a documented order (cells row-major;
-pruned candidates parent-major with blocks row-major, for ``dcsd`` and
-``gp`` alike; whole-grid groups by descending probability, count then
-placement), so runs are reproducible, tied ``gp`` matches ``dcsd`` draw for
-draw, and the full sweep matches the Bayesian-network ancestral sampler draw
-for draw.  Replicate r's level ``lam`` is stream ``states[r, lam]``, read
-through ``rng.stream_uniforms`` whole or in pieces, so a stack draws what
-its replicates draw alone.
+pruned candidates parent-major with blocks row-major, parents in the order
+the previous level made them, for ``dcsd`` and ``gp`` alike; whole-grid
+groups by descending probability, count then placement), so runs are
+reproducible, tied ``gp`` matches ``dcsd`` draw for draw, and the full
+sweep matches the Bayesian-network ancestral sampler draw for draw.
+Replicate r's level ``lam`` is stream ``states[r, lam]``, read through
+``rng.stream_uniforms`` whole or in pieces, so a stack draws what its
+replicates draw alone.
 """
 
 from __future__ import annotations
@@ -102,30 +107,58 @@ def _hits(states: np.ndarray, blocks: Iterable[np.ndarray], cells: int) -> np.nd
     return hits if len(states) == 1 else np.sort(hits)
 
 
-def expand_active(rows, cols, uniforms, theta_flat, b):
+def expand_active(cells, b, uniforms, theta_flat):
     """Realize the b*b child cells of each active parent cell.
 
+    ``cells`` is an ``(m, 2)`` array of parent (row, col) cells.
     ``uniforms`` holds one draw per candidate child, parent-major with the
     block scanned row-major; child (dr, dc) of parent p survives when
-    ``uniforms[p*b*b + dr*b + dc] < theta_flat[dr*b + dc]``.  Returns child
-    row/column index arrays in that enumeration order.
+    ``uniforms[p*b*b + dr*b + dc] < theta_flat[dr*b + dc]``.  Returns the
+    surviving children as an ``(k, 2)`` array in that enumeration order.
     """
     bb = b * b
-    # One flat scan of the (parents x b*b) survivor mask, then a divmod:
-    # the same children as a 3-D nonzero, with dcsd 1.24x faster on a
-    # tied K=13, ell=4 run (2 vCPUs).
-    survivors = (uniforms.reshape(rows.size, bb) < theta_flat).ravel().nonzero()[0]
-    parent_idx, pos = np.divmod(survivors, bb)
-    dr, dc = _child_offsets(b)
-    return rows[parent_idx] * b + dr[pos], cols[parent_idx] * b + dc[pos]
+    # Measured on 35k parents (b = 2, 2 vCPUs): a (parents, b*b) broadcast
+    # compare took 3.5x as long as the flat uniforms against theta tiled to
+    # their length; gathering two columns took 1.4x as long as taking whole
+    # (row, col) rows, and fancy indexing cells[parent] 3.8x.
+    survivors = (uniforms < theta_flat[None].repeat(len(cells), axis=0).ravel()).nonzero()[0]
+    parent = survivors // bb
+    children = (cells * b).take(parent, axis=0)
+    survivors -= parent * bb  # each child's place in its parent's block
+    children += _child_offsets(b).take(survivors, axis=0)
+    return children
 
 
 @cache
 def _child_offsets(b: int):
-    """Row and column offsets of a cell's b*b children, row-major (read-only)."""
-    dr, dc = np.divmod(np.arange(b * b), b)
-    dr.flags.writeable = dc.flags.writeable = False
-    return dr, dc
+    """(dr, dc) offsets of a cell's b*b children, row-major (read-only)."""
+    offsets = np.stack(np.divmod(np.arange(b * b), b), axis=1)
+    offsets.flags.writeable = False
+    return offsets
+
+
+def _grid_cells(flat: np.ndarray, side: int) -> np.ndarray:
+    """The ``(m, 2)`` (row, col) cells of flat indices into grids of ``side``
+    columns."""
+    cells = np.empty((flat.size, 2), dtype=np.int64)
+    np.divmod(flat, side, out=(cells[:, 0], cells[:, 1]))
+    return cells
+
+
+def _sorted_cells(rows: np.ndarray, cols: np.ndarray, reps: int, side: int):
+    """A stack's cells, stacked rows below ``reps * side`` and columns below
+    ``side``, as rows and columns in ascending (row, col) order.
+
+    One sort of the flat key ``row * side + col`` while ``reps * side**2``
+    fits in int64, which the sizes alone decide, and a lexsort beyond.
+    """
+    if reps * side * side > 2**63:
+        order = np.lexsort((cols, rows))
+        return rows[order], cols[order]
+    keys = rows * side
+    keys += cols
+    keys.sort()
+    return np.divmod(keys, side)
 
 
 def _grouped_draw(size: int, prob: float, stream: np.random.Generator) -> np.ndarray:
@@ -343,11 +376,12 @@ class ModelSampler:
         return groups, GridUnranker(classes, groups, self.cfg.levels, self.b)
 
     def _level0(self, strategy: Strategy, states: np.ndarray):
-        """Level 0's realized cells of a stack in stacked (row, col) order,
-        and its level count.  Whole-grid ``gp`` draws each replicate's groups
-        by descending probability from its stream's generator, each a count
-        then a placement, and unranks them in one array pass; other runs
-        sweep all ``levels`` (``naive``) or the untied ones.
+        """Level 0's realized cells of a stack as an ``(m, 2)`` array in
+        stacked (row, col) order, and its level count.  Whole-grid ``gp``
+        draws each replicate's groups by descending probability from its
+        stream's generator, each a count then a placement, and unranks them
+        in one array pass; other runs sweep all ``levels`` (``naive``) or the
+        untied ones.
         """
         if strategy is Strategy.GP and self._grid_tables is not None:
             groups, unranker = self._grid_tables
@@ -359,24 +393,23 @@ class ModelSampler:
                 rows, cols = unranker.cells(drawn)
                 cells.append((rows + r * side, cols))
             rows, cols = map(np.concatenate, zip(*cells))
-            # A flat row * side + col key would overflow once the side reaches 2**32.
-            order = np.lexsort((cols, rows))
-            return rows[order], cols[order], self.cfg.levels
+            return np.stack(_sorted_cells(rows, cols, len(states), side), axis=1), self.cfg.levels
         levels = self.cfg.levels if strategy is Strategy.NAIVE else self.cfg.untied_levels
-        # divmod, not unravel_index, whose strided views slow later passes
-        return (*np.divmod(self._sweep(states, levels), self.b**levels), levels)
+        return _grid_cells(self._sweep(states, levels), self.b**levels), levels
 
-    # -- tied-level children: each takes a stack's previous-level cells in
-    # stacked (row, col) order, that level's side, the level's streams and
-    # each replicate's cell count, and returns the children in stacked (row,
-    # col) order and the RVs each replicate examined.
+    # -- tied-level children: each takes a stack's previous-level cells as an
+    # (m, 2) array, replicates in order, that level's side, the level's
+    # streams and each replicate's cell count, and returns the children, each
+    # replicate's still contiguous and in order, and the RVs each replicate
+    # examined.
 
-    def _ci_children(self, rows, cols, side, states, active):
+    def _ci_children(self, cells, side, states, active):
         """One uniform per cell of each child grid, row-major, children of
-        dead parents included (they get probability 0)."""
+        dead parents included (they get probability 0); returned in stacked
+        (row, col) order."""
         reps = len(states)
         alive = np.zeros((reps * side, side), dtype=bool)
-        alive[rows, cols] = True
+        alive[cells[:, 0], cells[:, 1]] = True
         alive = alive.reshape(reps, side, side)
         # Bands of whole parent rows of every replicate keep each row-major stream.
         step = max(1, _BLOCK_CELLS // (reps * self.b * self.b * side))
@@ -387,17 +420,14 @@ class ModelSampler:
             )
             for p in range(0, side, step)
         )
-        return (*np.divmod(_hits(states, bands, child * child), child), child * child)
+        return _grid_cells(_hits(states, bands, child * child), child), child * child
 
-    def _dcsd_children(self, rows, cols, side, states, active):
-        """One uniform per candidate child of a realized parent, parent-major."""
+    def _dcsd_children(self, cells, side, states, active):
+        """One uniform per candidate child of a realized parent; the children
+        come parent-major, each block row-major, and are not sorted."""
         examined = active * (self.b * self.b)
         uniforms = stream_uniforms(states, examined, 0)
-        rows, cols = expand_active(rows, cols, uniforms, self.cfg.theta.flat, self.b)
-        # parent-major children in (row, col) order by a stable sort on the row
-        # alone; a flat row * side + col key overflows once the side is 2**32
-        order = rows.argsort(kind="stable")
-        return rows[order], cols[order], examined
+        return expand_active(cells, self.b, uniforms, self.cfg.theta.flat), examined
 
     # gp's tied levels are dcsd's: no placement measured beat drawing there.
     _CHILDREN = {
@@ -415,22 +445,37 @@ class ModelSampler:
         realized final-level cell's replicate, row and column, replicates in
         order and each one's cells in (row, col) order, before the edge-mode
         filter, and a ``(replicates, levels, 3)`` array of ``(level,
-        rvs_examined, rvs_active)`` records.  Callers check the arguments
-        and the dense cap.
+        rvs_examined, rvs_active)`` records.  ``dcsd`` and tied ``gp`` keep
+        their tied levels parent-major and sort once, after the last.
+        Callers check the arguments and the dense cap.
         """
         reps = len(states)
-        rows, cols, levels = self._level0(strategy, states[:, 0])
+        cells, levels = self._level0(strategy, states[:, 0])
         side = self.b**levels
         examined = side * side
+        last = self.cfg.levels - levels
         records = []
-        for lam in range(self.cfg.levels - levels + 1):
+        for lam in range(last + 1):
             if lam:
-                rows, cols, examined = self._CHILDREN[strategy](
-                    self, rows, cols, side, states[:, lam], active
+                cells, examined = self._CHILDREN[strategy](
+                    self, cells, side, states[:, lam], active
                 )
                 side *= self.b
-            # each replicate's cells: its stretch of the ascending stacked rows
-            active = rows.size if reps == 1 else np.diff(rows.searchsorted(np.arange(reps + 1) * side))
+            rows, cols = cells[:, 0], cells[:, 1]
+            # parent-major children: each replicate's cells are contiguous
+            # and in order, but their rows are not sorted until the last level
+            shuffled = lam > 0 and strategy in (Strategy.DCSD, Strategy.GP)
+            if shuffled and lam == last:
+                rows, cols = _sorted_cells(rows, cols, reps, side)
+                shuffled = False
+            if reps == 1:
+                active = rows.size
+            elif shuffled:
+                # the replicate index ascends though the rows do not
+                active = np.diff((rows // side).searchsorted(np.arange(reps + 1)))
+            else:
+                # each replicate's stretch of the ascending stacked rows
+                active = np.diff(rows.searchsorted(np.arange(reps + 1) * side))
             records.append((lam, examined, active))
         if reps == 1:
             # object records past 2**63 (whole-grid gp's level 0 may be larger)

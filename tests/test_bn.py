@@ -163,6 +163,21 @@ def test_ancestral_sampling_three_levels():
             assert trace_bn == trace_ci
 
 
+def test_ancestral_sampling_peak_memory_per_last_level_cell():
+    # 4**11 last-level cells: a level holds its uniforms and probabilities
+    # (8 bytes each per cell) and two levels' values, no repeated parents or
+    # tiled tables
+    cfg = make_config([[0.9, 0.7], [0.5, 0.3]], 11, 1)
+    bn = build_bn(cfg)
+    tracemalloc.start()
+    try:
+        ancestral_sample(bn, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * bn.side(cfg.tied_levels) ** 2, peak
+
+
 def test_ancestral_sampling_refuses_above_the_dense_cap_without_allocating():
     bn = build_bn(make_config([[0.5, 0.5], [0.5, 0.5]], 14, 1))
     assert bn.node_count > DEFAULT_DENSE_CAP

@@ -28,7 +28,7 @@ from kronnet import (
     sample,
 )
 from kronnet.output import dump_json, trace_to_dict, write_edgelist
-from kronnet.rng import level_states
+from kronnet.rng import level_rng, level_states
 from kronnet.samplers import expand_active, stream_levels
 
 ALL_STRATEGIES = list(Strategy)
@@ -70,16 +70,16 @@ PINNED_DIGESTS = {
     ("plain6", "gp"): "3ab115a614521212c4e615a633c03f161d22ffff0efcc47bce11ccab3e982f21",
     ("theta3", "naive"): "ce927a5506544db732a189ac97d6a3256fd756805276ea2abd713597ab6c74cd",
     ("theta3", "ci"): "8a4732d2a2157ebfdf9a7bcd87ad6e305ddbfb5acde40a543d3a0241d55efc98",
-    ("theta3", "dcsd"): "54fcb5f9322054c24924a21f5283103f49fa8317db71efd544ccd3e58905497c",
-    ("theta3", "gp"): "44c7081ca2b7e2435fbf198e468c74c9234b932e26a9c7d82eea2b58d647eabf",
+    ("theta3", "dcsd"): "425cb4ffc727adf2231f3de8aaf0625c79c95eba1fc22f9557d1eca139793449",
+    ("theta3", "gp"): "c02d3f5423e3d8d88ce79a2e43f0628a30d417be72fcd74d78831e1544091d9e",
     ("tied9", "naive"): "4414f10e040cb709abbf08626a34e5c74c64d3d7209888311eb63efebe4db03f",
     ("tied9", "ci"): "8ab7b57c29ab216e25319e0486fee7cbbcd1b630e75160fed7544daddf38bbd6",
-    ("tied9", "dcsd"): "9322c01a19600a67d86f3a19d67a7f28f8e6893524a497218132506f6a88ff5b",
-    ("tied9", "gp"): "89aa17c77011046a6af290a145a67cc4674c337070327812fa5df11ceeb2cb7a",
+    ("tied9", "dcsd"): "3dd498e1f01efdea59de6f3984c31dcb135e9c86357c8e216901f8d3532515cb",
+    ("tied9", "gp"): "91ee80e12c433008b145e2e01aff04e97474495d611164660f3c0f5de8a3f2ea",
     ("undirected", "naive"): "f53981fb84a9f76f0001058a2a81fee26522269361ef5f62580e1ca26be5725f",
     ("undirected", "ci"): "529d95d4d43d5dc1d82a3331373391ca0697a955571bbd88be8b516c2f402c41",
-    ("undirected", "dcsd"): "55950ba40637f4e18654d2466a71946d3bbe1c0d84b686a6686447e6718c4d79",
-    ("undirected", "gp"): "c2908ccea82033df2a4695f7862bd1ffb6d85cb13cb50895322d8ff765cf84fd",
+    ("undirected", "dcsd"): "3dadf362412f7389638369587e529effd8cd0183eac270a21a794d9867a6cd60",
+    ("undirected", "gp"): "569f305bc27a0835bbece89daf4c91b030cd91d546283d19fffe965f9415d444",
     ("loopfree", "naive"): "86b3e76a02dbdb4a1ec197ce0de62e7eab1f64950663f9371fda4a9996bfd184",
     ("loopfree", "ci"): "be9916f2c898e0b128cefd7449e1bf072b579ae69f9686907b2af54f75b4862e",
     ("loopfree", "dcsd"): "2903058c0d1d97384f2b5870acca8bbee4a2fdfee4a2c4a18a7dabc8c2965527",
@@ -461,15 +461,11 @@ def test_override_with_natural_cells_reproduces_run(worked_cfg):
     level0, _ = ModelSampler(untied).run(Strategy.DCSD, 123)
     assert level0.edge_count == trace.per_level[0].rvs_active
     # Its children from level 1's stream, in (row, col) order, are the run.
-    rows, cols, examined = engine._dcsd_children(
-        level0.edges[:, 0],
-        level0.edges[:, 1],
-        level0.n_nodes,
-        level_states(123, 2)[:, 1],
-        level0.edge_count,
+    cells, examined = engine._dcsd_children(
+        level0.edges, level0.n_nodes, level_states(123, 2)[:, 1], level0.edge_count
     )
-    order = np.argsort(rows, kind="stable")
-    np.testing.assert_array_equal(net.edges, np.column_stack([rows, cols])[order])
+    order = np.lexsort((cells[:, 1], cells[:, 0]))
+    np.testing.assert_array_equal(net.edges, cells[order])
     assert trace.per_level[1].rvs_examined == examined == 4 * level0.edge_count
     assert trace.per_level[1].rvs_active == net.edge_count
 
@@ -580,7 +576,7 @@ def test_gp_matches_binomial_thinning_oracle():
     cfg = make_config([[0.9, 0.7], [0.5, 0.3]], 2, 1)
     engine = ModelSampler(cfg)
     # level-0 cells (0,0) and (1,1) of the 2x2 grid
-    parents = np.array([0, 1], dtype=np.int64)
+    parents = np.array([[0, 0], [1, 1]], dtype=np.int64)
     reps = 4000
     values = [0.9, 0.7, 0.5, 0.3]
     hists = {}
@@ -589,7 +585,8 @@ def test_gp_matches_binomial_thinning_oracle():
         children = engine._CHILDREN[strategy]
         for rep in range(reps):
             # the level-1 cells, drawn from level 1's stream as a run would
-            rows, cols, _ = children(engine, parents, parents, 2, level_states(rep, 2)[:, 1], 2)
+            cells, _ = children(engine, parents, 2, level_states(rep, 2)[:, 1], 2)
+            rows, cols = cells.T
             per_value = Counter()
             for r, c in zip(rows.tolist(), cols.tolist()):
                 per_value[cfg.theta.entries[r % 2, c % 2]] += 1
@@ -610,14 +607,15 @@ def test_gp_placement_uniform_across_parents():
     cfg = make_config([[0.9, 0.7], [0.5, 0.3]], 2, 1)
     engine = ModelSampler(cfg)
     # level-0 cells (0,0) and (1,1) of the 2x2 grid
-    parents = np.array([0, 1], dtype=np.int64)
+    parents = np.array([[0, 0], [1, 1]], dtype=np.int64)
     chosen = Counter()
     reps = 6000
     for rep in range(reps):
         # the level-1 cells, drawn from level 1's stream as a run would
-        rows, cols, _ = engine._CHILDREN[Strategy.GP](
-            engine, parents, parents, 2, level_states(rep, 2)[:, 1], 2
+        cells, _ = engine._CHILDREN[Strategy.GP](
+            engine, parents, 2, level_states(rep, 2)[:, 1], 2
         )
+        rows, cols = cells.T
         hits = [
             (r // 2, c // 2)
             for r, c in zip(rows.tolist(), cols.tolist())
@@ -660,6 +658,95 @@ def test_tied_gp_draws_as_dcsd(theta, levels, untied):
         np.testing.assert_array_equal(gp_net.edges, dcsd_net.edges)
         assert gp_trace.per_level == dcsd_trace.per_level
         assert gp_net.edge_count > 0
+
+
+def pruned_reference(cfg, seed):
+    """``dcsd``'s draw order in plain Python: the kept edges and the trace.
+
+    Level 0 draws one uniform per cell of its grid, row-major, from
+    ``level_rng(seed, 0)``; a cell's probability is the product of its
+    digits' seed entries, outermost first, as ``kronecker_power`` builds it.
+    Each tied level ``lam`` then visits the previous level's cells in the
+    order they were made (parent-major, never re-sorted), and each draws
+    b*b uniforms from ``level_rng(seed, lam)``, its block row-major.  The
+    last level's cells are sorted once and filtered by the edge mode.
+    """
+    b, theta = cfg.b, cfg.theta.entries.tolist()
+    side = b**cfg.untied_levels
+    uniforms = level_rng(seed, 0).random(side * side).tolist()
+    cells = []
+    for row in range(side):
+        for col in range(side):
+            prob = 1.0
+            for d in reversed(range(cfg.untied_levels)):
+                prob *= theta[row // b**d % b][col // b**d % b]
+            if uniforms[row * side + col] < prob:
+                cells.append((row, col))
+    trace = [(0, side * side, len(cells))]
+    for lam in range(1, cfg.tied_levels + 1):
+        uniforms = iter(level_rng(seed, lam).random(len(cells) * b * b).tolist())
+        children = [
+            (row * b + dr, col * b + dc)
+            for row, col in cells
+            for dr in range(b)
+            for dc in range(b)
+            if next(uniforms) < theta[dr][dc]
+        ]
+        trace.append((lam, len(cells) * b * b, len(children)))
+        cells = children
+    edges = [
+        (row, col)
+        for row, col in sorted(cells)
+        if (row < col if not cfg.directed else cfg.self_loops or row != col)
+    ]
+    return edges, trace
+
+
+_ASYMMETRIC_THETA3 = [[0.9, 0.4, 0.1], [0.6, 0.5, 0.2], [0.3, 0.8, 0.7]]
+
+
+@pytest.mark.parametrize("strategy", [Strategy.DCSD, Strategy.GP])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        pytest.param(make_config(_WORKED_THETA, 4, 2), id="b2-two-tied"),
+        pytest.param(make_config(_WORKED_THETA, 5, 2), id="b2-three-tied"),
+        pytest.param(make_config(_ASYMMETRIC_THETA3, 4, 2, self_loops=False), id="b3-loop-free"),
+        pytest.param(make_config(_ASYMMETRIC_THETA3, 5, 2, directed=False), id="b3-undirected"),
+    ],
+)
+def test_pruned_runs_equal_the_draw_order_reference(cfg, strategy):
+    engine = ModelSampler(cfg)
+    for seed in (0, 7, 2026):
+        net, trace = engine.run(strategy, seed)
+        edges, levels = pruned_reference(cfg, seed)
+        assert net.edges.tolist() == [list(edge) for edge in edges]
+        assert [dataclasses.astuple(entry) for entry in trace.per_level] == levels
+        assert len(levels) >= 3 and edges
+
+
+@pytest.mark.parametrize(
+    "reps,side",
+    [
+        pytest.param(1, 2**31, id="2**62"),
+        pytest.param(2, 2**31, id="2**63"),
+        pytest.param(3, 2**31, id="3*2**62"),
+        pytest.param(1, 2**32, id="2**64"),
+    ],
+)
+def test_final_sort_orders_cells_at_the_int64_boundary(reps, side):
+    # Parent-major children of parents near the top of a stack of side-2**31
+    # or 2**32 grids: flat keys row * side + col reach 2**63 - 1 up to
+    # reps * side**2 = 2**63, and would overflow beyond it.
+    rng = np.random.default_rng(side + reps)
+    parents = np.stack(
+        [reps * side // 2 - 1 - rng.permutation(40), side // 2 - 1 - rng.permutation(40)], axis=1
+    )
+    cells = expand_active(parents, 2, rng.random(160), np.full(4, 0.6))
+    want = sorted(map(tuple, cells.tolist()))
+    assert len(set(want)) == len(want) > 50 and cells.tolist() != [list(c) for c in want]
+    rows, cols = samplers_mod._sorted_cells(cells[:, 0], cells[:, 1], reps, side)
+    assert list(zip(rows.tolist(), cols.tolist())) == want
 
 
 def test_grouped_draw_skips_placement_for_zero_counts(monkeypatch, worked_cfg):
@@ -793,25 +880,22 @@ def expand_active_reference(rows, cols, uniforms, theta_flat, b):
 @pytest.mark.parametrize("b,seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
 def test_expand_active_matches_reference(b, seed):
     rows, cols, uniforms, theta_flat = random_case(seed, n_active=50, b=b)
-    r, c = expand_active(rows, cols, uniforms, theta_flat, b)
+    r, c = expand_active(np.stack((rows, cols), axis=1), b, uniforms, theta_flat).T
     ref_r, ref_c = expand_active_reference(rows, cols, uniforms, theta_flat, b)
     assert r.tolist() == ref_r and c.tolist() == ref_c
 
 
 def test_expand_active_empty_input():
-    empty = np.empty(0, dtype=np.int64)
-    r, c = expand_active(
-        empty, empty, np.empty(0), np.array([0.5, 0.5, 0.5, 0.5]), 2
-    )
+    empty = np.empty((0, 2), dtype=np.int64)
+    r, c = expand_active(empty, 2, np.empty(0), np.array([0.5, 0.5, 0.5, 0.5])).T
     assert r.size == 0 and c.size == 0
 
 
 def test_expand_active_oracle_tiny():
     # one parent at (1, 2), thresholds hand-picked around the uniforms
-    rows = np.array([1], dtype=np.int64)
-    cols = np.array([2], dtype=np.int64)
+    cells = np.array([[1, 2]], dtype=np.int64)
     theta_flat = np.array([0.9, 0.1, 0.6, 0.4])
     uniforms = np.array([0.5, 0.05, 0.7, 0.39])
     # kept offsets: 0 (0.5 < 0.9), 1 (0.05 < 0.1), 3 (0.39 < 0.4)
-    r, c = expand_active(rows, cols, uniforms, theta_flat, 2)
+    r, c = expand_active(cells, 2, uniforms, theta_flat).T
     assert list(zip(r.tolist(), c.tolist())) == [(2, 4), (2, 5), (3, 5)]

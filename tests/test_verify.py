@@ -441,6 +441,21 @@ def test_run_block_stacks_in_row_blocks_match_oracle(monkeypatch, worked_cfg, bl
         _assert_block_equal(got, expected[strategy])
 
 
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("strategy", [Strategy.DCSD, Strategy.GP])
+def test_run_block_stacks_at_three_tied_levels_match_oracle(monkeypatch, strategy, route):
+    # K = 5, ell = 2: stacks of up to 64 replicates of 1,024 cells whose
+    # second and third tied levels take parent-major parents, so a stack
+    # must keep each replicate's cells contiguous and in order
+    cfg = make_config([[0.9, 0.7], [0.5, 0.3]], 5, 2)
+    block = verify_mod._STRATEGY_BLOCK[strategy]
+    seeds = [replicate_seed(9, block, i) for i in range(150)]
+    expected = _run_block_oracle(cfg, strategy, seeds, 1 << 26, True)
+    _take_route(monkeypatch, route)
+    got = verify_mod._run_block(cfg, strategy, 9, 0, 150, 1 << 26, True)
+    _assert_block_equal(got, expected)
+
+
 def test_run_block_rejects_duplicate_cells(monkeypatch, worked_cfg):
     # stacks of one replicate, as run samples; larger stacks have their own tests
     monkeypatch.setattr(verify_mod, "_CHUNK_CELLS", 1)
@@ -732,12 +747,12 @@ PINNED_COLLECT_DIGESTS = {
     ("worked", "gp"): "b5ba5713c8597e214a1886b1dcfed49af40deba6de6e661906318e25e6b99419",
     ("worked-K4-ell1", "naive"): "5e476d01ef5db1f787a592540eea69338892f44cff380b508f5729ff810f6d9e",
     ("worked-K4-ell1", "ci"): "388b9a8fe0d75a49da6bac1b29d4256a8c7df7b2488527e0c1373ebff09daf12",
-    ("worked-K4-ell1", "dcsd"): "3e3faf5acae7576a86fdabac4bc455dbf1286a5dc6b37e583e53cf4d732ba9f8",
-    ("worked-K4-ell1", "gp"): "d6be04e3c90ea713ecc0698433f5ca2a5cde4e8f83ddfc24950dcc3219f7d3a3",
+    ("worked-K4-ell1", "dcsd"): "6e6f33178d54578945764d3d6a4fa7989dcab3b06557107bcce6247e36183f0e",
+    ("worked-K4-ell1", "gp"): "bf86e6df42210c09a0a69bc79060a5a775a6219918f446127863625d5f58b221",
     ("theta3-K3-ell1", "naive"): "5f9386acdc942949ee2d82abd08dac9207f9ca01ee8585b0891bda9979118803",
     ("theta3-K3-ell1", "ci"): "ce784514127a5715f59c5020bc5bdbe283b3c71bb0e2fa18f50ecf15d588c03b",
-    ("theta3-K3-ell1", "dcsd"): "665a23adb7122b4875e39e330820cc40da8fdac2057d36c48a03a24562598881",
-    ("theta3-K3-ell1", "gp"): "d23e9e0a305f1ff6726005ee473bf4b95ac660172b1f1c3c56340e93a69b23c5",
+    ("theta3-K3-ell1", "dcsd"): "41f73df6b5c5ee31073632c8529c7f63e539f57b0a4d600c93cf68b46112c29a",
+    ("theta3-K3-ell1", "gp"): "56f050c35c17a49fbc84fdf7191671724db4b3fe2c18ac0500155a880cf517ef",
     ("worked-undirected", "naive"): "fca5ca375475fdc5b8273c3894361b3c16f5da55772a23b833c27cc8433b6d02",
     ("worked-undirected", "ci"): "5fb9937dacd9fb3e66fb37c00843a419d35ff1a817d8af8a303e04b8d9368136",
     ("worked-undirected", "dcsd"): "5b308b26f0c048eb016342b66fb59eb8f3ba03f809a7c2d0ca35aa9df6109bdf",
