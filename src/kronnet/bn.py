@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import DEFAULT_DENSE_CAP, ModelConfig, check_int
 from .errors import BadArgs, CapExceeded, IndexOutOfRange
-from .kron import kronecker_power
+from .kron import _digit_product, kronecker_power
 from .rng import check_seed, level_rng
 from .samplers import LevelTrace, SampleTrace, SampledNetwork, Strategy, finalize_edges
 
@@ -109,10 +109,7 @@ class BayesNet:
         level, row, col = self._check_id(node_id)
         b = self.cfg.b
         if level == 0:
-            # one theta factor per untied digit, outermost first, as kronecker_power multiplies
-            prior = 1.0
-            for shift in reversed(range(self.cfg.untied_levels)):
-                prior *= float(self.cfg.theta.entries[row // b**shift % b, col // b**shift % b])
+            prior = _digit_product(self.cfg.theta, row, col, self.cfg.untied_levels)
             return BnNode((0, row, col), None, prior, None, None)
         p0, p1 = self.tables[level - 1, :, row % b, col % b]
         return BnNode((level, row, col), (level - 1, row // b, col // b), None, float(p1), float(p0))

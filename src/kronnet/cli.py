@@ -117,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument(
         "--k",
         default=None,
-        help="comma-separated total level counts to sweep (default: config K)",
+        help="comma-separated total level counts to sweep (default: config K); "
+        "a plain config (ell == K) stays plain, a tied one keeps its ell",
     )
     ben.add_argument(
         "--strategies",
@@ -321,7 +322,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for strategy in strategies:
             point: dict[str, Any] = {"k": levels, "strategy": strategy.value}
             try:
-                point_cfg = dataclasses.replace(cfg, levels=levels)
+                untied = levels if cfg.tied_levels == 0 else cfg.untied_levels
+                point_cfg = dataclasses.replace(cfg, levels=levels, untied_levels=untied)
                 engine = ModelSampler(point_cfg, dense_cap=args.cap)
                 engine.run(strategy, seed)  # warm-up
                 best = float("inf")

@@ -1,14 +1,16 @@
 """Grouping cells by shared probability for collective binomial sampling.
 
-Used by the whole-grid ``gp`` strategy on the untied model.  A cell's
-probability is the product of one seed value per level, so it depends only
-on how many levels pick each distinct value (``theta_value_classes``).
-Exponent multisets over the distinct values enumerate the possible
-products; equal float products are merged (``grid_groups``).  Cells inside
-a group are addressed by an exact integer rank, so group membership is
-never materialized; :class:`GridUnranker` maps all the ranks drawn in one
-run to their cells with one pass of int64 array arithmetic.  Tied levels
-are not grouped: ``gp`` draws them exactly as ``dcsd`` does.
+Used by ``gp`` to draw level 0 when its untied grid is large, on the plain
+and the tied model alike (``grid_groups`` of the config cut to its untied
+levels).  A cell's probability is the product of one seed value per level,
+so it depends only on how many levels pick each distinct value
+(``theta_value_classes``).  Exponent multisets over the distinct values
+enumerate the possible products; equal float products are merged
+(``grid_groups``).  Cells inside a group are addressed by an exact integer
+rank, so group membership is never materialized; :class:`GridUnranker`
+maps all the ranks drawn in one run to their cells with one pass of int64
+array arithmetic.  Tied levels are not grouped: ``gp`` draws them exactly
+as ``dcsd`` does.
 """
 
 from __future__ import annotations
@@ -100,10 +102,9 @@ def _exponent_multisets(total: int, parts: int):
             yield (first,) + rest
 
 
-def grid_groups(
-    cfg: ModelConfig, *, group_cap: int = DEFAULT_GROUP_CAP
-) -> tuple[tuple[ValueClass, ...], tuple[ProbabilityGroup, ...]]:
-    """Probability groups covering the whole untied grid.
+def grid_groups(cfg: ModelConfig) -> tuple[tuple[ValueClass, ...], tuple[ProbabilityGroup, ...]]:
+    """Probability groups covering the whole ``levels``-fold grid, as if
+    every level were untied.
 
     Returns the value classes (fixing class indices used by descriptors) and
     the groups sorted by descending probability.  Descriptors whose float
@@ -111,14 +112,14 @@ def grid_groups(
     exactly (side*side)**levels cells.
 
     Raises:
-        GroupCapExceeded: more exponent multisets than ``group_cap``.
+        GroupCapExceeded: more exponent multisets than ``DEFAULT_GROUP_CAP``.
     """
     classes = theta_value_classes(cfg.theta)
     m = len(classes)
     n_multisets = math.comb(cfg.levels + m - 1, m - 1)
-    if n_multisets > group_cap:
+    if n_multisets > DEFAULT_GROUP_CAP:
         raise GroupCapExceeded(
-            f"{n_multisets} exponent multisets exceed the group cap {group_cap}"
+            f"{n_multisets} exponent multisets exceed the group cap {DEFAULT_GROUP_CAP}"
         )
     merged: dict[float, list[ExponentDescriptor]] = {}
     for exponents in _exponent_multisets(cfg.levels, m):

@@ -105,13 +105,25 @@ def row_blocks(theta: ThetaMatrix, levels: int, max_cells: int) -> Iterator[np.n
         yield block
 
 
+def _digit_product(theta: ThetaMatrix, row: int, col: int, levels: int) -> float:
+    """Product of the seed entries that the ``levels`` base-``side`` digits
+    of (row, col) select, outermost first, as ``kronecker_power`` multiplies
+    them, so the two agree bit for bit."""
+    b = theta.side
+    ent = theta.entries
+    prob = 1.0
+    for shift in reversed(range(levels)):
+        scale = b**shift
+        prob *= float(ent[row // scale % b, col // scale % b])
+    return prob
+
+
 def edge_prob(cfg: ModelConfig, row: int, col: int) -> float:
     """Probability of cell (row, col) under the untied model.
 
-    Computed as the product of one seed entry per level selected by the
-    base-``side`` digits of the indices, without materializing the grid.
-    The product of ``levels`` floats carries a worst-case relative error
-    of about ``levels`` times machine epsilon.
+    The product of one seed entry per level selected by the base-``side``
+    digits of the indices, multiplied outermost first without materializing
+    the grid: bit for bit the entry of ``kronecker_power``'s grid.
 
     Raises:
         IndexOutOfRange: an index lies outside [0, n_nodes).
@@ -119,15 +131,7 @@ def edge_prob(cfg: ModelConfig, row: int, col: int) -> float:
     n = cfg.n_nodes
     if not (0 <= row < n) or not (0 <= col < n):
         raise IndexOutOfRange(f"cell ({row}, {col}) outside [0, {n})^2")
-    b = cfg.b
-    ent = cfg.theta.entries
-    prob = 1.0
-    r, c = row, col
-    for _ in range(cfg.levels):
-        r, rd = divmod(r, b)
-        c, cd = divmod(c, b)
-        prob *= float(ent[rd, cd])
-    return prob
+    return _digit_product(cfg.theta, row, col, cfg.levels)
 
 
 def ci_rv_count(cfg: ModelConfig) -> int:

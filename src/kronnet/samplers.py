@@ -15,10 +15,11 @@ stack of one; the verification harness sends stacks of many.
   2**20 cells of the dense untied product, each against a (replicates,
   block) slab of uniforms.  Engines keep the blocks of grids of at most
   2**24 cells, with the same draws either way, and the sweep refuses rows
-  wider than 2**24 cells before allocating them.  On the plain model ``gp``
-  draws each replicate's whole-grid probability groups instead, one
-  binomial count per group, unless the grouping exceeds the fixed cap of
-  ``grid_groups``.
+  wider than 2**24 cells before allocating them.  On an untied grid of at
+  least ``_GROUP_CELLS`` = 2**21 cells ``gp`` draws each replicate's
+  probability groups of that grid instead, one binomial count per group,
+  unless the grouping exceeds the fixed cap of ``grid_groups``; the plain
+  model is the case with no tied levels after it.
 * Each tied level replaces every realized cell with a side x side block of
   candidates; child (dr, dc) survives with probability ``theta[dr, dc]``,
   and children of unrealized cells never do.  The level loop carries a
@@ -31,19 +32,20 @@ stack of one; the verification harness sends stacks of many.
 
 The strategies differ only in which of a level's RVs they touch: ``ci``
 every candidate, dead parents included; ``dcsd`` only children of realized
-cells; ``gp`` draws its tied levels exactly as ``dcsd`` and groups only on
-the whole grid (placing a seed-value class on a tied level instead of
-drawing it cost 1.04-1.39x the run at every value measured, 0.02-0.3 on
-b = 2 and b = 4 seeds); ``naive`` has no tied levels.  The last level's
+cells; ``gp`` draws its tied levels exactly as ``dcsd`` and groups only
+level 0 (placing a seed-value class on a tied level instead of drawing it
+cost 1.04-1.39x the run at every value measured, 0.02-0.3 on b = 2 and
+b = 4 seeds); ``naive`` has no tied levels.  The last level's
 cells are the edges, filtered by the directed / self-loop mode, which never
 alters sampling.
 
 Each level draws from its own stream in a documented order (cells row-major;
 pruned candidates parent-major with blocks row-major, parents in the order
-the previous level made them, for ``dcsd`` and ``gp`` alike; whole-grid
+the previous level made them, for ``dcsd`` and ``gp`` alike; level-0
 groups by descending probability, count then placement), so runs are
-reproducible, tied ``gp`` matches ``dcsd`` draw for draw, and the full
-sweep matches the Bayesian-network ancestral sampler draw for draw.
+reproducible, ``gp`` matches ``dcsd`` draw for draw wherever it sweeps
+level 0, and the full sweep matches the Bayesian-network ancestral sampler
+draw for draw.
 Replicate r's level ``lam`` is stream ``states[r, lam]``, read through
 ``rng.stream_uniforms`` whole or in pieces, so a stack draws what its
 replicates draw alone.
@@ -51,7 +53,7 @@ replicates draw alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cache, cached_property
 from typing import Iterable
@@ -75,6 +77,16 @@ _CACHE_CELLS = 1 << 24
 # (plain K = 25 at b = 2 is the first): a block holds at least one row, so a
 # wider row would be allocated whole before its first draw.
 _MAX_ROW_CELLS = 1 << 24
+# ``gp`` groups level 0 when its untied grid has at least this many cells
+# and sweeps it below: grouping pays one binomial count per group and an
+# unranking pass per run, which a small grid's sweep undercuts.  gp / dcsd
+# time with every grid grouped, best of 5 runs of seed 0 on the worked seed
+# [[0.9, 0.7], [0.5, 0.3]], plain K = ell (2 vCPUs, numpy 2.4): 17x at
+# 2**12 cells, 3.6x at 2**18, 1.68x at 2**20, 0.77x at 2**22, 0.46x at
+# 2**24.  Re-measure with this constant set to 0 and a plain config
+# plain.json of that seed:
+#   kronnet bench --config plain.json --k 9,10,11,12 --strategies dcsd,gp
+_GROUP_CELLS = 1 << 21
 
 
 def _hits(states: np.ndarray, blocks: Iterable[np.ndarray], cells: int) -> np.ndarray:
@@ -169,7 +181,7 @@ def _grouped_draw(size: int, prob: float, stream: np.random.Generator) -> np.nda
     rank when ``prob`` is 1, since placement would still consume draws.
     """
     if prob == 0.0:
-        # A zero group of the whole grid may hold more than 2**63 cells,
+        # A zero group of a large grid may hold more than 2**63 cells,
         # beyond what binomial_draw accepts.
         return np.empty(0, dtype=np.int64)
     count = binomial_draw(size, prob, stream)
@@ -284,7 +296,8 @@ def check_dense_cap(cfg: ModelConfig, strategy: Strategy, cap: int) -> None:
 
 def stream_levels(cfg: ModelConfig, strategy: Strategy) -> int:
     """Level streams a run reads: level 0's alone for ``naive`` (and for
-    whole-grid ``gp``, which has no tied level), else one per tied level too."""
+    any strategy on the plain model, which has no tied level), else one per
+    tied level too."""
     return 1 if strategy is Strategy.NAIVE else cfg.tied_levels + 1
 
 
@@ -321,7 +334,7 @@ class ModelSampler:
     """Reusable sampling engine for one configuration.
 
     Caches the level-0 probability blocks (per level count, for grids of at
-    most 2**24 cells) and, on the first ``gp`` run, the whole-grid
+    most 2**24 cells) and, on the first ``gp`` run, the level-0
     probability groups, so repeated runs (verification, benchmarks) avoid
     redundant setup.  ``dense_cap`` only sets where ``naive`` and ``ci``
     refuse.
@@ -363,29 +376,32 @@ class ModelSampler:
 
     @cached_property
     def _grid_tables(self):
-        """Whole-grid groups for ``gp`` and their ``GridUnranker``, or None to
-        sweep level 0 instead: on a tied model, or when the grouping is above
-        the fixed cap of ``grid_groups``.  Decided once per engine.
+        """Groups of the untied grid for ``gp`` and their ``GridUnranker``,
+        or None to sweep level 0 instead: below ``_GROUP_CELLS`` cells, or
+        when the grouping is above the fixed cap of ``grid_groups``.  Decided
+        once per engine, from the config alone.
         """
-        if self.cfg.tied_levels:
+        untied = self.cfg.untied_levels
+        if self.b ** (2 * untied) < _GROUP_CELLS:
             return None
         try:
-            classes, groups = grid_groups(self.cfg)
+            classes, groups = grid_groups(replace(self.cfg, levels=untied))
         except GroupCapExceeded:
             return None
-        return groups, GridUnranker(classes, groups, self.cfg.levels, self.b)
+        return groups, GridUnranker(classes, groups, untied, self.b)
 
     def _level0(self, strategy: Strategy, states: np.ndarray):
         """Level 0's realized cells of a stack as an ``(m, 2)`` array in
-        stacked (row, col) order, and its level count.  Whole-grid ``gp``
-        draws each replicate's groups by descending probability from its
-        stream's generator, each a count then a placement, and unranks them
-        in one array pass; other runs sweep all ``levels`` (``naive``) or the
-        untied ones.
+        stacked (row, col) order, and its level count.  Grouped ``gp`` draws
+        each replicate's groups of the untied grid by descending probability
+        from its stream's generator, each a count then a placement, and
+        unranks them in one array pass; other runs sweep all ``levels``
+        (``naive``) or the untied ones.
         """
+        levels = self.cfg.levels if strategy is Strategy.NAIVE else self.cfg.untied_levels
+        side = self.b**levels
         if strategy is Strategy.GP and self._grid_tables is not None:
             groups, unranker = self._grid_tables
-            side = self.b**self.cfg.levels
             cells = []
             for r, state in enumerate(states):
                 stream = stream_from_state(state)
@@ -393,9 +409,8 @@ class ModelSampler:
                 rows, cols = unranker.cells(drawn)
                 cells.append((rows + r * side, cols))
             rows, cols = map(np.concatenate, zip(*cells))
-            return np.stack(_sorted_cells(rows, cols, len(states), side), axis=1), self.cfg.levels
-        levels = self.cfg.levels if strategy is Strategy.NAIVE else self.cfg.untied_levels
-        return _grid_cells(self._sweep(states, levels), self.b**levels), levels
+            return np.stack(_sorted_cells(rows, cols, len(states), side), axis=1), levels
+        return _grid_cells(self._sweep(states, levels), side), levels
 
     # -- tied-level children: each takes a stack's previous-level cells as an
     # (m, 2) array, replicates in order, that level's side, the level's
@@ -478,7 +493,7 @@ class ModelSampler:
                 active = np.diff(rows.searchsorted(np.arange(reps + 1) * side))
             records.append((lam, examined, active))
         if reps == 1:
-            # object records past 2**63 (whole-grid gp's level 0 may be larger)
+            # object records past 2**63 (a grouped level 0 may be larger)
             return np.zeros(rows.size, dtype=np.int64), rows, cols, np.array([records])
         trace = np.empty((reps, len(records), 3), dtype=np.int64)
         for lam, record in enumerate(records):

@@ -1,5 +1,6 @@
 import pytest
 
+import kronnet.samplers as samplers_mod
 from kronnet import make_config
 
 
@@ -14,3 +15,10 @@ def theta3_cfg():
     """3x3 parameter matrix, 2 levels, 1 untied."""
     rows = [[0.9, 0.6, 0.3], [0.6, 0.5, 0.2], [0.3, 0.2, 0.1]]
     return make_config(rows, 2, 1)
+
+
+@pytest.fixture
+def group_every_grid(monkeypatch):
+    """``gp`` groups level 0 on untied grids of every size, so grids small
+    enough to check cell by cell take the grouped path."""
+    monkeypatch.setattr(samplers_mod, "_GROUP_CELLS", 0)

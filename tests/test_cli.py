@@ -360,6 +360,29 @@ def test_bench_table_and_refusal(cfg_path, tmp_path, capsys):
     assert all("seconds" in r and "rvs_examined" in r for r in ok_rows)
 
 
+def test_bench_k_keeps_plain_configs_plain_and_tied_ell(cfg_path, tmp_path, capsys):
+    # a plain config's points stay plain (ell = k); a tied one keeps ell = 2
+    plain = tmp_path / "plain.json"
+    plain.write_text(
+        json.dumps({"b": 2, "theta": [[0.9, 0.7], [0.5, 0.3]], "K": 6, "ell": 6})
+    )
+    examined = {}
+    for path, name in ((str(plain), "plain"), (cfg_path, "tied")):
+        out = tmp_path / f"{name}.json"
+        args = ["bench", "--config", path, "--seed", "0", "--k", "4,8"]
+        assert main(args + ["--strategies", "ci,dcsd", "--samples", "1", "--out", str(out)]) == 0
+        for row in json.loads(out.read_text()):
+            assert row["status"] == "ok", row
+            examined[name, row["k"], row["strategy"]] = row["rvs_examined"]
+    capsys.readouterr()
+    # the plain model sweeps its whole grid, n**2 cells, under either strategy
+    for k in (4, 8):
+        assert examined["plain", k, "ci"] == examined["plain", k, "dcsd"] == 4**k
+    # ci on the tied model examines every level's grid from the 4x4 untied one
+    assert examined["tied", 4, "ci"] == 16 + 64 + 256
+    assert examined["tied", 8, "ci"] == sum(4 ** (2 + lam) for lam in range(7))
+
+
 def test_bench_rejects_bad_k(cfg_path, capsys):
     assert (
         main(["bench", "--config", cfg_path, "--seed", "0", "--k", "two"]) == 2

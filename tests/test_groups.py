@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kronnet.groups as groups_mod
 from kronnet import (
     BadArgs,
     GridUnranker,
@@ -199,11 +200,14 @@ def test_group_count_formula_distinct_values():
     assert len(groups) == math.comb(5 + 3, 3)
 
 
-def test_group_cap():
+def test_group_cap(monkeypatch):
+    # grid_groups reads the cap when called; it is not a keyword
     cfg = make_config([[0.9, 0.7], [0.5, 0.3]], 5, 1)
+    monkeypatch.setattr(groups_mod, "DEFAULT_GROUP_CAP", 10)
     with pytest.raises(GroupCapExceeded):
-        grid_groups(cfg, group_cap=10)
-    assert len(grid_groups(cfg, group_cap=math.comb(8, 3))[1]) == math.comb(8, 3)
+        grid_groups(cfg)
+    monkeypatch.setattr(groups_mod, "DEFAULT_GROUP_CAP", math.comb(8, 3))
+    assert len(grid_groups(cfg)[1]) == math.comb(8, 3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -296,6 +300,7 @@ def _reference_grid_gp(cfg, seed):
         ([[0.5, 0.0], [0.0, 0.5]], 40),
     ],
 )
+@pytest.mark.usefixtures("group_every_grid")
 def test_grid_gp_matches_scalar_unrank_reference(rows, levels):
     cfg = make_config(rows, levels, levels)
     engine = ModelSampler(cfg)

@@ -240,6 +240,21 @@ def test_edge_prob_matches_dense_at_64_nodes():
             )
 
 
+@pytest.mark.parametrize(
+    "rows,levels",
+    [
+        pytest.param(WORKED_THETA, 7, id="b2-K7"),
+        pytest.param([[0.9, 0.6, 0.3], [0.6, 0.5, 0.2], [0.3, 0.2, 0.1]], 4, id="b3-K4"),
+    ],
+)
+def test_edge_prob_equals_dense_grid_bit_for_bit(rows, levels):
+    # digits multiplied outermost first, as kronecker_power does
+    cfg = make_config(rows, levels, 1)
+    dense = kronecker_power(cfg.theta, levels).probs
+    exact = [[edge_prob(cfg, i, j) for j in range(cfg.n_nodes)] for i in range(cfg.n_nodes)]
+    np.testing.assert_array_equal(np.array(exact), dense)
+
+
 def test_ci_rv_count_overflow():
     cfg = make_config([[0.5, 0.5], [0.5, 0.5]], 35, 1)
     with pytest.raises(Overflow):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom, chi2
 
+import kronnet.groups as groups_mod
 import kronnet.samplers as samplers_mod
 from kronnet import (
     DEFAULT_GROUP_CAP,
@@ -56,9 +57,10 @@ def test_fresh_engine_same_output(worked_cfg, strategy):
 
 # sha256 of the edge list bytes then the trace JSON of seeds 0 and 7, in
 # that order.  naive, ci and dcsd draw only PCG64 uniforms, and so does gp
-# on tied levels; gp's whole-grid digests (plain6, loopfree) also depend on
-# numpy's Generator.binomial and Generator.choice (README "Determinism"), so
-# a numpy release that changes those may move them.
+# wherever it sweeps level 0; gp's grouped digests (plain6, loopfree, run
+# with every grid grouped) also depend on numpy's Generator.binomial and
+# Generator.choice (README "Determinism"), so a numpy release that changes
+# those may move them.
 PINNED_DIGESTS = {
     ("worked", "naive"): "d69cd5f26fed0a555ea5f8ead9a61c68cf405baf20e3ca897f9139662c072e47",
     ("worked", "ci"): "c04b8f6a3e58feb238912f8ff4ead6f295a0899397186952bb458e4c1be43c3a",
@@ -90,16 +92,21 @@ _WORKED_THETA = [[0.9, 0.7], [0.5, 0.3]]
 
 PINNED_CONFIGS = {
     "worked": make_config(_WORKED_THETA, 3, 2),
-    "plain6": make_config(_WORKED_THETA, 6, 6),  # whole-grid gp
+    "plain6": make_config(_WORKED_THETA, 6, 6),
     "theta3": make_config([[0.9, 0.6, 0.3], [0.6, 0.5, 0.2], [0.3, 0.2, 0.1]], 4, 2),
     "tied9": make_config(_WORKED_THETA, 9, 3),  # six tied levels
     "undirected": make_config(_WORKED_THETA, 4, 2, directed=False),
-    "loopfree": make_config(_WORKED_THETA, 5, 5, self_loops=False),  # whole-grid gp
+    "loopfree": make_config(_WORKED_THETA, 5, 5, self_loops=False),
 }
+
+# pins of gp's grouped level 0, on grids below _GROUP_CELLS
+GROUPED_PINS = {("plain6", "gp"), ("loopfree", "gp")}
 
 
 @pytest.mark.parametrize("name,strategy", sorted(PINNED_DIGESTS))
-def test_output_bytes_pinned_seed_for_seed(name, strategy):
+def test_output_bytes_pinned_seed_for_seed(request, name, strategy):
+    if (name, strategy) in GROUPED_PINS:
+        request.getfixturevalue("group_every_grid")
     cfg = PINNED_CONFIGS[name]
     buf = io.StringIO()
     for seed in (0, 7):
@@ -108,6 +115,18 @@ def test_output_bytes_pinned_seed_for_seed(name, strategy):
         dump_json(trace_to_dict(trace), buf)
     digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
     assert digest == PINNED_DIGESTS[name, strategy]
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _ in GROUPED_PINS}))
+def test_gp_sweeps_small_plain_grids_as_dcsd(name):
+    # below _GROUP_CELLS gp sweeps level 0, so it makes dcsd's draws
+    engine = ModelSampler(PINNED_CONFIGS[name])
+    for seed in (0, 7):
+        gp_net, gp_trace = engine.run(Strategy.GP, seed)
+        dcsd_net, dcsd_trace = engine.run(Strategy.DCSD, seed)
+        np.testing.assert_array_equal(gp_net.edges, dcsd_net.edges)
+        assert gp_trace.per_level == dcsd_trace.per_level
+        assert gp_net.edge_count > 0
 
 
 def test_different_seeds_differ(worked_cfg):
@@ -284,23 +303,27 @@ def test_tied_levels_sorted_beyond_2_32_nodes(strategy):
 
 
 @pytest.mark.parametrize(
-    "strategy,levels,untied,reps",
+    "strategy,levels,untied,reps,grouped",
     [
-        pytest.param(Strategy.DCSD, 16, 4, 2000, id="dcsd"),
-        pytest.param(Strategy.GP, 16, 4, 2000, id="gp"),
-        pytest.param(Strategy.GP, 14, 14, 400, id="gp-plain"),
+        pytest.param(Strategy.DCSD, 16, 4, 2000, False, id="dcsd"),
+        pytest.param(Strategy.GP, 16, 4, 2000, False, id="gp"),
+        pytest.param(Strategy.GP, 16, 4, 2000, True, id="gp-grouped"),
+        pytest.param(Strategy.GP, 14, 14, 400, False, id="gp-plain"),
     ],
 )
 def test_edge_count_mean_and_variance_match_branching_process(
-    strategy, levels, untied, reps
+    request, strategy, levels, untied, reps, grouped
 ):
     """Edge counts of a 2**16-node tied model, or a 2**14-node plain model
-    (whole-grid ``gp``), against closed-form moments.
+    (grouped ``gp``), against closed-form moments.  ``grouped`` groups the
+    tied model's small untied grid too.
 
     Level 0 is a sum of independent Bernoulli cells (mean m0, variance v0);
     each tied level is one Galton-Watson generation whose offspring count
     has mean mu = mass and variance sigma2 = sum theta (1 - theta).
     """
+    if grouped:
+        request.getfixturevalue("group_every_grid")
     theta = np.array([[0.6, 0.4], [0.3, 0.2]])
     cfg = make_config(theta.tolist(), levels, untied)
     ell, tied = cfg.untied_levels, cfg.tied_levels
@@ -325,16 +348,20 @@ def test_edge_count_mean_and_variance_match_branching_process(
 
 
 @pytest.mark.parametrize(
-    "strategy,levels,untied,reps",
+    "strategy,levels,untied,reps,grouped",
     [
-        pytest.param(Strategy.DCSD, 16, 4, 1000, id="dcsd"),
-        pytest.param(Strategy.GP, 16, 4, 1000, id="gp"),
-        pytest.param(Strategy.GP, 14, 14, 300, id="gp-plain"),
+        pytest.param(Strategy.DCSD, 16, 4, 1000, False, id="dcsd"),
+        pytest.param(Strategy.GP, 16, 4, 1000, False, id="gp"),
+        pytest.param(Strategy.GP, 16, 4, 1000, True, id="gp-grouped"),
+        pytest.param(Strategy.GP, 14, 14, 300, False, id="gp-plain"),
     ],
 )
-def test_out_degree_by_digit_count_matches_row_sums(strategy, levels, untied, reps):
+def test_out_degree_by_digit_count_matches_row_sums(
+    request, strategy, levels, untied, reps, grouped
+):
     """Mean out-degree of 2**16-node tied-model (or 2**14-node plain-model)
-    nodes, binned by 1-digits.
+    nodes, binned by 1-digits; ``grouped`` groups the tied model's untied
+    grid too.
 
     Node i's expected out-degree is the product of the seed's row sums over
     its base-2 digits, so every node with k one-digits expects
@@ -342,6 +369,8 @@ def test_out_degree_by_digit_count_matches_row_sums(strategy, levels, untied, re
     that value.  The check reads rows only, so it catches children placed
     in the wrong row of their block even where the edge count keeps its law.
     """
+    if grouped:
+        request.getfixturevalue("group_every_grid")
     theta = np.array([[0.6, 0.4], [0.3, 0.2]])
     cfg = make_config(theta.tolist(), levels, untied)
     r0, r1 = theta.sum(axis=1)
@@ -749,6 +778,7 @@ def test_final_sort_orders_cells_at_the_int64_boundary(reps, side):
     assert list(zip(rows.tolist(), cols.tolist())) == want
 
 
+@pytest.mark.usefixtures("group_every_grid")
 def test_grouped_draw_skips_placement_for_zero_counts(monkeypatch, worked_cfg):
     # Placing nothing leaves the stream where it was, so skipping the call
     # changes no draw.
@@ -789,6 +819,7 @@ def test_grouped_draw_skips_placement_for_zero_counts(monkeypatch, worked_cfg):
         assert trace == trace_before
 
 
+@pytest.mark.usefixtures("group_every_grid")
 def test_grid_gp_examined_and_mean_edges():
     cfg = make_config([[0.9, 0.7], [0.5, 0.3]], 2, 2)
     expected_mass = float(kronecker_power(cfg.theta, 2).probs.sum())
@@ -805,6 +836,7 @@ def test_grid_gp_examined_and_mean_edges():
     assert abs(mean - expected_mass) < 5 * math.sqrt(expected_mass / reps)
 
 
+@pytest.mark.usefixtures("group_every_grid")
 def test_grid_gp_deterministic():
     cfg = make_config([[0.9, 0.7], [0.5, 0.3]], 3, 3)
     net_a, trace_a = sample(cfg, Strategy.GP, 4242)
@@ -827,6 +859,48 @@ def test_grid_gp_over_group_cap_sweeps_level0():
         net_dcsd, trace_dcsd = engine.run(Strategy.DCSD, seed)
         np.testing.assert_array_equal(net_gp.edges, net_dcsd.edges)
         assert trace_gp.per_level == trace_dcsd.per_level
+
+
+@pytest.mark.parametrize(
+    "rows,levels,untied",
+    [
+        pytest.param(_WORKED_THETA, 11, 11, id="b2-plain"),
+        pytest.param(_WORKED_THETA, 13, 11, id="b2-tied"),
+        pytest.param(_ASYMMETRIC_THETA3, 7, 7, id="b3-plain"),
+        pytest.param(_ASYMMETRIC_THETA3, 9, 7, id="b3-tied"),
+    ],
+)
+def test_gp_groups_level0_from_group_cells_up_to_the_cap(monkeypatch, rows, levels, untied):
+    # the smallest untied grids at or past _GROUP_CELLS: 4**11 and 9**7 cells
+    cfg = make_config(rows, levels, untied)
+    cells = cfg.b ** (2 * untied)
+    assert cells // cfg.b**2 < samplers_mod._GROUP_CELLS <= cells
+    assert ModelSampler(make_config(rows, levels - 1, untied - 1))._grid_tables is None
+    assert ModelSampler(cfg)._grid_tables is not None
+    monkeypatch.setattr(samplers_mod, "_GROUP_CELLS", cells + 1)
+    assert ModelSampler(cfg)._grid_tables is None
+    monkeypatch.setattr(samplers_mod, "_GROUP_CELLS", cells)
+    assert ModelSampler(cfg)._grid_tables is not None
+    # the cap counts the untied grid's exponent multisets over m distinct values
+    m = len(set(np.ravel(rows).tolist()))
+    multisets = math.comb(untied + m - 1, m - 1)
+    monkeypatch.setattr(groups_mod, "DEFAULT_GROUP_CAP", multisets - 1)
+    assert ModelSampler(cfg)._grid_tables is None
+    monkeypatch.setattr(groups_mod, "DEFAULT_GROUP_CAP", multisets)
+    assert ModelSampler(cfg)._grid_tables is not None
+
+
+@pytest.mark.parametrize("levels,untied", [(13, 4), (3, 2)], ids=["K13-ell4", "K3-ell2"])
+def test_small_untied_grids_never_build_groups(monkeypatch, levels, untied):
+    # the rule reads only the config: no grouping is built below _GROUP_CELLS
+    def refusing(cfg):
+        raise AssertionError("grid_groups called below _GROUP_CELLS")
+
+    monkeypatch.setattr(samplers_mod, "grid_groups", refusing)
+    engine = ModelSampler(make_config(_WORKED_THETA, levels, untied))
+    assert engine._grid_tables is None
+    gp_net, _ = engine.run(Strategy.GP, 0)
+    np.testing.assert_array_equal(gp_net.edges, engine.run(Strategy.DCSD, 0)[0].edges)
 
 
 def test_sample_matches_engine(worked_cfg):

@@ -151,6 +151,7 @@ def test_equivalence_detects_per_cell_vs_hierarchical_joint_law():
     assert not report.passed
 
 
+@pytest.mark.usefixtures("group_every_grid")
 def test_equivalence_naive_matches_when_every_level_untied():
     cfg = make_config([[0.9, 0.7], [0.5, 0.3]], 2, 2)
     for other in ("ci", "dcsd", "gp"):
@@ -158,12 +159,23 @@ def test_equivalence_naive_matches_when_every_level_untied():
         assert report.passed, (other, report.to_dict())
 
 
+@pytest.mark.usefixtures("group_every_grid")
 def test_whole_grid_gp_passes_verify():
     # K = ell = 3: gp samples by whole-grid groups, not a level-0 sweep
     cfg = make_config([[0.9, 0.7], [0.5, 0.3]], 3, 3)
     marginal = marginal_test(cfg, "gp", 3000, master_seed=12)
     assert marginal.passed, marginal.flagged_cells
     report = equivalence_test(cfg, "naive", "gp", 3000, master_seed=12)
+    assert report.passed, report.to_dict()
+
+
+@pytest.mark.usefixtures("group_every_grid")
+def test_grouped_level0_with_tied_levels_passes_verify(worked_cfg):
+    # gp groups the untied 4x4 grid, then draws the tied level as dcsd
+    assert ModelSampler(worked_cfg)._grid_tables is not None
+    marginal = marginal_test(worked_cfg, "gp", 3000, master_seed=14)
+    assert marginal.passed, marginal.flagged_cells
+    report = equivalence_test(worked_cfg, "dcsd", "gp", 3000, master_seed=14)
     assert report.passed, report.to_dict()
 
 
@@ -551,19 +563,21 @@ def test_replicates_per_cells_call_follow_chunk_cells(monkeypatch, levels, stack
 
 
 @pytest.mark.parametrize(
-    "rows,levels,untied,gp_calls",
+    "rows,levels,untied,gp_calls,grouped",
     [
-        pytest.param([[0.6, 0.4], [0.3, 0.05]], 3, 2, [5], id="tied-sparse"),
-        pytest.param([[0.9, 0.7], [0.5, 0.3]], 3, 3, [5], id="whole-grid"),
+        pytest.param([[0.6, 0.4], [0.3, 0.05]], 3, 2, [5], False, id="tied-sparse"),
+        pytest.param([[0.9, 0.7], [0.5, 0.3]], 3, 3, [5], True, id="whole-grid"),
     ],
 )
-def test_run_block_gp_route(monkeypatch, rows, levels, untied, gp_calls):
-    # tied gp and whole-grid gp are stacked like dcsd; whole-grid gp draws
-    # its groups replicate by replicate inside the stack
+def test_run_block_gp_route(request, monkeypatch, rows, levels, untied, gp_calls, grouped):
+    # swept gp and grouped gp are stacked like dcsd; grouped gp draws its
+    # groups replicate by replicate inside the stack
+    if grouped:
+        request.getfixturevalue("group_every_grid")
     cfg = make_config(rows, levels, untied)
     assert _stack_sizes(monkeypatch, cfg, "gp") == gp_calls
     assert _stack_sizes(monkeypatch, cfg, "dcsd") == [5]
-    assert (ModelSampler(cfg)._grid_tables is None) == bool(cfg.tied_levels)
+    assert (ModelSampler(cfg)._grid_tables is not None) == grouped
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
