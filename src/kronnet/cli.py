@@ -306,15 +306,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             raise BadArgs(f"--k must be comma-separated integers, got {args.k!r}") from exc
     else:
         levels_list = [cfg.levels]
-    try:
-        strategies = [
-            Strategy(part.strip()) for part in args.strategies.split(",") if part.strip()
-        ]
-    except ValueError as exc:
-        names = ",".join(s.value for s in Strategy)
-        raise BadArgs(
-            f"--strategies must name strategies from {names}, got {args.strategies!r}"
-        ) from exc
+    strategies = [Strategy(part.strip()) for part in args.strategies.split(",") if part.strip()]
     if args.samples < 1:
         raise BadArgs(f"--samples must be >= 1, got {args.samples}")
     payload: list[dict[str, Any]] = []

@@ -43,13 +43,19 @@ class ExponentDescriptor:
     """Cells whose probability uses each distinct value a fixed number of times.
 
     ``exponents[t]`` counts the levels assigned to value class ``t``; the
-    descriptor covers ``sequences`` cells: the multinomial arrangement count
-    times ``prod(multiplicity_t ** exponents[t])`` choices of concrete block
+    descriptor covers ``sequences`` cells: ``arrangements``, the multinomial
+    count of ways to assign the classes to levels, times ``members``,
+    ``prod(multiplicity_t ** exponents[t])`` choices of concrete block
     position per level.
     """
 
     exponents: tuple[int, ...]
-    sequences: int
+    arrangements: int
+    members: int
+
+    @property
+    def sequences(self) -> int:
+        return self.arrangements * self.members
 
 
 @dataclass(frozen=True)
@@ -123,12 +129,8 @@ def grid_groups(cfg: ModelConfig) -> tuple[tuple[ValueClass, ...], tuple[Probabi
         )
     merged: dict[float, list[ExponentDescriptor]] = {}
     for exponents in _exponent_multisets(cfg.levels, m):
-        members = 1
-        for cls, exp in zip(classes, exponents):
-            members *= len(cls.positions) ** exp
-        desc = ExponentDescriptor(
-            exponents=exponents, sequences=_multinomial(exponents) * members
-        )
+        members = math.prod(len(cls.positions) ** exp for cls, exp in zip(classes, exponents))
+        desc = ExponentDescriptor(exponents, _multinomial(exponents), members)
         prob = math.prod(cls.value**exp for cls, exp in zip(classes, exponents))
         merged.setdefault(float(prob), []).append(desc)
     groups = tuple(
@@ -171,28 +173,23 @@ class GridUnranker:
             [np.asarray(cls.positions, dtype=np.int64) for cls in classes]
         )
         self._pos_row, self._pos_col = np.divmod(positions, base)
-        exponents: list[tuple[int, ...]] = []
-        members: list[int] = []
+        descs: list[ExponentDescriptor] = []
         starts: list[tuple[int, np.ndarray] | None] = []
         for group in groups:
             if group.size > I64_MAX:
                 starts.append(None)
                 continue
-            first = len(members)
+            first = len(descs)
             offsets = [0]
             for desc in group.cell_source:
-                exponents.append(desc.exponents)
-                members.append(math.prod(r**e for r, e in zip(sizes, desc.exponents)))
+                descs.append(desc)
                 offsets.append(offsets[-1] + desc.sequences)
             starts.append((first, np.asarray(offsets[:-1], dtype=np.int64)))
         self._starts = starts
-        self._exponents = (
-            np.asarray(exponents, dtype=np.int64).reshape(-1, len(classes)).T
-        )
-        self._members = np.asarray(members, dtype=np.int64)
-        self._arrangements = np.asarray(
-            [_multinomial(exps) for exps in exponents], dtype=np.int64
-        )
+        exponents = np.asarray([d.exponents for d in descs], dtype=np.int64)
+        self._exponents = exponents.reshape(-1, len(classes)).T
+        self._members = np.asarray([d.members for d in descs], dtype=np.int64)
+        self._arrangements = np.asarray([d.arrangements for d in descs], dtype=np.int64)
 
     def cells(
         self, drawn: Iterable[tuple[int, np.ndarray]]

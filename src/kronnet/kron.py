@@ -65,9 +65,10 @@ def kronecker_power(theta: ThetaMatrix, power: int, *, dense_cap: int = DEFAULT_
     outermost factor.  Refuses to allocate more than ``dense_cap`` entries.
 
     Raises:
-        BadArgs: power < 1, or ``dense_cap`` is not an integer.
+        BadArgs: ``power`` or ``dense_cap`` is not an integer, or power < 1.
         CapExceeded: (side**power)**2 exceeds ``dense_cap``.
     """
+    power = check_int(power, "power")
     dense_cap = check_int(dense_cap, "dense_cap")
     if power < 1:
         raise BadArgs(f"power must be >= 1, got {power}")
@@ -126,8 +127,11 @@ def edge_prob(cfg: ModelConfig, row: int, col: int) -> float:
     the grid: bit for bit the entry of ``kronecker_power``'s grid.
 
     Raises:
+        BadArgs: an index is not an integer.
         IndexOutOfRange: an index lies outside [0, n_nodes).
     """
+    row = check_int(row, "row")
+    col = check_int(col, "col")
     n = cfg.n_nodes
     if not (0 <= row < n) or not (0 <= col < n):
         raise IndexOutOfRange(f"cell ({row}, {col}) outside [0, {n})^2")
@@ -159,8 +163,9 @@ def expected_active(cfg: ModelConfig, tied_level: int) -> float:
     seed mass, giving mass**(untied_levels + tied_level).
 
     Raises:
-        BadArgs: tied_level outside [0, tied_levels].
+        BadArgs: tied_level is not an integer or lies outside [0, tied_levels].
     """
+    tied_level = check_int(tied_level, "tied_level")
     if not (0 <= tied_level <= cfg.tied_levels):
         raise BadArgs(
             f"tied_level must lie in [0, {cfg.tied_levels}], got {tied_level}"

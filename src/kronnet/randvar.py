@@ -3,67 +3,48 @@
 ``binomial_draw`` counts the realized cells of an equal-probability group
 and ``choose_without_replacement`` places that many uniformly; both take
 their randomness from a caller-supplied generator, so the sampler decides
-which stream each draw comes from.
+which stream each draw comes from.  Each is one call into numpy's C
+samplers, ``Generator.binomial`` and ``Generator.choice``, whose draws are
+part of the seed contract at every size, as PCG64's are.
 """
 
 from __future__ import annotations
 
-import math
+from numbers import Real
 
 import numpy as np
 
-from .config import I64_MAX
+from .config import I64_MAX, check_int
 from .errors import BadArgs, Overflow
-
-# Below this expected count, sequential CDF inversion is both exact and fast;
-# above it we delegate to numpy's exact accept/reject binomial sampler.
-_INVERSION_MAX_MEAN = 30.0
 
 
 def binomial_draw(trials: int, prob: float, rng: np.random.Generator) -> int:
     """Draw the number of successes in ``trials`` Bernoulli(prob) trials.
 
-    Exact in law for every (trials, prob): sequential CDF inversion when the
-    expected count is small, numpy's exact accept/reject sampler otherwise.
-    No normal approximation is ever used.  Degenerate probabilities return
-    without consuming randomness.
+    One call to numpy's ``rng.binomial``, exact in law at every (trials,
+    prob): CDF inversion on the smaller tail (prob or 1 - prob) while its
+    mean is at most 30, the BTPE accept/reject sampler above
+    (Kachitvichyanukul & Schmeiser, CACM 1988); no normal approximation is
+    ever used.  Trials 0 and probabilities 0 and 1 return without consuming
+    randomness.
 
     Raises:
-        BadArgs: trials < 0 or prob outside [0, 1].
-        Overflow: trials exceeds the signed 64-bit range.
+        BadArgs: trials is not an integer or is < 0, or prob is not a real
+            number in [0, 1].
+        Overflow: trials exceeds the signed 64-bit range and prob is not 0.
     """
-    trials = int(trials)
+    trials = check_int(trials, "trials")
     if trials < 0:
         raise BadArgs(f"trials must be >= 0, got {trials}")
-    if trials > I64_MAX:
-        raise Overflow(f"trials {trials} exceeds the signed 64-bit range")
-    if not (0.0 <= prob <= 1.0):
-        raise BadArgs(f"prob {prob!r} outside [0, 1]")
+    if isinstance(prob, bool) or not isinstance(prob, Real) or not 0.0 <= prob <= 1.0:
+        raise BadArgs(f"prob must be a real number in [0, 1], got {prob!r}")
     if trials == 0 or prob == 0.0:
         return 0
+    if trials > I64_MAX:
+        raise Overflow(f"trials {trials} exceeds the signed 64-bit range")
     if prob == 1.0:
         return trials
-    if prob > 0.5:
-        return trials - binomial_draw(trials, 1.0 - prob, rng)
-    if trials * prob <= _INVERSION_MAX_MEAN:
-        return _inversion_draw(trials, prob, rng)
     return int(rng.binomial(trials, prob))
-
-
-def _inversion_draw(trials: int, prob: float, rng: np.random.Generator) -> int:
-    # Walk the CDF from k = 0 using the pmf ratio recurrence; consumes exactly
-    # one uniform.  Requires prob <= 0.5 and trials*prob <= ~30 so the initial
-    # pmf never underflows.
-    u = rng.random()
-    ratio = prob / (1.0 - prob)
-    pmf = math.exp(trials * math.log1p(-prob))
-    cdf = pmf
-    k = 0
-    while u >= cdf and k < trials:
-        k += 1
-        pmf *= (trials - k + 1) / k * ratio
-        cdf += pmf
-    return k
 
 
 def choose_without_replacement(total: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -77,12 +58,13 @@ def choose_without_replacement(total: int, count: int, rng: np.random.Generator)
     times the count.  Returns an int64 array, sorted in place.
 
     Raises:
-        BadArgs: count < 0 or count > total.
+        BadArgs: total or count is not an integer, or count < 0 or
+            count > total.
         Overflow: total exceeds the signed 64-bit range, the bound
             ``binomial_draw`` puts on the count's trials.
     """
-    total = int(total)
-    count = int(count)
+    total = check_int(total, "total")
+    count = check_int(count, "count")
     if total < 0 or count < 0 or count > total:
         raise BadArgs(f"need 0 <= count <= total, got count={count} total={total}")
     if total > I64_MAX:

@@ -256,9 +256,9 @@ def _jump_table(count: int) -> np.ndarray:
     return table
 
 
-def _column_uniforms(states, sizes, starts, out: np.ndarray) -> None:
-    """Write ``stream_uniforms(states, sizes, starts)`` into ``out`` by PCG64
-    arithmetic: a (stream, k) grid for int ``sizes`` and ``starts``, else a gather.
+def _column_uniforms(states, sizes, start: int, out: np.ndarray) -> None:
+    """Write ``stream_uniforms(states, sizes, start)`` into ``out`` by PCG64
+    arithmetic: a (stream, k) grid for int ``sizes``, else a gather.
 
     numpy's PCG64 takes ``initstate = w0:w1`` and ``inc = (w2:w3) << 1 | 1``
     from the 4 words, seeds ``s = (initstate + inc) * M + inc``, and draws
@@ -275,10 +275,10 @@ def _column_uniforms(states, sizes, starts, out: np.ndarray) -> None:
     if isinstance(sizes, int):
         # gathering equal streams instead ran K = 3 naive/ci marginal_test
         # 2.2/1.8x as long
-        a_h, a_l, s_h, s_l = jumps[:, starts : starts + sizes]
+        a_h, a_l, s_h, s_l = jumps[:, start : start + sizes]
         seed_h, seed_l, inc_h, inc_l = (words[:, None] for words in per_stream)
     else:
-        k = np.arange(out.size) - np.repeat(np.cumsum(sizes) - sizes - starts, sizes)
+        k = np.arange(out.size) - np.repeat(np.cumsum(sizes) - sizes - start, sizes)
         a_h, a_l, s_h, s_l = jumps[:, k]
         seed_h, seed_l, inc_h, inc_l = (np.repeat(words, sizes) for words in per_stream)
     x_h, x_l = _mul128(a_h, a_l, seed_h, seed_l)
@@ -297,32 +297,31 @@ def _column_uniforms(states, sizes, starts, out: np.ndarray) -> None:
     np.multiply(v, 2.0**-53, out=out.reshape(v.shape))
 
 
-def stream_uniforms(states: np.ndarray, sizes, starts) -> np.ndarray:
-    """Values ``starts[r]`` to ``starts[r] + sizes[r]`` (exclusive) of each
-    stream ``states[r]``, concatenated in stream order.
+def stream_uniforms(states: np.ndarray, sizes, start: int) -> np.ndarray:
+    """Values ``start`` to ``start + sizes[r]`` (exclusive) of each stream
+    ``states[r]``, concatenated in stream order.
 
-    ``states`` is a ``(streams, 4)`` uint64 array; ``sizes`` and ``starts``
-    are ints shared by every stream, or int arrays of one entry per stream.
-    Equal bit for bit to ``stream_from_state(states[r])`` moved forward by
-    ``starts[r]`` values, then ``random(sizes[r])``, for each r in turn, so
-    a stream read in consecutive pieces gives what one read gives.  Several
-    streams, none read past value ``_COLUMN_VALUES``, are computed as uint64
-    columns ``_TILE_VALUES`` or so values at a time; a stream on its own,
-    and longer ones, by that generator.
+    ``states`` is a ``(streams, 4)`` uint64 array; ``sizes`` is an int
+    shared by every stream or an int array of one entry per stream, and
+    ``start`` an int shared by every stream.  Equal bit for bit to
+    ``stream_from_state(states[r])`` moved forward by ``start`` values, then
+    ``random(sizes[r])``, for each r in turn, so a stream read in
+    consecutive pieces gives what one read gives.  Several streams, none
+    read past value ``_COLUMN_VALUES``, are computed as uint64 columns
+    ``_TILE_VALUES`` or so values at a time; a stream on its own, and longer
+    ones, by that generator.
     """
     count = len(states)
-    shared = isinstance(sizes, int) and isinstance(starts, int)
+    shared = isinstance(sizes, int)
     if not shared:
-        sizes, starts = np.broadcast_to(sizes, count), np.broadcast_to(starts, count)
-    if count <= 1 or np.max(sizes + starts) > _COLUMN_VALUES:
-        # advance takes no numpy integer
-        sizes, starts = ([sizes] * count, [starts] * count) if shared else (sizes.tolist(), starts.tolist())
+        sizes = np.broadcast_to(sizes, count)
+    if count <= 1 or np.max(sizes) + start > _COLUMN_VALUES:
         parts = []
         for r in range(count):
             stream = stream_from_state(states[r])
-            if starts[r]:
-                stream.bit_generator.advance(starts[r])
-            parts.append(stream.random(sizes[r]))
+            if start:
+                stream.bit_generator.advance(start)
+            parts.append(stream.random(sizes if shared else sizes[r]))
         return parts[0] if count == 1 else np.concatenate([np.empty(0), *parts])
     bounds = np.arange(count + 1) * sizes if shared else np.concatenate(([0], np.cumsum(sizes)))
     # stream r's values are out[bounds[r]:bounds[r + 1]]
@@ -331,8 +330,8 @@ def stream_uniforms(states: np.ndarray, sizes, starts) -> np.ndarray:
     # j * _TILE_VALUES
     tiles = np.searchsorted(bounds, np.arange(0, out.size, _TILE_VALUES), "right") - 1
     for lo, hi in zip(tiles.tolist(), [*tiles[1:].tolist(), count]):
-        part = (sizes, starts) if shared else (sizes[lo:hi], starts[lo:hi])
-        _column_uniforms(states[lo:hi], *part, out[bounds[lo] : bounds[hi]])
+        part = sizes if shared else sizes[lo:hi]
+        _column_uniforms(states[lo:hi], part, start, out[bounds[lo] : bounds[hi]])
     return out
 
 

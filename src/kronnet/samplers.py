@@ -180,10 +180,6 @@ def _grouped_draw(size: int, prob: float, stream: np.random.Generator) -> np.nda
     C-level call (``choose_without_replacement``), returned sorted; every
     rank when ``prob`` is 1, since placement would still consume draws.
     """
-    if prob == 0.0:
-        # A zero group of a large grid may hold more than 2**63 cells,
-        # beyond what binomial_draw accepts.
-        return np.empty(0, dtype=np.int64)
     count = binomial_draw(size, prob, stream)
     if count == 0:
         # Placing nothing draws nothing, but costs a numpy call.
@@ -201,6 +197,11 @@ class Strategy(str, Enum):
     DCSD = "dcsd"
     GP = "gp"
 
+    @classmethod
+    def _missing_(cls, value):
+        names = ", ".join(member.value for member in cls)
+        raise BadArgs(f"unknown strategy {value!r}; choose from {names}")
+
 
 @dataclass(frozen=True)
 class LevelTrace:
@@ -211,6 +212,8 @@ class LevelTrace:
     rvs_active: int
 
     def __post_init__(self) -> None:
+        for name in ("level", "rvs_examined", "rvs_active"):
+            check_int(getattr(self, name), name)
         if self.level < 0:
             raise BadArgs(f"level must be >= 0, got {self.level}")
         if not (0 <= self.rvs_active <= self.rvs_examined):
@@ -248,14 +251,22 @@ class SampleTrace:
 
 @dataclass(frozen=True, eq=False)
 class SampledNetwork:
-    """A sampled network: node count plus sorted duplicate-free edge list."""
+    """A sampled network: node count plus sorted duplicate-free edge list.
+
+    Raises ``BadArgs`` unless ``n_nodes`` is an integer and the edges are
+    integers of shape (m, 2), strictly increasing, within [0, n_nodes).
+    """
 
     n_nodes: int
     edges: np.ndarray
     directed: bool = True
 
     def __post_init__(self) -> None:
-        edges = np.ascontiguousarray(self.edges, dtype=np.int64)
+        check_int(self.n_nodes, "n_nodes")
+        edges = np.asarray(self.edges)
+        if edges.size and edges.dtype.kind not in "iu":
+            raise BadArgs(f"edges must be integers, got dtype {edges.dtype}")
+        edges = np.ascontiguousarray(edges, dtype=np.int64)
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise BadArgs(f"edges must have shape (m, 2), got {edges.shape}")
         if edges.shape[0] > 1:

@@ -45,7 +45,7 @@ def chisquare_vs_binom(draws, trials, prob, min_expected=10.0):
 
 
 def test_inversion_path_matches_exact_pmf():
-    # trials * prob = 6 <= 30 keeps this on the sequential-inversion path
+    # trials * prob = 6 <= 30 keeps this on numpy's inversion path
     rng = _rng(1234)
     draws = [binomial_draw(20, 0.3, rng) for _ in range(100_000)]
     _, pvalue = chisquare_vs_binom(draws, 20, 0.3)
@@ -53,7 +53,7 @@ def test_inversion_path_matches_exact_pmf():
 
 
 def test_complement_path_matches_exact_pmf():
-    # prob > 0.5 flips to the complement before drawing
+    # prob > 0.5 draws the complement's count (numpy flips to 1 - prob)
     rng = _rng(99)
     draws = [binomial_draw(40, 0.9, rng) for _ in range(100_000)]
     _, pvalue = chisquare_vs_binom(draws, 40, 0.9)
@@ -61,7 +61,7 @@ def test_complement_path_matches_exact_pmf():
 
 
 def test_delegated_path_moments():
-    # trials * prob = 4000 > 30 delegates to the library sampler
+    # trials * prob = 4000 > 30 takes numpy's BTPE accept/reject path
     rng = _rng(7)
     trials, prob = 10_000, 0.4
     n = 20_000
@@ -78,6 +78,7 @@ def test_degenerate_probs_consume_no_randomness():
     assert binomial_draw(1000, 0.0, rng_a) == 0
     assert binomial_draw(1000, 1.0, rng_a) == 1000
     assert binomial_draw(0, 0.7, rng_a) == 0
+    assert binomial_draw(2**64, 0.0, rng_a) == 0
     # rng_a state untouched: next draws equal a fresh generator's
     assert rng_a.random() == rng_b.random()
 
@@ -90,6 +91,10 @@ def test_binomial_draw_validation():
         binomial_draw(10, 1.5, rng)
     with pytest.raises(BadArgs):
         binomial_draw(10, float("nan"), rng)
+    with pytest.raises(BadArgs):
+        binomial_draw(10, "0.5", rng)
+    with pytest.raises(BadArgs):
+        binomial_draw(10, True, rng)
     with pytest.raises(Overflow):
         binomial_draw(2**63, 0.5, rng)
 

@@ -329,11 +329,11 @@ def test_stream_uniforms_build_no_generator(monkeypatch):
     # several streams read up to value _COLUMN_VALUES at most: uint64 columns
     states = level_states(replicate_seeds(4, 1, 0, 8), 1)[:, 0]
     sizes = np.array([0, 3, 64, 17, 63, 1, 0, 40])
-    starts = np.array([5, 0, 0, 47, 1, 63, 64, 24])
-    expected = _numpy_pieces(states, sizes, starts)
+    late = np.minimum(sizes, 17)
+    expected = _numpy_pieces(states, late, np.full(8, 47))
     _refuse_generators(monkeypatch)
     np.testing.assert_array_equal(stream_uniforms(states, sizes, 0), _numpy_uniforms(states, sizes))
-    np.testing.assert_array_equal(stream_uniforms(states, sizes, starts), expected)
+    np.testing.assert_array_equal(stream_uniforms(states, late, 47), expected)
     np.testing.assert_array_equal(
         stream_uniforms(states, 16, 48), _numpy_pieces(states, np.full(8, 16), np.full(8, 48))
     )
@@ -369,25 +369,30 @@ def _pieces_of(gen, n, cuts):
 @pytest.mark.parametrize("streams", [1, 9, 300])
 @pytest.mark.parametrize("n", [40, 64, 200])
 def test_stream_uniforms_pieces_equal_one_draw(monkeypatch, tile, streams, n):
-    # any split of a level into consecutive pieces, per stream or shared by
-    # every stream, reads what one draw of n values reads
+    # any split of a level into consecutive pieces at cut points shared by
+    # every stream reads what one draw of n values reads, for streams of
+    # one length or of lengths that differ per stream
     monkeypatch.setattr(rng_mod, "_TILE_VALUES", tile)
     gen = np.random.default_rng([tile, streams, n])
     states = level_states(replicate_seeds(8, 2, 0, streams), 2)[:, 1]
     whole = _numpy_uniforms(states, [n] * streams).reshape(streams, n)
-    # pieces that differ per stream: stream r's k-th piece is cuts[r, k]..cuts[r, k + 1]
-    cuts = np.array([_pieces_of(gen, n, 4) for _ in range(streams)])
+    # stream r reads its first lengths[r] values; its k-th piece is the part
+    # of cuts[k]..cuts[k + 1] below that length
+    lengths = gen.integers(0, n + 1, streams)
+    cuts = _pieces_of(gen, n, 4)
     got = [
-        stream_uniforms(states, cuts[:, k + 1] - cuts[:, k], cuts[:, k]).tolist()
-        for k in range(cuts.shape[1] - 1)
+        stream_uniforms(states, np.clip(lengths - lo, 0, hi - lo), int(lo)).tolist()
+        for lo, hi in zip(cuts[:-1], cuts[1:])
     ]
     for r in range(streams):
         pieces = []
-        for k, part in enumerate(got):
-            size = cuts[: r + 1, k + 1] - cuts[: r + 1, k]
+        for lo, hi, part in zip(cuts[:-1], cuts[1:], got):
+            size = np.clip(lengths[: r + 1] - lo, 0, hi - lo)
             pieces += part[int(size[:-1].sum()) : int(size.sum())]
-        np.testing.assert_array_equal(pieces, whole[r], err_msg=f"numpy {np.__version__}")
-    # pieces shared by every stream
+        np.testing.assert_array_equal(
+            pieces, whole[r, : lengths[r]], err_msg=f"numpy {np.__version__}"
+        )
+    # pieces of streams of one length
     shared = _pieces_of(gen, n, 5)
     parts = [
         stream_uniforms(states, int(hi - lo), int(lo)).reshape(streams, -1)
@@ -399,26 +404,22 @@ def test_stream_uniforms_pieces_equal_one_draw(monkeypatch, tile, streams, n):
 @settings(max_examples=60, deadline=None)
 @given(
     streams=st.lists(
-        st.tuples(
-            st.lists(st.integers(0, M64), min_size=4, max_size=4),
-            st.integers(0, 200),
-            st.integers(0, 60),
-        ),
+        st.tuples(st.lists(st.integers(0, M64), min_size=4, max_size=4), st.integers(0, 200)),
         max_size=12,
     ),
+    start=st.integers(0, 60),
     tile=st.integers(1, 200),
 )
-def test_stream_uniforms_equal_numpy_property(streams, tile):
+def test_stream_uniforms_equal_numpy_property(streams, start, tile):
     # column limit raised so that the columns compute streams of every size
     saved = rng_mod._TILE_VALUES, rng_mod._COLUMN_VALUES
     rng_mod._TILE_VALUES, rng_mod._COLUMN_VALUES = tile, 260
     try:
-        states = np.array([words for words, _, _ in streams], dtype=np.uint64).reshape(-1, 4)
-        sizes = np.array([size for _, size, _ in streams], dtype=np.intp)
-        starts = np.array([start for _, _, start in streams], dtype=np.intp)
+        states = np.array([words for words, _ in streams], dtype=np.uint64).reshape(-1, 4)
+        sizes = np.array([size for _, size in streams], dtype=np.intp)
         np.testing.assert_array_equal(
-            stream_uniforms(states, sizes, starts),
-            _numpy_pieces(states, sizes, starts),
+            stream_uniforms(states, sizes, start),
+            _numpy_pieces(states, sizes, np.full(len(streams), start)),
             err_msg=f"numpy {np.__version__}",
         )
     finally:

@@ -22,9 +22,11 @@ from kronnet import (
     SampledNetwork,
     Strategy,
     ci_rv_count,
+    equivalence_test,
     grid_groups,
     kronecker_power,
     make_config,
+    marginal_test,
     replicate_seed,
     sample,
 )
@@ -439,8 +441,12 @@ def test_bad_seed_rejected(worked_cfg):
 
 
 def test_unknown_strategy_rejected(worked_cfg):
-    with pytest.raises(ValueError):
+    with pytest.raises(BadArgs, match="naive, ci, dcsd, gp"):
         sample(worked_cfg, "bogus", 1)
+    with pytest.raises(BadArgs, match="'foo'"):
+        marginal_test(worked_cfg, "foo", 10, 1)
+    with pytest.raises(BadArgs, match="'bar'"):
+        equivalence_test(worked_cfg, "ci", "bar", 10, 1)
 
 
 def _cells_with_level0(monkeypatch, engine, strategy, u, seed):
@@ -923,6 +929,13 @@ def test_network_validation_rejects_out_of_range():
     edges = np.array([[0, 5]], dtype=np.int64)
     with pytest.raises(BadArgs):
         SampledNetwork(n_nodes=2, edges=edges)
+
+
+def test_network_validation_rejects_float_edges():
+    with pytest.raises(BadArgs, match="must be integers"):
+        SampledNetwork(n_nodes=4, edges=np.array([[0.5, 1.2]]))
+    # no edges need no integer dtype
+    assert SampledNetwork(n_nodes=4, edges=np.empty((0, 2))).edge_count == 0
 
 
 # -- expand_active, the tied-level kernel of dcsd and gp ----------------------------

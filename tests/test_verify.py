@@ -13,12 +13,17 @@ import kronnet.verify as verify_mod
 from kronnet import (
     BadArgs,
     CapExceeded,
+    LevelTrace,
     SampledNetwork,
     Strategy,
+    binomial_draw,
+    choose_without_replacement,
     ci_rv_count,
     complexity_audit,
     degree_stats,
+    edge_prob,
     equivalence_test,
+    expected_active,
     kronecker_power,
     level_rng,
     make_config,
@@ -679,6 +684,17 @@ INT_ARGS = {
     "audit n_runs": lambda cfg, v: complexity_audit(cfg, v, 1),
     "audit workers": lambda cfg, v: complexity_audit(cfg, 10, 1, workers=v),
     "kronecker_power dense_cap": lambda cfg, v: kronecker_power(cfg.theta, 2, dense_cap=v),
+    "kronecker_power power": lambda cfg, v: kronecker_power(cfg.theta, v),
+    "edge_prob row": lambda cfg, v: edge_prob(cfg, v, 0),
+    "edge_prob col": lambda cfg, v: edge_prob(cfg, 0, v),
+    "expected_active tied_level": lambda cfg, v: expected_active(cfg, v),
+    "binomial_draw trials": lambda cfg, v: binomial_draw(v, 0.5, np.random.default_rng(0)),
+    "choose total": lambda cfg, v: choose_without_replacement(v, 1, np.random.default_rng(0)),
+    "choose count": lambda cfg, v: choose_without_replacement(10, v, np.random.default_rng(0)),
+    "network n_nodes": lambda cfg, v: SampledNetwork(v, np.empty((0, 2), dtype=np.int64)),
+    "trace level": lambda cfg, v: LevelTrace(v, 3, 1),
+    "trace rvs_examined": lambda cfg, v: LevelTrace(0, v, 1),
+    "trace rvs_active": lambda cfg, v: LevelTrace(0, 3, v),
 }
 
 
