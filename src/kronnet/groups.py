@@ -9,8 +9,9 @@ enumerate the possible products; equal float products are merged
 (``grid_groups``).  Cells inside a group are addressed by an exact integer
 rank, so group membership is never materialized; :class:`GridUnranker`
 maps all the ranks drawn in one run to their cells with one pass of int64
-array arithmetic.  Tied levels are not grouped: ``gp`` draws them exactly
-as ``dcsd`` does.
+array arithmetic over the leading levels and one gather from a table of the
+last levels' sub-grid.  Tied levels are not grouped: ``gp`` draws them
+exactly as ``dcsd`` does.
 """
 
 from __future__ import annotations
@@ -25,6 +26,12 @@ from .config import I64_MAX, ModelConfig, ThetaMatrix
 from .errors import BadArgs, GroupCapExceeded, Overflow
 
 DEFAULT_GROUP_CAP = 100_000
+# GridUnranker tabulates the sub-grid of as many last levels as fit in this
+# many cells (10 levels at b = 2, 6 at b = 3), at 4 bytes a cell.  Unranking
+# one K = ell = 12 draw of the worked seed (36,563 cells, 2 vCPUs) took 24 ms
+# with no table, 10 ms with 2**16 cells, 7.3 ms with 2**20 and 4.2 ms with
+# 2**22, whose table takes 16 MB and 19 ms to build (2**20: 4 MB, 12 ms).
+_TAIL_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -155,6 +162,11 @@ class GridUnranker:
     block positions of all classes are laid end to end, so class ``t``'s
     ``d``-th position is ``positions[first[t] + d]``.  Groups of more than
     ``2**63 - 1`` cells get no tables, so their ranks are refused.
+
+    The last ``tail`` levels, as many as keep their sub-grid within
+    ``_TAIL_CELLS`` cells, are tabulated whole (``_tail_table``): for each
+    multiset of ``tail`` class counts (a node), its sub-cells in rank order,
+    so ``cells`` unranks those levels with one gather.
     """
 
     def __init__(
@@ -190,6 +202,77 @@ class GridUnranker:
         self._exponents = exponents.reshape(-1, len(classes)).T
         self._members = np.asarray([d.members for d in descs], dtype=np.int64)
         self._arrangements = np.asarray([d.arrangements for d in descs], dtype=np.int64)
+        tail = 0
+        while tail < levels and (base * base) ** (tail + 1) <= _TAIL_CELLS:
+            tail += 1
+        self.tail = tail
+        # colex[j][p]: _node_ranks' term for classes 0..j holding p tail levels
+        self._colex = [
+            np.asarray([math.comb(p + j, j + 1) for p in range(tail + 1)], dtype=np.int64)
+            for j in range(len(classes) - 1)
+        ]
+        self._node_start, self._node_members, self._sub_cells = self._tail_table()
+
+    def _tail_table(self):
+        """Every node's sub-cells, in rank order, as ``row * side + col``
+        inside the sub-grid of the last ``tail`` levels (``side`` cells
+        wide), built depth by depth from one node of no levels.
+
+        A node of depth d lists, for each class t it holds in index order
+        (the arrangements whose first level takes t), the table of its child
+        (one t fewer) as ``(arrangements, 1, members)`` with t's block
+        positions in the middle axis, at the depth's top digit: the member
+        digit of the first level is the most significant.  Returns per node
+        (by ``_node_ranks``) its start in the table and its member count, and
+        the table.
+        """
+        m = len(self._radix)
+        side = self.base**self.tail
+        # node -> (start, arrangements, members) in the previous depth's table
+        index = {(0,) * m: (0, 1, 1)}
+        table = np.zeros(1, dtype=np.uint32)
+        for depth in range(1, self.tail + 1):
+            scale = self.base ** (depth - 1)
+            # each class's block positions as sub-cells at this depth's top digit
+            blocks = np.split(
+                (self._pos_row * side + self._pos_col).astype(np.uint32) * scale,
+                self._first[1:],
+            )
+            next_table = np.empty((self.base * self.base) ** depth, dtype=np.uint32)
+            next_index = {}
+            start = 0
+            for counts in _exponent_multisets(depth, m):
+                node_start = start
+                for t, block in enumerate(blocks):
+                    if not counts[t]:
+                        continue
+                    at, arr, members = index[counts[:t] + (counts[t] - 1,) + counts[t + 1 :]]
+                    end = start + arr * block.size * members
+                    np.add(
+                        table[at : at + arr * members].reshape(arr, 1, members),
+                        block[:, None],
+                        out=next_table[start:end].reshape(arr, block.size, members),
+                    )
+                    start = end
+                members = math.prod(r**c for r, c in zip(self._radix.tolist(), counts))
+                next_index[counts] = (node_start, _multinomial(counts), members)
+            index, table = next_index, next_table
+        nodes = self._node_ranks(np.asarray(list(index), dtype=np.int64).T)
+        node_start = np.empty_like(nodes)
+        node_members = np.empty_like(nodes)
+        node_start[nodes], _, node_members[nodes] = np.asarray(list(index.values())).T
+        return node_start, node_members, table
+
+    def _node_ranks(self, counts) -> np.ndarray:
+        """Rank of each multiset of ``tail`` class counts (one array per
+        class) among all such multisets: the colex rank of its stars and
+        bars' bar positions, dense over exactly those multisets."""
+        node = np.zeros(len(counts[0]), dtype=np.int64)
+        prefix = np.zeros_like(node)
+        for colex, count in zip(self._colex, counts):
+            prefix += count
+            node += colex[prefix]
+        return node
 
     def cells(
         self, drawn: Iterable[tuple[int, np.ndarray]]
@@ -202,7 +285,11 @@ class GridUnranker:
         takes classes by index) and a member rank (which block position of
         its class each level uses, mixed radix, last level least
         significant).  All drawn ranks are mapped in one array pass, in
-        input order.
+        input order: the leading ``levels - tail`` levels (possibly none)
+        position by position, which leaves each cell a node of the last
+        ``tail`` levels and an arrangement rank within it, and those levels
+        by one gather from the table of that node's sub-cells, at its
+        arrangement rank and the low part of the member rank.
 
         Raises:
             BadArgs: a rank outside [0, size) of its group.
@@ -230,10 +317,14 @@ class GridUnranker:
         # group's size runs past the last descriptor's arrangements.
         if rank.size and (rank.min() < 0 or (arr_rank >= arr).any()):
             raise BadArgs("rank outside [0, size) of its group")
-        seq = self._arrangement_classes(desc, arr, arr_rank)
-        rows = np.zeros(rank.size, dtype=np.int64)
-        cols = np.zeros(rank.size, dtype=np.int64)
-        scale = 1
+        seq, counts, arr_rank = self._arrangement_classes(desc, arr, arr_rank)
+        node = self._node_ranks(counts)
+        # the tail's member digits are the least significant
+        members = self._node_members[node]
+        member_rank, tail_rank = np.divmod(member_rank, members)
+        at = self._node_start[node] + arr_rank * members + tail_rank
+        scale = self.base**self.tail
+        rows, cols = np.divmod(self._sub_cells[at].astype(np.int64), scale)
         for cls in seq[::-1]:
             radix = self._radix[cls]
             digit_rank = member_rank // radix
@@ -244,9 +335,11 @@ class GridUnranker:
             scale *= self.base
         return rows, cols
 
-    def _arrangement_classes(self, desc, arr, arr_rank) -> np.ndarray:
-        """Value class of every level, shape (levels, cells): the multiset
-        permutations of each cell's exponents, unranked position by position.
+    def _arrangement_classes(self, desc, arr, arr_rank):
+        """Value class of each leading level, shape (levels - tail, cells),
+        the class counts left for the tail (one array per class) and the
+        arrangement rank within them: the multiset permutations of each
+        cell's exponents, unranked position by position.
 
         At each position class ``t`` covers the next ``arr * count_t //
         remaining`` arrangement ranks, computed as ``q * count_t + rem *
@@ -254,8 +347,9 @@ class GridUnranker:
         integer, but no product exceeds ``arr``, so nothing overflows int64.
         """
         counts = [column[desc] for column in self._exponents]
-        seq = np.zeros((self.levels, desc.size), dtype=np.min_scalar_type(len(counts)))
-        for pos in range(self.levels):
+        head = self.levels - self.tail
+        seq = np.zeros((head, desc.size), dtype=np.min_scalar_type(len(counts)))
+        for pos in range(head):
             remaining = self.levels - pos
             q = arr // remaining
             rem = arr - q * remaining
@@ -279,4 +373,4 @@ class GridUnranker:
                 count -= here
                 before = past
             arr_rank = arr_rank - start
-        return seq
+        return seq, counts, arr_rank

@@ -311,6 +311,8 @@ def stream_uniforms(states: np.ndarray, sizes, start: int) -> np.ndarray:
     ``_TILE_VALUES`` or so values at a time; a stream on its own, and longer
     ones, by that generator.
     """
+    # ``bit_generator.advance`` takes no numpy integer
+    start = int(start)
     count = len(states)
     shared = isinstance(sizes, int)
     if not shared:

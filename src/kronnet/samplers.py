@@ -81,11 +81,11 @@ _MAX_ROW_CELLS = 1 << 24
 # and sweeps it below: grouping pays one binomial count per group and an
 # unranking pass per run, which a small grid's sweep undercuts.  gp / dcsd
 # time with every grid grouped, best of 5 runs of seed 0 on the worked seed
-# [[0.9, 0.7], [0.5, 0.3]], plain K = ell (2 vCPUs, numpy 2.4): 17x at
-# 2**12 cells, 3.6x at 2**18, 1.68x at 2**20, 0.77x at 2**22, 0.46x at
+# [[0.9, 0.7], [0.5, 0.3]], plain K = ell (2 vCPUs, numpy 2.4): 12x at
+# 2**12 cells, 2.6x at 2**18, 0.97x at 2**20, 0.43x at 2**22, 0.20x at
 # 2**24.  Re-measure with this constant set to 0 and a plain config
 # plain.json of that seed:
-#   kronnet bench --config plain.json --k 9,10,11,12 --strategies dcsd,gp
+#   kronnet bench --config plain.json --k 6,9,10,11,12 --strategies dcsd,gp
 _GROUP_CELLS = 1 << 21
 
 

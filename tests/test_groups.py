@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -23,6 +24,15 @@ from kronnet import (
 )
 from kronnet.config import I64_MAX
 from kronnet.samplers import _grouped_draw
+
+WORKED = [[0.9, 0.7], [0.5, 0.3]]
+SYMMETRIC = [[0.9, 0.5], [0.5, 0.3]]
+THETA3 = [[0.9, 0.6, 0.3], [0.6, 0.5, 0.2], [0.3, 0.2, 0.1]]
+
+
+def _tail(cells, rows, levels, name):
+    """A case whose ``GridUnranker`` tabulates at most ``cells`` sub-grid cells."""
+    return pytest.param(rows, levels, marks=pytest.mark.tail_cells(cells), id=f"{name}-{levels}-tail{cells}")
 
 
 def _multinomial(counts):
@@ -161,8 +171,20 @@ def test_grid_groups_probs_strictly_descending():
         ([[0.5, 0.5], [0.7, 0.3]], 2),
         ([[0.9, 0.6, 0.3], [0.6, 0.5, 0.2], [0.3, 0.2, 0.1]], 2),
         ([[0.0, 0.7], [0.5, 0.3]], 2),
+        # 16 cells tabulate 2 levels at b = 2, so levels 1-3 are one under,
+        # at and one over the table's depth; 1 cell tabulates none
+        _tail(16, WORKED, 1, "worked"),
+        _tail(16, WORKED, 2, "worked"),
+        _tail(16, WORKED, 3, "worked"),
+        _tail(4, WORKED, 4, "worked"),
+        _tail(1, WORKED, 3, "worked"),
+        _tail(16, SYMMETRIC, 3, "symmetric"),
+        _tail(4, [[0.0, 0.7], [0.5, 0.3]], 3, "zero"),
+        _tail(9, THETA3, 2, "theta3"),
+        _tail(81, THETA3, 3, "theta3"),
     ],
 )
+@pytest.mark.usefixtures("tail_cells")
 def test_unrank_is_a_bijection_onto_the_grid(rows, levels):
     cfg = make_config(rows, levels, 1)
     groups, cells = unrank_all(cfg)
@@ -218,10 +240,14 @@ def test_group_cap(monkeypatch):
         max_size=4,
     ),
     levels=st.integers(min_value=1, max_value=3),
+    # the default table, or one of 1 or 2 levels at b = 2
+    tail_cells=st.sampled_from([groups_mod._TAIL_CELLS, 4, 16]),
 )
-def test_unrank_bijection_property(values, levels):
+def test_unrank_bijection_property(values, levels, tail_cells):
     cfg = make_config([values[:2], values[2:]], levels, 1)
-    _, cells = unrank_all(cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groups_mod, "_TAIL_CELLS", tail_cells)
+        _, cells = unrank_all(cfg)
     assert len(set(cells)) == len(cells) == cfg.n_nodes**2
 
 
@@ -298,9 +324,16 @@ def _reference_grid_gp(cfg, seed):
         ([[1.0, 0.5], [0.5, 0.0]], 6),
         ([[0.9, 0.6, 0.3], [0.6, 0.5, 0.2], [0.3, 0.2, 0.1]], 4),
         ([[0.5, 0.0], [0.0, 0.5]], 40),
+        _tail(16, WORKED, 1, "worked"),
+        _tail(16, WORKED, 2, "worked"),
+        _tail(16, WORKED, 3, "worked"),
+        _tail(16, WORKED, 8, "worked"),
+        _tail(16, SYMMETRIC, 6, "symmetric"),
+        _tail(81, THETA3, 4, "theta3"),
+        _tail(16, [[0.5, 0.0], [0.0, 0.5]], 40, "diagonal"),
     ],
 )
-@pytest.mark.usefixtures("group_every_grid")
+@pytest.mark.usefixtures("group_every_grid", "tail_cells")
 def test_grid_gp_matches_scalar_unrank_reference(rows, levels):
     cfg = make_config(rows, levels, levels)
     engine = ModelSampler(cfg)
@@ -309,3 +342,25 @@ def test_grid_gp_matches_scalar_unrank_reference(rows, levels):
         expected = [list(cell) for cell in _reference_grid_gp(cfg, seed)]
         assert net.edges.tolist() == expected
         assert trace.final_active == net.edge_count
+
+
+@pytest.mark.parametrize(
+    "rows,levels",
+    [(WORKED, 12), ([[0.9, 0.8, 0.7], [0.6, 0.5, 0.4], [0.3, 0.2, 0.1]], 8)],
+)
+def test_unranker_tables_stay_within_tail_cells(rows, levels):
+    # A table of every class sequence would hold m**levels entries, 16.7M at
+    # b = 2 and 43M at b = 3, of at least a byte each.
+    cfg = make_config(rows, levels, 1)
+    classes, groups = grid_groups(cfg)
+    bound = 8 * groups_mod._TAIL_CELLS
+    assert len(classes) ** levels > bound
+    tracemalloc.start()
+    try:
+        unranker = GridUnranker(classes, groups, levels, cfg.b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert unranker.tail < levels
+    assert unranker._sub_cells.size <= groups_mod._TAIL_CELLS
+    assert peak <= bound

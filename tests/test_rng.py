@@ -349,6 +349,15 @@ def test_stream_uniforms_long_or_single_streams_use_generators(monkeypatch):
         stream_uniforms(states[:1], 4, 0)
 
 
+def test_stream_uniforms_take_a_numpy_integer_start():
+    # one stream takes the generator path, several short ones the columns
+    states = level_states(replicate_seeds(4, 1, 0, 8), 1)[:, 0]
+    for streams in (states[:1], states):
+        expected = stream_uniforms(streams, 3, 2)
+        np.testing.assert_array_equal(stream_uniforms(streams, 3, np.int64(2)), expected)
+        np.testing.assert_array_equal(expected, _numpy_pieces(streams, [3] * len(streams), [2] * len(streams)))
+
+
 def _numpy_pieces(states, sizes, starts):
     """Values starts[r] .. starts[r] + sizes[r] of each stream, from numpy's generators."""
     return np.concatenate(
