@@ -8,16 +8,17 @@ so it depends only on how many levels pick each distinct value
 enumerate the possible products; equal float products are merged
 (``grid_groups``).  Cells inside a group are addressed by an exact integer
 rank, so group membership is never materialized; :class:`GridUnranker`
-maps all the ranks drawn in one run to their cells with one pass of int64
-array arithmetic over the leading levels and one gather from a table of the
-last levels' sub-grid.  Tied levels are not grouped: ``gp`` draws them
-exactly as ``dcsd`` does.
+maps all the ranks drawn in one run to their cells in int64 array passes:
+one lookup of each rank's descriptor, a walk down a table of class-count
+multisets (nodes) over the leading levels, a few gathers and compares per
+level, and one gather from a table of the last levels' sub-grid.  Tied
+levels are not grouped: ``gp`` draws them exactly as ``dcsd`` does.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from itertools import chain
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,10 @@ from .errors import BadArgs, GroupCapExceeded, Overflow
 DEFAULT_GROUP_CAP = 100_000
 # GridUnranker tabulates the sub-grid of as many last levels as fit in this
 # many cells (10 levels at b = 2, 6 at b = 3), at 4 bytes a cell.  Unranking
-# one K = ell = 12 draw of the worked seed (36,563 cells, 2 vCPUs) took 24 ms
-# with no table, 10 ms with 2**16 cells, 7.3 ms with 2**20 and 4.2 ms with
-# 2**22, whose table takes 16 MB and 19 ms to build (2**20: 4 MB, 12 ms).
+# one K = ell = 12 draw of the worked seed (37,050 cells, 2 vCPUs, best of
+# 20) took 7.0 ms with no table, 3.4 ms with 2**16 cells, 1.5 ms with 2**20
+# and 1.1 ms with 2**22, whose table takes 16 MB and 38 ms to build (2**20:
+# 4 MB, 12 ms).
 _TAIL_CELLS = 1 << 20
 
 
@@ -154,19 +156,25 @@ def grid_groups(cfg: ModelConfig) -> tuple[tuple[ValueClass, ...], tuple[Probabi
 class GridUnranker:
     """Integer tables that turn whole-grid group ranks into grid cells.
 
-    Built once per grouping.  Descriptors are numbered in group order, then
-    in each group's rank order; per descriptor the tables hold its exponents
-    (one column per value class), its member count ``prod(multiplicity_t **
-    exponents[t])`` and its arrangement count (the multinomial of its
-    exponents), and per group the rank at which each descriptor starts.  The
-    block positions of all classes are laid end to end, so class ``t``'s
-    ``d``-th position is ``positions[first[t] + d]``.  Groups of more than
-    ``2**63 - 1`` cells get no tables, so their ranks are refused.
+    Built once per grouping from one index of nodes: a node of depth d is a
+    multiset of class counts over d levels, numbered within its depth by
+    ``_node_ranks``.  Per node and class t the index holds the child node
+    (one t fewer) and the arrangements of the children of the classes
+    before t, since the arrangements whose first level takes t follow
+    theirs.  The block positions of all classes are laid end to end, so
+    class ``t``'s ``d``-th position is ``positions[first[t] + d]``.  Per
+    group the tables hold its size, its first descriptor and the rank at
+    which each later one starts; per descriptor its start, member count and
+    node.  Groups of more than ``2**63 - 1`` cells get no descriptors, so
+    their ranks are refused, and arrangement counts past that range, which
+    only their nodes reach, are held at ``2**63 - 1``.
 
     The last ``tail`` levels, as many as keep their sub-grid within
-    ``_TAIL_CELLS`` cells, are tabulated whole (``_tail_table``): for each
-    multiset of ``tail`` class counts (a node), its sub-cells in rank order,
-    so ``cells`` unranks those levels with one gather.
+    ``_TAIL_CELLS`` cells, are tabulated whole (``_grow_table``): for each
+    node of depth ``tail``, its sub-cells in rank order, so ``cells``
+    unranks those levels with one gather.  The deeper nodes, those of the
+    leading ``levels - tail`` levels, keep their children and arrangement
+    bounds in class-major ``(m, nodes)`` arrays, depth after depth.
     """
 
     def __init__(
@@ -185,88 +193,169 @@ class GridUnranker:
             [np.asarray(cls.positions, dtype=np.int64) for cls in classes]
         )
         self._pos_row, self._pos_col = np.divmod(positions, base)
-        descs: list[ExponentDescriptor] = []
-        starts: list[tuple[int, np.ndarray] | None] = []
-        for group in groups:
-            if group.size > I64_MAX:
-                starts.append(None)
-                continue
-            first = len(descs)
-            offsets = [0]
-            for desc in group.cell_source:
-                descs.append(desc)
-                offsets.append(offsets[-1] + desc.sequences)
-            starts.append((first, np.asarray(offsets[:-1], dtype=np.int64)))
-        self._starts = starts
-        exponents = np.asarray([d.exponents for d in descs], dtype=np.int64)
-        self._exponents = exponents.reshape(-1, len(classes)).T
-        self._members = np.asarray([d.members for d in descs], dtype=np.int64)
-        self._arrangements = np.asarray([d.arrangements for d in descs], dtype=np.int64)
+        # some class holds several block positions, so member ranks have digits
+        self._digits = max(sizes) > 1
         tail = 0
         while tail < levels and (base * base) ** (tail + 1) <= _TAIL_CELLS:
             tail += 1
         self.tail = tail
-        # colex[j][p]: _node_ranks' term for classes 0..j holding p tail levels
+        m = len(classes)
+        # colex[j][p]: _node_ranks' term for classes 0..j holding p levels
         self._colex = [
-            np.asarray([math.comb(p + j, j + 1) for p in range(tail + 1)], dtype=np.int64)
-            for j in range(len(classes) - 1)
+            np.asarray([math.comb(p + j, j + 1) for p in range(levels + 1)], dtype=np.int64)
+            for j in range(m - 1)
         ]
-        self._node_start, self._node_members, self._sub_cells = self._tail_table()
+        self._group_tables(groups, self._node_index(m))
 
-    def _tail_table(self):
-        """Every node's sub-cells, in rank order, as ``row * side + col``
-        inside the sub-grid of the last ``tail`` levels (``side`` cells
-        wide), built depth by depth from one node of no levels.
-
-        A node of depth d lists, for each class t it holds in index order
-        (the arrangements whose first level takes t), the table of its child
-        (one t fewer) as ``(arrangements, 1, members)`` with t's block
-        positions in the middle axis, at the depth's top digit: the member
-        digit of the first level is the most significant.  Returns per node
-        (by ``_node_ranks``) its start in the table and its member count, and
-        the table.
-        """
-        m = len(self._radix)
-        side = self.base**self.tail
-        # node -> (start, arrangements, members) in the previous depth's table
-        index = {(0,) * m: (0, 1, 1)}
+    def _node_index(self, m):
+        """Build the node index depth by depth, the sub-cell table of the
+        tail depths and the children and skips of the head depths, and
+        return the arrangement counts of the nodes of depth ``levels``."""
+        # head depth h = depth - tail - 1 numbers its nodes from offsets[h]
+        offsets = np.cumsum(
+            [0] + [math.comb(d + m - 1, m - 1) for d in range(self.tail + 1, self.levels + 1)]
+        )
+        self._skip = np.empty((m, offsets[-1]), dtype=np.int64)
+        self._child = np.zeros((m, offsets[-1]), dtype=np.int64)
+        classes = np.arange(m)
+        counts = np.zeros((m, 1), dtype=np.uint8)
+        arr = members = np.ones(1, dtype=np.int64)
+        start = np.zeros(1, dtype=np.int64)
         table = np.zeros(1, dtype=np.uint32)
-        for depth in range(1, self.tail + 1):
-            scale = self.base ** (depth - 1)
-            # each class's block positions as sub-cells at this depth's top digit
-            blocks = np.split(
-                (self._pos_row * side + self._pos_col).astype(np.uint32) * scale,
-                self._first[1:],
+        for depth in range(1, self.levels + 1):
+            counts, ranks = self._grow(counts, depth)
+            if depth <= self.tail:
+                arr, members, start, table = self._grow_table(
+                    depth, ranks, arr, members, start, table
+                )
+                continue
+            h = depth - self.tail - 1
+            nodes = slice(offsets[h], offsets[h + 1])
+            arr = _running_bounds(ranks, arr, self._skip[:, nodes])
+            self._child[classes[:, None], ranks + offsets[h]] = np.arange(ranks.shape[1]) + (
+                offsets[h - 1] if h else 0
             )
-            next_table = np.empty((self.base * self.base) ** depth, dtype=np.uint32)
-            next_index = {}
-            start = 0
-            for counts in _exponent_multisets(depth, m):
-                node_start = start
-                for t, block in enumerate(blocks):
-                    if not counts[t]:
-                        continue
-                    at, arr, members = index[counts[:t] + (counts[t] - 1,) + counts[t + 1 :]]
-                    end = start + arr * block.size * members
-                    np.add(
-                        table[at : at + arr * members].reshape(arr, 1, members),
-                        block[:, None],
-                        out=next_table[start:end].reshape(arr, block.size, members),
-                    )
-                    start = end
-                members = math.prod(r**c for r, c in zip(self._radix.tolist(), counts))
-                next_index[counts] = (node_start, _multinomial(counts), members)
-            index, table = next_index, next_table
-        nodes = self._node_ranks(np.asarray(list(index), dtype=np.int64).T)
-        node_start = np.empty_like(nodes)
-        node_members = np.empty_like(nodes)
-        node_start[nodes], _, node_members[nodes] = np.asarray(list(index.values())).T
-        return node_start, node_members, table
+        self._node_start, self._node_members, self._sub_cells = start, members, table
+        self._top = offsets[-2] if self.levels > self.tail else 0
+        # the running bound of each class but the last: class t's is the next one's skip
+        self._bounds = list(self._skip[1:])
+        return arr
+
+    def _grow(self, counts, depth):
+        """The nodes of ``depth`` levels from ``counts``, the class counts
+        ``(m, nodes)`` of those of one fewer: theirs, in ``_node_ranks``
+        order, and ``ranks[t, c]``, the node that adds class t to node c.
+
+        One more t moves the bars t to m - 2 of node c's stars and bars one
+        place on, so that node's rank is the one adding the last class (no
+        bar moves, the same terms) plus the steps of those bars' terms."""
+        m, prev = counts.shape
+        ranks = np.zeros((m, prev), dtype=np.int64)
+        prefix = np.zeros(prev, dtype=np.int64)
+        for colex, count, step in zip(self._colex, counts, ranks):
+            prefix += count
+            term = colex[prefix]
+            ranks[-1] += term
+            np.subtract(colex[prefix + 1], term, out=step)
+        for t in range(m - 2, -1, -1):
+            ranks[t] += ranks[t + 1]
+        grown = np.empty((m, math.comb(depth + m - 1, depth)), dtype=np.uint8)
+        for t, node in enumerate(ranks):
+            grown[:, node] = counts
+            grown[t, node] += 1
+        return grown, ranks
+
+    def _grow_table(self, depth, ranks, child_arr, child_members, start, table):
+        """The sub-cell table of the nodes of ``depth`` levels, from that of
+        the nodes of one level fewer (their arrangement and member counts,
+        ``start`` per node, and ``table``), as ``row * side + col`` inside
+        the sub-grid of the last ``tail`` levels (``side`` cells wide).
+
+        A node lists, for each class t it holds in index order (the
+        arrangements whose first level takes t, from ``bounds[t]`` on), the
+        table of its child (one t fewer) as ``(arrangements, 1, members)``
+        with t's block positions in the middle axis, at the depth's top
+        digit: the member digit of the first level is the most significant.
+        Each (class, block position) pair moves the whole previous table at
+        once: its rows (one per child, or per child arrangement where t has
+        several positions) stay contiguous, so the targets are a running sum
+        of ones with a jump at each row's start.  Returns each node's
+        arrangement and member counts and start, and the table.
+        """
+        bounds = np.empty((len(ranks), math.comb(depth + len(ranks) - 1, depth)), dtype=np.int64)
+        arr = _running_bounds(ranks, child_arr, bounds)
+        members = np.empty(arr.size, dtype=np.int64)
+        members[ranks] = child_members * self._radix[:, None]
+        side = self.base**self.tail
+        cells = (self._pos_row * side + self._pos_col).astype(np.uint32)
+        sizes = arr * members
+        next_start = np.cumsum(sizes) - sizes
+        # where class t's arrangements start in the node adding t to child c
+        segment = next_start[ranks] + np.take_along_axis(bounds, ranks, axis=1) * members[ranks]
+        children = np.arange(child_arr.size)
+        # (child, arrangement, start, length) per row
+        rows = {True: (children, 0, start, child_arr * child_members)}
+        if self._digits:
+            owner = children.repeat(child_arr)
+            arrangement = np.arange(owner.size) - (np.cumsum(child_arr) - child_arr)[owner]
+            at = start[owner] + arrangement * child_members[owner]
+            rows[False] = (owner, arrangement, at, child_members[owner])
+        next_table = np.empty(int(sizes.sum()), dtype=np.uint32)
+        target = np.empty(table.size, dtype=np.int64)
+        scale = np.uint32(self.base ** (depth - 1))
+        for t, radix in enumerate(self._radix.tolist()):
+            owner, arrangement, at, length = rows[radix == 1]
+            for digit in range(radix):
+                first = segment[t][owner] + (arrangement * radix + digit) * child_members[owner]
+                target.fill(1)
+                target[at] = first
+                target[at[1:]] -= first[:-1] + length[:-1] - 1
+                np.cumsum(target, out=target)
+                block = cells[self._first[t] + digit] * scale
+                table += block
+                next_table[target] = table
+                table -= block
+        return arr, members, next_start, next_table
+
+    def _group_tables(self, groups, arr):
+        """Per group its size (0 for refused groups), first descriptor and
+        the ranks where its later descriptors start (``2**63 - 1`` past its
+        last); per descriptor its start in its group, member count and
+        node, whose arrangement count ``arr`` holds."""
+        refused = [group.size > I64_MAX for group in groups]
+        sources = [() if no else group.cell_source for group, no in zip(groups, refused)]
+        self._refused = np.asarray(refused, dtype=bool)
+        self._sizes = np.asarray(
+            [0 if no else group.size for group, no in zip(groups, refused)], dtype=np.int64
+        )
+        lengths = np.asarray([len(source) for source in sources], dtype=np.int64)
+        descs = chain.from_iterable(sources)
+        exponents = chain.from_iterable(desc.exponents for desc in descs)
+        counts = np.fromiter(exponents, dtype=np.uint8).reshape(-1, len(self._radix)).T
+        node = self._node_ranks(counts)
+        members = np.ones(node.size, dtype=np.int64)
+        for radix, count in zip(self._radix, counts):
+            members *= radix**count
+        # Starts restart at each group; unsigned running sums wrap harmlessly
+        # past 2**64 across groups, since each group's own fit in int64.
+        sequences = (arr[node] * members).view(np.uint64)
+        before = np.cumsum(sequences) - sequences
+        first = np.cumsum(lengths) - lengths
+        owner = np.arange(len(groups)).repeat(lengths)
+        start = (before - before[first[owner]]).view(np.int64)
+        later = np.arange(node.size) - first[owner] - 1
+        starts = np.full((int(lengths.max(initial=1)) - 1, len(groups)), I64_MAX, dtype=np.int64)
+        starts[later[later >= 0], owner[later >= 0]] = start[later >= 0]
+        self._later_starts = list(starts)
+        self._group_first = first
+        self._desc_start = start
+        self._desc_members = members
+        self._desc_node = node + self._top
 
     def _node_ranks(self, counts) -> np.ndarray:
-        """Rank of each multiset of ``tail`` class counts (one array per
-        class) among all such multisets: the colex rank of its stars and
-        bars' bar positions, dense over exactly those multisets."""
+        """Rank of each multiset of d class counts (one array per class)
+        among all such multisets: the colex rank of its stars and bars' bar
+        positions, dense over exactly those multisets."""
         node = np.zeros(len(counts[0]), dtype=np.int64)
         prefix = np.zeros_like(node)
         for colex, count in zip(self._colex, counts):
@@ -274,103 +363,77 @@ class GridUnranker:
             node += colex[prefix]
         return node
 
-    def cells(
-        self, drawn: Iterable[tuple[int, np.ndarray]]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Rows and columns of the cells that ``(group index, ranks)`` pairs denote.
+    def cells(self, index, ranks) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and columns of the cells that group ``index[i]``'s rank
+        ``ranks[i]`` denotes, for every i, in input order.
 
         The bijection enumerates a group's descriptors in listed order;
         within a descriptor, a rank factors into an arrangement rank (which
         value class each level uses, in the multiset-permutation order that
         takes classes by index) and a member rank (which block position of
         its class each level uses, mixed radix, last level least
-        significant).  All drawn ranks are mapped in one array pass, in
-        input order: the leading ``levels - tail`` levels (possibly none)
-        position by position, which leaves each cell a node of the last
-        ``tail`` levels and an arrangement rank within it, and those levels
-        by one gather from the table of that node's sub-cells, at its
-        arrangement rank and the low part of the member rank.
+        significant).  One pass per later descriptor of the widest group
+        finds each cell's descriptor, and so its node of depth ``levels``.
+        Each of the leading ``levels - tail`` levels (possibly none) then
+        moves every cell one node down: the class is the count of the node's
+        arrangement bounds at or below the arrangement rank, which drops to
+        the child's arrangements, and the member digit is the member rank
+        over the child's member count.  The last ``tail`` levels are one
+        gather from the table of the reached node's sub-cells, at its
+        arrangement rank and the rest of the member rank.
 
         Raises:
             BadArgs: a rank outside [0, size) of its group.
             Overflow: ranks of a group of more than ``2**63 - 1`` cells.
         """
-        desc_parts = [np.empty(0, dtype=np.int64)]
-        rank_parts = [np.empty(0, dtype=np.int64)]
-        for index, ranks in drawn:
-            ranks = np.asarray(ranks, dtype=np.int64)
-            if not ranks.size:
-                continue
-            if self._starts[index] is None:
-                raise Overflow(f"group {index} exceeds the signed 64-bit range")
-            first, offsets = self._starts[index]
-            desc = offsets.searchsorted(ranks, side="right") - 1
-            desc_parts.append(desc + first)
-            rank_parts.append(ranks - offsets[desc])
-        desc = np.concatenate(desc_parts)
-        rank = np.concatenate(rank_parts)
-        members = self._members[desc]
-        arr = self._arrangements[desc]
-        arr_rank = rank // members
-        member_rank = rank - arr_rank * members
-        # A negative rank keeps a negative remainder; a rank at or past its
-        # group's size runs past the last descriptor's arrangements.
-        if rank.size and (rank.min() < 0 or (arr_rank >= arr).any()):
+        index = np.asarray(index, dtype=np.intp)
+        rank = np.asarray(ranks, dtype=np.int64)
+        if rank.size and (rank.min() < 0 or (rank >= self._sizes[index]).any()):
+            refused = index[self._refused[index]]
+            if refused.size:
+                raise Overflow(f"group {refused[0]} exceeds the signed 64-bit range")
             raise BadArgs("rank outside [0, size) of its group")
-        seq, counts, arr_rank = self._arrangement_classes(desc, arr, arr_rank)
-        node = self._node_ranks(counts)
-        # the tail's member digits are the least significant
-        members = self._node_members[node]
-        member_rank, tail_rank = np.divmod(member_rank, members)
-        at = self._node_start[node] + arr_rank * members + tail_rank
-        scale = self.base**self.tail
-        rows, cols = np.divmod(self._sub_cells[at].astype(np.int64), scale)
-        for cls in seq[::-1]:
-            radix = self._radix[cls]
-            digit_rank = member_rank // radix
-            at = self._first[cls] + member_rank - digit_rank * radix
-            member_rank = digit_rank
-            rows += self._pos_row[at] * scale
-            cols += self._pos_col[at] * scale
-            scale *= self.base
-        return rows, cols
+        desc = self._group_first[index]
+        for start in self._later_starts:
+            desc += start[index] <= rank
+        node = self._desc_node[desc]
+        arr_rank = rank - self._desc_start[desc]
+        # members and member_rank stay 1 and 0 where every class has one
+        # block position; int64 division is most of the walk's cost
+        members, member_rank = 1, 0
+        if self._digits:
+            members = self._desc_members[desc]
+            arr_rank, member_rank = np.divmod(arr_rank, members)
+        nodes = self._skip.shape[1]
+        skip, child = self._skip.ravel(), self._child.ravel()
+        rows = cols = 0
+        for _ in range(self.levels - self.tail):
+            cls = np.zeros_like(node)
+            for bound in self._bounds:
+                cls += bound[node] <= arr_rank
+            at = cls * nodes + node
+            arr_rank -= skip[at]
+            node = child[at]
+            at = self._first[cls]
+            if self._digits:
+                members //= self._radix[cls]
+                digit, member_rank = np.divmod(member_rank, members)
+                at += digit
+            rows = rows * self.base + self._pos_row[at]
+            cols = cols * self.base + self._pos_col[at]
+        side = self.base**self.tail
+        at = self._node_start[node] + arr_rank * members + member_rank
+        sub_rows, sub_cols = np.divmod(self._sub_cells[at].astype(np.int64), side)
+        return rows * side + sub_rows, cols * side + sub_cols
 
-    def _arrangement_classes(self, desc, arr, arr_rank):
-        """Value class of each leading level, shape (levels - tail, cells),
-        the class counts left for the tail (one array per class) and the
-        arrangement rank within them: the multiset permutations of each
-        cell's exponents, unranked position by position.
 
-        At each position class ``t`` covers the next ``arr * count_t //
-        remaining`` arrangement ranks, computed as ``q * count_t + rem *
-        count_t // remaining`` with ``arr = q * remaining + rem``: the same
-        integer, but no product exceeds ``arr``, so nothing overflows int64.
-        """
-        counts = [column[desc] for column in self._exponents]
-        head = self.levels - self.tail
-        seq = np.zeros((head, desc.size), dtype=np.min_scalar_type(len(counts)))
-        for pos in range(head):
-            remaining = self.levels - pos
-            q = arr // remaining
-            rem = arr - q * remaining
-            chosen = seq[pos]
-            bound = np.zeros_like(arr)
-            start = np.zeros_like(arr)
-            arr = np.zeros_like(arr)
-            before = np.ones(desc.size, dtype=bool)
-            # Ranks at or past a class's end move on to a later class, so
-            # ``past`` holds for a prefix of the classes and ``here`` for
-            # the chosen one.  Masks multiply: np.where is far slower on
-            # unsorted masks.
-            for count in counts:
-                sub = q * count + rem * count // remaining
-                bound += sub
-                past = bound <= arr_rank
-                here = before ^ past
-                chosen += past
-                start += sub * past
-                arr += sub * here
-                count -= here
-                before = past
-            arr_rank = arr_rank - start
-        return seq, counts, arr_rank
+def _running_bounds(ranks, arr, out) -> np.ndarray:
+    """Fill ``out[t]`` with each node's arrangements whose first level
+    takes a class before t, and return all its arrangements, held at
+    ``2**63 - 1``: node ``ranks[t, c]`` adds class t to child c, which has
+    ``arr[c]`` arrangements."""
+    total = np.zeros(out.shape[1], dtype=np.int64)
+    for row, node in zip(out, ranks):
+        row[:] = total
+        total[node] += np.minimum(arr, I64_MAX - total[node])
+    return total

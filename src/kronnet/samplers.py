@@ -64,7 +64,6 @@ from .config import DEFAULT_DENSE_CAP, I64_MAX, ModelConfig, check_int
 from .errors import BadArgs, CapExceeded, GroupCapExceeded, Overflow
 from .groups import GridUnranker, grid_groups
 from .kron import ci_rv_count, fold, row_blocks
-from .randvar import binomial_draw, choose_without_replacement
 from .rng import check_seed, level_states, stream_from_state, stream_uniforms
 
 # Per-cell draws take their probabilities in row blocks of at most this
@@ -81,9 +80,9 @@ _MAX_ROW_CELLS = 1 << 24
 # and sweeps it below: grouping pays one binomial count per group and an
 # unranking pass per run, which a small grid's sweep undercuts.  gp / dcsd
 # time with every grid grouped, best of 5 runs of seed 0 on the worked seed
-# [[0.9, 0.7], [0.5, 0.3]], plain K = ell (2 vCPUs, numpy 2.4): 12x at
-# 2**12 cells, 2.6x at 2**18, 0.97x at 2**20, 0.43x at 2**22, 0.20x at
-# 2**24.  Re-measure with this constant set to 0 and a plain config
+# [[0.9, 0.7], [0.5, 0.3]], plain K = ell (2 vCPUs, numpy 2.4): 8x at
+# 2**12 cells, 1.4x at 2**18, 0.55-0.65x at 2**20, 0.22x at 2**22, 0.10x
+# at 2**24.  Re-measure with this constant set to 0 and a plain config
 # plain.json of that seed:
 #   kronnet bench --config plain.json --k 6,9,10,11,12 --strategies dcsd,gp
 _GROUP_CELLS = 1 << 21
@@ -173,20 +172,35 @@ def _sorted_cells(rows: np.ndarray, cols: np.ndarray, reps: int, side: int):
     return np.divmod(keys, side)
 
 
-def _grouped_draw(size: int, prob: float, stream: np.random.Generator) -> np.ndarray:
-    """Ranks in [0, size) of the realized cells of one equal-probability group.
+def _grouped_draw(drawn, stream: np.random.Generator):
+    """One replicate's realized level-0 group cells: the index and count of
+    each group with any, and each one's ranks in [0, size), unsorted.
 
-    A binomial count, then that many distinct ranks placed uniformly by one
-    C-level call (``choose_without_replacement``), returned sorted; every
-    rank when ``prob`` is 1, since placement would still consume draws.
+    ``drawn`` holds (index, size, prob) for every non-empty group of
+    probability above 0, by descending probability, with sizes within the
+    signed 64-bit range (``ModelSampler._grid_tables`` checks them once).
+    Per group, the calls ``binomial_draw`` and ``choose_without_replacement``
+    make, with the same arguments but not their checks or sort: a
+    ``Generator.binomial`` count, then for a count above 0 that many
+    distinct ranks placed by one ``Generator.choice``; every rank, with no
+    draw, when ``prob`` is 1.  Placing nothing draws nothing, so zero counts
+    skip the call.
     """
-    count = binomial_draw(size, prob, stream)
-    if count == 0:
-        # Placing nothing draws nothing, but costs a numpy call.
-        return np.empty(0, dtype=np.int64)
-    if prob == 1.0:
-        return np.arange(size, dtype=np.int64)
-    return choose_without_replacement(size, count, stream)
+    binomial, choice = stream.binomial, stream.choice
+    index, counts, ranks = [], [], []
+    for i, size, prob in drawn:
+        if prob == 1.0:
+            count = size
+            picks = np.arange(size)
+        else:
+            count = int(binomial(size, prob))
+            if not count:
+                continue
+            picks = choice(size, count, replace=False, shuffle=False)
+        index.append(i)
+        counts.append(count)
+        ranks.append(picks)
+    return index, counts, ranks
 
 
 class Strategy(str, Enum):
@@ -387,10 +401,19 @@ class ModelSampler:
 
     @cached_property
     def _grid_tables(self):
-        """Groups of the untied grid for ``gp`` and their ``GridUnranker``,
-        or None to sweep level 0 instead: below ``_GROUP_CELLS`` cells, or
-        when the grouping is above the fixed cap of ``grid_groups``.  Decided
-        once per engine, from the config alone.
+        """What grouped ``gp`` draws of the untied grid: (index, size,
+        prob) of each group ``_grouped_draw`` draws, and their
+        ``GridUnranker``; or None to sweep level 0 instead: below
+        ``_GROUP_CELLS`` cells, or when the grouping is above the fixed cap
+        of ``grid_groups``.  Decided once per engine, from the config alone.
+        The draws' arguments are checked here, once: sizes are exact
+        integers, and probabilities products of checked seed values, so in
+        [0, 1]; groups of size or probability 0 draw nothing and are left
+        out.
+
+        Raises:
+            Overflow: a group of probability above 0 holds more than
+                ``2**63 - 1`` cells, too many to count or place.
         """
         untied = self.cfg.untied_levels
         if self.b ** (2 * untied) < _GROUP_CELLS:
@@ -399,27 +422,36 @@ class ModelSampler:
             classes, groups = grid_groups(replace(self.cfg, levels=untied))
         except GroupCapExceeded:
             return None
-        return groups, GridUnranker(classes, groups, untied, self.b)
+        drawn = [(i, g.size, g.prob) for i, g in enumerate(groups) if g.size and g.prob > 0.0]
+        for i, size, _ in drawn:
+            if size > I64_MAX:
+                raise Overflow(f"level-0 group {i} of {size} cells exceeds the signed 64-bit range")
+        return drawn, GridUnranker(classes, groups, untied, self.b)
 
     def _level0(self, strategy: Strategy, states: np.ndarray):
         """Level 0's realized cells of a stack as an ``(m, 2)`` array in
         stacked (row, col) order, and its level count.  Grouped ``gp`` draws
         each replicate's groups of the untied grid by descending probability
-        from its stream's generator, each a count then a placement, and
-        unranks them in one array pass; other runs sweep all ``levels``
-        (``naive``) or the untied ones.
+        from its stream's generator, each a count then a placement, unranks
+        the whole stack's ranks in one ``cells`` call and sorts them once;
+        other runs sweep all ``levels`` (``naive``) or the untied ones.
         """
         levels = self.cfg.levels if strategy is Strategy.NAIVE else self.cfg.untied_levels
         side = self.b**levels
         if strategy is Strategy.GP and self._grid_tables is not None:
-            groups, unranker = self._grid_tables
-            cells = []
+            drawn, unranker = self._grid_tables
+            index, counts, ranks, offsets = [], [], [np.empty(0, dtype=np.int64)], []
             for r, state in enumerate(states):
-                stream = stream_from_state(state)
-                drawn = [(i, _grouped_draw(g.size, g.prob, stream)) for i, g in enumerate(groups)]
-                rows, cols = unranker.cells(drawn)
-                cells.append((rows + r * side, cols))
-            rows, cols = map(np.concatenate, zip(*cells))
+                i, c, k = _grouped_draw(drawn, stream_from_state(state))
+                index += i
+                counts += c
+                ranks += k
+                offsets += [r * side] * len(i)
+            rows, cols = unranker.cells(
+                np.repeat(np.asarray(index, dtype=np.intp), counts), np.concatenate(ranks)
+            )
+            if len(states) > 1:
+                rows += np.repeat(np.asarray(offsets, dtype=np.int64), counts)
             return np.stack(_sorted_cells(rows, cols, len(states), side), axis=1), levels
         return _grid_cells(self._sweep(states, levels), side), levels
 

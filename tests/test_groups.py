@@ -23,11 +23,13 @@ from kronnet import (
     theta_value_classes,
 )
 from kronnet.config import I64_MAX
-from kronnet.samplers import _grouped_draw
+from kronnet.randvar import binomial_draw, choose_without_replacement
 
 WORKED = [[0.9, 0.7], [0.5, 0.3]]
 SYMMETRIC = [[0.9, 0.5], [0.5, 0.3]]
 THETA3 = [[0.9, 0.6, 0.3], [0.6, 0.5, 0.2], [0.3, 0.2, 0.1]]
+# 0.8 * 0.1 == 0.4 * 0.2 and the like: groups merge 2-3 descriptors
+MERGED = [[0.8, 0.4], [0.2, 0.1]]
 
 
 def _tail(cells, rows, levels, name):
@@ -100,7 +102,8 @@ def unrank_all(cfg):
     classes, groups = grid_groups(cfg)
     unranker = GridUnranker(classes, groups, cfg.levels, cfg.b)
     rows, cols = unranker.cells(
-        (index, np.arange(group.size)) for index, group in enumerate(groups)
+        np.repeat(np.arange(len(groups)), [group.size for group in groups]),
+        np.concatenate([np.arange(group.size) for group in groups]),
     )
     cells = list(zip(rows.tolist(), cols.tolist()))
     expected = [
@@ -179,15 +182,22 @@ def test_grid_groups_probs_strictly_descending():
         _tail(4, WORKED, 4, "worked"),
         _tail(1, WORKED, 3, "worked"),
         _tail(16, SYMMETRIC, 3, "symmetric"),
+        _tail(4, SYMMETRIC, 3, "symmetric"),
         _tail(4, [[0.0, 0.7], [0.5, 0.3]], 3, "zero"),
         _tail(9, THETA3, 2, "theta3"),
         _tail(81, THETA3, 3, "theta3"),
+        # tables of 0, 1 and 2 levels leave heads of 2 levels
+        _tail(1, MERGED, 2, "merged"),
+        _tail(4, MERGED, 3, "merged"),
+        _tail(16, MERGED, 4, "merged"),
     ],
 )
 @pytest.mark.usefixtures("tail_cells")
 def test_unrank_is_a_bijection_onto_the_grid(rows, levels):
     cfg = make_config(rows, levels, 1)
     groups, cells = unrank_all(cfg)
+    if rows is MERGED:
+        assert max(len(group.cell_source) for group in groups) >= 2
     assert len(set(cells)) == len(cells) == cfg.n_nodes**2
     probs = [group.prob for group in groups for _ in range(group.size)]
     for cell, prob in zip(cells, probs):
@@ -258,7 +268,15 @@ def test_unrank_rejects_out_of_range_rank():
     for index, group in enumerate(groups):
         for bad in (-1, group.size):
             with pytest.raises(BadArgs):
-                unranker.cells([(index, [0, bad])])
+                unranker.cells([index, index], [0, bad])
+    # a group of several descriptors: past its last one, not only its first
+    cfg = make_config(MERGED, 3, 1)
+    classes, groups = grid_groups(cfg)
+    unranker = GridUnranker(classes, groups, cfg.levels, cfg.b)
+    index = next(i for i, group in enumerate(groups) if len(group.cell_source) >= 2)
+    for bad in (-1, groups[index].size):
+        with pytest.raises(BadArgs):
+            unranker.cells([index, index], [0, bad])
 
 
 def test_unrank_refuses_groups_beyond_int64():
@@ -268,8 +286,8 @@ def test_unrank_refuses_groups_beyond_int64():
     unranker = GridUnranker(classes, groups, cfg.levels, cfg.b)
     assert groups[-1].size > I64_MAX
     with pytest.raises(Overflow):
-        unranker.cells([(len(groups) - 1, [0])])
-    rows, cols = unranker.cells([(0, [0, groups[0].size - 1])])
+        unranker.cells([len(groups) - 1], [0])
+    rows, cols = unranker.cells([0, 0], [0, groups[0].size - 1])
     assert rows.tolist() == cols.tolist() == [0, 2**40 - 1]
 
 
@@ -294,7 +312,9 @@ def test_unrank_exact_where_arrangement_products_pass_int64():
         size = groups[index].size
         ranks = [0, size - 1] + [int(v) for v in rng.integers(0, size, 5)]
         drawn.append((index, np.asarray(ranks, dtype=np.int64)))
-    rows, cols = unranker.cells(drawn)
+    rows, cols = unranker.cells(
+        np.repeat([index for index, _ in drawn], 7), np.concatenate([ranks for _, ranks in drawn])
+    )
     expected = [
         unrank_grid_cell(groups[index], classes, cfg.levels, cfg.b, int(rank))
         for index, ranks in drawn
@@ -303,15 +323,26 @@ def test_unrank_exact_where_arrangement_products_pass_int64():
     assert list(zip(rows.tolist(), cols.tolist())) == expected
 
 
+def _reference_draw(group, stream):
+    """One group's ranks from the checked public draws: a count, then that
+    many distinct ranks, or every rank when the group's probability is 1."""
+    count = binomial_draw(group.size, group.prob, stream)
+    if count == 0:
+        return []
+    if group.prob == 1.0:
+        return range(group.size)
+    return choose_without_replacement(group.size, count, stream).tolist()
+
+
 def _reference_grid_gp(cfg, seed):
-    """Whole-grid gp with the scalar unranking: the same draw loop, one
-    cell at a time, sorted."""
+    """Whole-grid gp with the scalar unranking: the same draws, group by
+    group, one cell at a time, sorted."""
     classes, groups = grid_groups(cfg)
     stream = level_rng(seed, 0)
     return sorted(
         unrank_grid_cell(group, classes, cfg.levels, cfg.b, rank)
         for group in groups
-        for rank in _grouped_draw(group.size, group.prob, stream).tolist()
+        for rank in _reference_draw(group, stream)
     )
 
 

@@ -31,6 +31,7 @@ from kronnet import (
     sample,
 )
 from kronnet.output import dump_json, trace_to_dict, write_edgelist
+from kronnet.randvar import choose_without_replacement
 from kronnet.rng import level_rng, level_states
 from kronnet.samplers import expand_active, stream_levels
 
@@ -60,9 +61,10 @@ def test_fresh_engine_same_output(worked_cfg, strategy):
 # sha256 of the edge list bytes then the trace JSON of seeds 0 and 7, in
 # that order.  naive, ci and dcsd draw only PCG64 uniforms, and so does gp
 # wherever it sweeps level 0; gp's grouped digests (plain6, loopfree, run
-# with every grid grouped) also depend on numpy's Generator.binomial and
-# Generator.choice (README "Determinism"), so a numpy release that changes
-# those may move them.
+# with every grid grouped, and plain12 and tied14, whose untied grids are
+# grouped as they stand and unrank 2 and 1 levels ahead of the tail table)
+# also depend on numpy's Generator.binomial and Generator.choice (README
+# "Determinism"), so a numpy release that changes those may move them.
 PINNED_DIGESTS = {
     ("worked", "naive"): "d69cd5f26fed0a555ea5f8ead9a61c68cf405baf20e3ca897f9139662c072e47",
     ("worked", "ci"): "c04b8f6a3e58feb238912f8ff4ead6f295a0899397186952bb458e4c1be43c3a",
@@ -88,6 +90,8 @@ PINNED_DIGESTS = {
     ("loopfree", "ci"): "be9916f2c898e0b128cefd7449e1bf072b579ae69f9686907b2af54f75b4862e",
     ("loopfree", "dcsd"): "2903058c0d1d97384f2b5870acca8bbee4a2fdfee4a2c4a18a7dabc8c2965527",
     ("loopfree", "gp"): "7d6a83c02884877ded9be4ad7ba78007086cf7752691e8e07237e683086d5bc4",
+    ("plain12", "gp"): "29b5b947be246f6199f48d281416f1efe4f662d0654bb4d8b7851167dfd8b161",
+    ("tied14", "gp"): "754100304aa3125cb69eba7d975ca686a04e7bc502372d092b97a5a8e186e539",
 }
 
 _WORKED_THETA = [[0.9, 0.7], [0.5, 0.3]]
@@ -99,6 +103,8 @@ PINNED_CONFIGS = {
     "tied9": make_config(_WORKED_THETA, 9, 3),  # six tied levels
     "undirected": make_config(_WORKED_THETA, 4, 2, directed=False),
     "loopfree": make_config(_WORKED_THETA, 5, 5, self_loops=False),
+    "plain12": make_config(_WORKED_THETA, 12, 12),
+    "tied14": make_config(_WORKED_THETA, 14, 11),  # three tied levels
 }
 
 # pins of gp's grouped level 0, on grids below _GROUP_CELLS
@@ -791,34 +797,45 @@ def test_grouped_draw_skips_placement_for_zero_counts(monkeypatch, worked_cfg):
     for total in (5, 100, 20000, 2**40):
         stream = np.random.default_rng(total)
         state = stream.bit_generator.state
-        assert samplers_mod.choose_without_replacement(total, 0, stream).size == 0
+        assert choose_without_replacement(total, 0, stream).size == 0
         assert stream.bit_generator.state == state
-    real = samplers_mod.choose_without_replacement
     zero_counts = []
 
-    def placing_draw(size, prob, stream):
-        # the grouped draw that also places zero counts
-        if prob == 0.0:
-            return np.empty(0, dtype=np.int64)
-        count = samplers_mod.binomial_draw(size, prob, stream)
-        zero_counts.append(count == 0)
-        if prob == 1.0:
-            return np.arange(size, dtype=np.int64)
-        return real(size, count, stream)
+    class Placing:
+        """A level-0 generator whose draw loop also places zero counts."""
 
-    def refusing(total, count, stream):
-        if count == 0:
-            raise AssertionError("placement called for a zero count")
-        return real(total, count, stream)
+        def __init__(self, stream):
+            self.stream = stream
 
+        def binomial(self, size, prob):
+            count = self.stream.binomial(size, prob)
+            zero_counts.append(count == 0)
+            if count == 0:
+                self.stream.choice(size, 0, replace=False, shuffle=False)
+            return count
+
+        def choice(self, *args, **kwargs):
+            return self.stream.choice(*args, **kwargs)
+
+    class Refusing(Placing):
+        def binomial(self, size, prob):
+            return self.stream.binomial(size, prob)
+
+        def choice(self, total, count, **kwargs):
+            if count == 0:
+                raise AssertionError("placement called for a zero count")
+            return self.stream.choice(total, count, **kwargs)
+
+    real = samplers_mod.stream_from_state
     configs = (worked_cfg, make_config([[0.9, 0.7], [0.5, 0.3]], 6, 6))
     runs = [(cfg, seed) for cfg in configs for seed in range(20)]
     with monkeypatch.context() as patch:
-        patch.setattr(samplers_mod, "_grouped_draw", placing_draw)
+        patch.setattr(samplers_mod, "stream_from_state", lambda state: Placing(real(state)))
         before = [ModelSampler(cfg).run(Strategy.GP, seed) for cfg, seed in runs]
     assert any(zero_counts)
-    monkeypatch.setattr(samplers_mod, "choose_without_replacement", refusing)
-    assert samplers_mod._grouped_draw(1000, 1e-9, np.random.default_rng(0)).size == 0
+    monkeypatch.setattr(samplers_mod, "stream_from_state", lambda state: Refusing(real(state)))
+    refusing = Refusing(np.random.default_rng(0))
+    assert samplers_mod._grouped_draw([(0, 1000, 1e-9)], refusing) == ([], [], [])
     for (cfg, seed), (net_before, trace_before) in zip(runs, before):
         net, trace = ModelSampler(cfg).run(Strategy.GP, seed)
         np.testing.assert_array_equal(net.edges, net_before.edges)
