@@ -50,7 +50,6 @@ from .kron import (
     expected_active,
     kronecker_power,
 )
-from .randvar import binomial_draw, choose_without_replacement
 from .rng import level_rng, replicate_seed
 from .samplers import (
     LevelTrace,
@@ -107,8 +106,6 @@ __all__ = [
     "edge_prob",
     "expected_active",
     "kronecker_power",
-    "binomial_draw",
-    "choose_without_replacement",
     "level_rng",
     "replicate_seed",
     "LevelTrace",

@@ -17,9 +17,11 @@ stack of one; the verification harness sends stacks of many.
   2**24 cells, with the same draws either way, and the sweep refuses rows
   wider than 2**24 cells before allocating them.  On an untied grid of at
   least ``_GROUP_CELLS`` = 2**21 cells ``gp`` draws each replicate's
-  probability groups of that grid instead, one binomial count per group,
-  unless the grouping exceeds the fixed cap of ``grid_groups``; the plain
-  model is the case with no tied levels after it.
+  probability groups of that grid instead (``_grouped_draw``: geometric
+  gaps for every group expecting few cells in one call, a count then a
+  placement for the rest), unless the grouping exceeds the fixed cap of
+  ``grid_groups``; the plain model is the case with no tied levels after
+  it.
 * Each tied level replaces every realized cell with a side x side block of
   candidates; child (dr, dc) survives with probability ``theta[dr, dc]``,
   and children of unrealized cells never do.  The level loop carries a
@@ -42,7 +44,8 @@ alters sampling.
 Each level draws from its own stream in a documented order (cells row-major;
 pruned candidates parent-major with blocks row-major, parents in the order
 the previous level made them, for ``dcsd`` and ``gp`` alike; level-0
-groups by descending probability, count then placement), so runs are
+groups in ``_grouped_draw``'s order: the gap rounds, then the counts, then
+the placements by descending probability), so runs are
 reproducible, ``gp`` matches ``dcsd`` draw for draw wherever it sweeps
 level 0, and the full sweep matches the Bayesian-network ancestral sampler
 draw for draw.
@@ -56,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cache, cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -77,15 +80,28 @@ _CACHE_CELLS = 1 << 24
 # wider row would be allocated whole before its first draw.
 _MAX_ROW_CELLS = 1 << 24
 # ``gp`` groups level 0 when its untied grid has at least this many cells
-# and sweeps it below: grouping pays one binomial count per group and an
-# unranking pass per run, which a small grid's sweep undercuts.  gp / dcsd
-# time with every grid grouped, best of 5 runs of seed 0 on the worked seed
-# [[0.9, 0.7], [0.5, 0.3]], plain K = ell (2 vCPUs, numpy 2.4): 8x at
-# 2**12 cells, 1.4x at 2**18, 0.55-0.65x at 2**20, 0.22x at 2**22, 0.10x
-# at 2**24.  Re-measure with this constant set to 0 and a plain config
-# plain.json of that seed:
-#   kronnet bench --config plain.json --k 6,9,10,11,12 --strategies dcsd,gp
+# and sweeps it below: grouping pays per group and an unranking pass per
+# run, which a small grid's sweep undercuts.  gp / dcsd time with every
+# grid grouped, best of 5 runs of seed 0 on the worked seed [[0.9, 0.7],
+# [0.5, 0.3]], plain K = ell (2 vCPUs, numpy 2.4), two runs: 1.4-1.7x at
+# 2**12 cells, 0.7x at 2**16, 0.23-0.27x at 2**18, 0.11-0.18x at 2**20,
+# 0.07x at 2**22, 0.05-0.06x at 2**24.  Re-measure with this constant set
+# to 0 and a plain config plain.json of that seed:
+#   kronnet bench --config plain.json --k 6,8,9,10,11,12 --strategies dcsd,gp
 _GROUP_CELLS = 1 << 21
+# Grouped level 0 draws a group's ranks by geometric gaps, every such group
+# in one call, when it expects fewer than this many cells, and by a count
+# then a ``choice`` placement call at or above.  Per realized cell, 20
+# equal groups a call at p = 0.01-0.9 (2 vCPUs, numpy 2.4): gaps 20-39 ns
+# against placements 49-103 ns at 300 expected cells, 24-36 against 36-47
+# at 1000, about even at 3000, 28-33 against 19-26 at 10000 for p >= 0.1,
+# where ``choice`` shuffles a range.  Re-measure by timing ``_grouped_draw``
+# on ``_draw_plan`` of such groups with this constant at 0 and at 10**18.
+_GAP_COUNT = 1000
+# A gap group draws its expected count plus this many standard deviations
+# of gaps per round: 0.4 further rounds per worked K = 12 draw at 3, 1.0
+# at 2, 0.05 at 4, at equal draw times.
+_GAP_SLACK = 3.0
 
 
 def _hits(states: np.ndarray, blocks: Iterable[np.ndarray], cells: int) -> np.ndarray:
@@ -172,35 +188,138 @@ def _sorted_cells(rows: np.ndarray, cols: np.ndarray, reps: int, side: int):
     return np.divmod(keys, side)
 
 
-def _grouped_draw(drawn, stream: np.random.Generator):
-    """One replicate's realized level-0 group cells: the index and count of
-    each group with any, and each one's ranks in [0, size), unsorted.
+class _DrawPlan(NamedTuple):
+    """How ``_grouped_draw`` draws level 0's groups, split once per engine
+    by ``_draw_plan`` into groups of probability 1, gap groups and counted
+    groups: each part's group indices, by descending probability, and the
+    sizes, exponential scales, budgets or probabilities its draws read."""
 
-    ``drawn`` holds (index, size, prob) for every non-empty group of
-    probability above 0, by descending probability, with sizes within the
-    signed 64-bit range (``ModelSampler._grid_tables`` checks them once).
-    Per group, the calls ``binomial_draw`` and ``choose_without_replacement``
-    make, with the same arguments but not their checks or sort: a
-    ``Generator.binomial`` count, then for a count above 0 that many
-    distinct ranks placed by one ``Generator.choice``; every rank, with no
-    draw, when ``prob`` is 1.  Placing nothing draws nothing, so zero counts
-    skip the call.
+    every: np.ndarray
+    every_sizes: np.ndarray
+    gaps: np.ndarray
+    gap_sizes: np.ndarray
+    gap_scales: np.ndarray
+    gap_budget: np.ndarray
+    counted: np.ndarray
+    counted_sizes: np.ndarray
+    counted_probs: np.ndarray
+
+
+def _draw_plan(sizes: np.ndarray, probs: np.ndarray) -> _DrawPlan:
+    """Split groups of int64 ``sizes`` and probabilities ``probs`` in [0,
+    1], by descending probability, for ``_grouped_draw``.  Groups of size or
+    probability 0 draw nothing and are left out; groups of probability 1
+    take every rank; the rest draw by geometric gaps when they expect fewer
+    than ``_GAP_COUNT`` cells, else by a count and a placement.
+
+    A gap group of probability p draws gaps of exponential scale
+    ``-log1p(-p)``, its budget of them per round: its expected count plus
+    ``_GAP_SLACK`` standard deviations, and one more to step past its last
+    rank, at most ``2**63 // (size + 1)`` so that a round's sums of gaps of
+    about ``size + 1`` at most stay far below ``2**64``.
     """
-    binomial, choice = stream.binomial, stream.choice
-    index, counts, ranks = [], [], []
-    for i, size, prob in drawn:
-        if prob == 1.0:
-            count = size
-            picks = np.arange(size)
-        else:
-            count = int(binomial(size, prob))
-            if not count:
-                continue
-            picks = choice(size, count, replace=False, shuffle=False)
-        index.append(i)
-        counts.append(count)
-        ranks.append(picks)
-    return index, counts, ranks
+    live = (sizes > 0) & (probs > 0.0)
+    every = live & (probs == 1.0)
+    expected = sizes * probs
+    gaps = live & ~every & (expected < _GAP_COUNT)
+    counted = live & ~every & ~gaps
+    budget = np.ceil(expected[gaps] + _GAP_SLACK * np.sqrt(expected[gaps])).astype(np.int64) + 1
+    np.minimum(budget, (2**63 // (sizes[gaps].view(np.uint64) + np.uint64(1))).view(np.int64), out=budget)
+    return _DrawPlan(
+        np.flatnonzero(every),
+        sizes[every],
+        np.flatnonzero(gaps),
+        sizes[gaps],
+        -np.log1p(-probs[gaps]),
+        budget,
+        np.flatnonzero(counted),
+        sizes[counted],
+        probs[counted],
+    )
+
+
+def _gap_draw(index, sizes, scales, budget, stream: np.random.Generator):
+    """Each of the ``sizes[g]`` cells of group ``index[g]`` realized with
+    probability p, ``scales[g] = -log1p(-p)``, independently: lists of the
+    realized cells' group indices and ranks.
+
+    The gaps between realized ranks are geometric (Batagelj & Brandes,
+    Phys. Rev. E 71, 036113, 2005).  A round draws ``budget[g]`` gaps of
+    every group g in one ``standard_exponential`` call, by inversion:
+    ``floor(E / scale) + 1`` exceeds k with probability ``exp(-scale * k)
+    = (1 - p)**k``, as in numpy's ``geometric``, which takes a ``log1p`` per
+    draw.  Each ``E / scale`` is clipped at the least float above the
+    group's size before it is floored, since a gap past the size is past it
+    either way, and the gaps are summed per group in unsigned 64-bit
+    arithmetic, exact while a group's sum is at most its size and above it
+    at the first gap past it.  The ranks before the first sum past a
+    group's size are its members; groups whose budget ran out first
+    continue from their last rank in another round.
+    """
+    found_index, found_ranks = [], []
+    base = np.zeros(len(index), dtype=np.int64)
+    while index.size:
+        ends = budget.cumsum()
+        starts = ends - budget
+        gaps = stream.standard_exponential(ends[-1])
+        # a scale below ~1e-308 (a denormal p) makes infinite gaps, past any size
+        with np.errstate(over="ignore"):
+            gaps /= np.repeat(scales, budget)
+        np.minimum(gaps, np.repeat(np.nextafter(sizes.astype(float), np.inf), budget), out=gaps)
+        sums = gaps.astype(np.uint64)
+        sums += np.uint64(1)
+        # a cumulative sum restarted at every group's first gap
+        totals = np.add.reduceat(sums, starts)
+        sums[starts[1:]] -= totals[:-1]
+        sums.cumsum(out=sums)
+        member = sums <= np.repeat(sizes, budget).view(np.uint64)
+        found_index.append(np.repeat(index, budget)[member])
+        found_ranks.append(sums[member].view(np.int64) + np.repeat(base - 1, budget)[member])
+        last = sums[ends - 1]
+        short = last <= sizes.view(np.uint64)
+        last = last[short].view(np.int64)
+        index, scales, budget = index[short], scales[short], budget[short]
+        base = base[short] + last
+        sizes = sizes[short] - last
+    return found_index, found_ranks
+
+
+def _grouped_draw(plan: _DrawPlan, stream: np.random.Generator):
+    """One replicate's realized level-0 group cells: each one's group index
+    and rank in [0, size) of its group, unsorted.
+
+    Every cell of a group is realized with the group's probability p,
+    independently, from ``stream`` in this order:
+
+    * groups of p = 1 take every rank, with no draw;
+    * groups expecting fewer than ``_GAP_COUNT`` cells draw the gaps between
+      their realized ranks (``_gap_draw``): every group's first budget of
+      gaps in one ``Generator.standard_exponential`` call, and the groups
+      whose budget ran out before their size more in further calls, so a
+      count is implicit;
+    * the rest draw their counts in one ``Generator.binomial(sizes, probs)``
+      call, then, by descending probability, each group with a count above 0
+      places that many distinct ranks with one ``Generator.choice(size,
+      count, replace=False, shuffle=False)`` call; zero counts place nothing.
+
+    Each draw is exact in law at every size.  numpy's binomial inverts the
+    CDF on the smaller tail (p or 1 - p) while its mean is at most 30 and
+    runs BTPE above (Kachitvichyanukul & Schmeiser, CACM 1988), never a
+    normal approximation.  Its placement runs Floyd's algorithm with a hash
+    set, or a tail shuffle of ``arange(size)`` when ``size`` exceeds 10000
+    and ``count`` exceeds ``size // 20``; either way each subset is equally
+    likely and memory stays O(count).
+    """
+    index, ranks = _gap_draw(plan.gaps, plan.gap_sizes, plan.gap_scales, plan.gap_budget, stream)
+    counts = stream.binomial(plan.counted_sizes, plan.counted_probs)
+    index += [np.repeat(plan.every, plan.every_sizes), np.repeat(plan.counted, counts)]
+    ranks += [np.arange(size) for size in plan.every_sizes.tolist()]
+    ranks += [
+        stream.choice(size, count, replace=False, shuffle=False)
+        for size, count in zip(plan.counted_sizes.tolist(), counts.tolist())
+        if count
+    ]
+    return np.concatenate(index), np.concatenate([np.empty(0, dtype=np.int64), *ranks])
 
 
 class Strategy(str, Enum):
@@ -401,15 +520,14 @@ class ModelSampler:
 
     @cached_property
     def _grid_tables(self):
-        """What grouped ``gp`` draws of the untied grid: (index, size,
-        prob) of each group ``_grouped_draw`` draws, and their
-        ``GridUnranker``; or None to sweep level 0 instead: below
-        ``_GROUP_CELLS`` cells, or when the grouping is above the fixed cap
-        of ``grid_groups``.  Decided once per engine, from the config alone.
-        The draws' arguments are checked here, once: sizes are exact
-        integers, and probabilities products of checked seed values, so in
-        [0, 1]; groups of size or probability 0 draw nothing and are left
-        out.
+        """What grouped ``gp`` draws of the untied grid: the groups'
+        ``_draw_plan`` and their ``GridUnranker``; or None to sweep level 0
+        instead: below ``_GROUP_CELLS`` cells, or when the grouping is above
+        the fixed cap of ``grid_groups``.  Decided once per engine, from the
+        config alone.  The draws' arguments are checked here, once: sizes
+        are exact integers, and probabilities products of checked seed
+        values, so in [0, 1]; groups of probability 0 draw nothing, so their
+        sizes, which may pass ``2**63``, are not read.
 
         Raises:
             Overflow: a group of probability above 0 holds more than
@@ -422,36 +540,33 @@ class ModelSampler:
             classes, groups = grid_groups(replace(self.cfg, levels=untied))
         except GroupCapExceeded:
             return None
-        drawn = [(i, g.size, g.prob) for i, g in enumerate(groups) if g.size and g.prob > 0.0]
-        for i, size, _ in drawn:
-            if size > I64_MAX:
-                raise Overflow(f"level-0 group {i} of {size} cells exceeds the signed 64-bit range")
-        return drawn, GridUnranker(classes, groups, untied, self.b)
+        for i, g in enumerate(groups):
+            if g.size > I64_MAX and g.prob > 0.0:
+                raise Overflow(f"level-0 group {i} of {g.size} cells exceeds the signed 64-bit range")
+        plan = _draw_plan(
+            np.array([g.size if g.prob > 0.0 else 0 for g in groups], dtype=np.int64),
+            np.array([g.prob for g in groups]),
+        )
+        return plan, GridUnranker(classes, groups, untied, self.b)
 
     def _level0(self, strategy: Strategy, states: np.ndarray):
         """Level 0's realized cells of a stack as an ``(m, 2)`` array in
         stacked (row, col) order, and its level count.  Grouped ``gp`` draws
-        each replicate's groups of the untied grid by descending probability
-        from its stream's generator, each a count then a placement, unranks
-        the whole stack's ranks in one ``cells`` call and sorts them once;
-        other runs sweep all ``levels`` (``naive``) or the untied ones.
+        each replicate's groups of the untied grid from its stream's
+        generator (``_grouped_draw``), unranks the whole stack's ranks in
+        one ``cells`` call and sorts them once; other runs sweep all
+        ``levels`` (``naive``) or the untied ones.
         """
         levels = self.cfg.levels if strategy is Strategy.NAIVE else self.cfg.untied_levels
         side = self.b**levels
         if strategy is Strategy.GP and self._grid_tables is not None:
-            drawn, unranker = self._grid_tables
-            index, counts, ranks, offsets = [], [], [np.empty(0, dtype=np.int64)], []
-            for r, state in enumerate(states):
-                i, c, k = _grouped_draw(drawn, stream_from_state(state))
-                index += i
-                counts += c
-                ranks += k
-                offsets += [r * side] * len(i)
-            rows, cols = unranker.cells(
-                np.repeat(np.asarray(index, dtype=np.intp), counts), np.concatenate(ranks)
-            )
+            plan, unranker = self._grid_tables
+            draws = [_grouped_draw(plan, stream_from_state(state)) for state in states]
+            # a stack of one, the common case, skips copying its draws
+            index, ranks = draws[0] if len(draws) == 1 else map(np.concatenate, zip(*draws))
+            rows, cols = unranker.cells(index, ranks)
             if len(states) > 1:
-                rows += np.repeat(np.asarray(offsets, dtype=np.int64), counts)
+                rows += np.repeat(np.arange(len(states)) * side, [len(index) for index, _ in draws])
             return np.stack(_sorted_cells(rows, cols, len(states), side), axis=1), levels
         return _grid_cells(self._sweep(states, levels), side), levels
 

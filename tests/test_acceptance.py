@@ -14,12 +14,12 @@ import time
 import numpy as np
 from scipy.stats import binom, chi2
 
+import kronnet.samplers as samplers_mod
 from kronnet import (
     CapExceeded,
     ModelSampler,
     Strategy,
     ancestral_sample,
-    binomial_draw,
     build_bn,
     check_csi,
     check_dcsd,
@@ -280,8 +280,11 @@ def test_criterion_6_group_combinatorics():
         and sizes_by_prob == exhaustive
     )
 
-    rng = np.random.default_rng(MASTER_SEED)
-    draws = np.array([binomial_draw(20, 0.3, rng) for _ in range(100_000)])
+    # 100k independent size-20, p = 0.3 groups, drawn by the sampler's own
+    # grouped level-0 path in one call; each group's count is its cells'
+    plan = samplers_mod._draw_plan(np.full(100_000, 20, dtype=np.int64), np.full(100_000, 0.3))
+    index, _ = samplers_mod._grouped_draw(plan, np.random.default_rng(MASTER_SEED))
+    draws = np.bincount(index, minlength=100_000)
     pmf = binom.pmf(np.arange(21), 20, 0.3) * draws.size
     observed = np.bincount(draws, minlength=21).astype(float)
     keep = pmf >= 5.0

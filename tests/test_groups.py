@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kronnet.groups as groups_mod
+import kronnet.samplers as samplers_mod
 from kronnet import (
     BadArgs,
     GridUnranker,
@@ -23,7 +24,6 @@ from kronnet import (
     theta_value_classes,
 )
 from kronnet.config import I64_MAX
-from kronnet.randvar import binomial_draw, choose_without_replacement
 
 WORKED = [[0.9, 0.7], [0.5, 0.3]]
 SYMMETRIC = [[0.9, 0.5], [0.5, 0.3]]
@@ -323,26 +323,16 @@ def test_unrank_exact_where_arrangement_products_pass_int64():
     assert list(zip(rows.tolist(), cols.tolist())) == expected
 
 
-def _reference_draw(group, stream):
-    """One group's ranks from the checked public draws: a count, then that
-    many distinct ranks, or every rank when the group's probability is 1."""
-    count = binomial_draw(group.size, group.prob, stream)
-    if count == 0:
-        return []
-    if group.prob == 1.0:
-        return range(group.size)
-    return choose_without_replacement(group.size, count, stream).tolist()
-
-
 def _reference_grid_gp(cfg, seed):
-    """Whole-grid gp with the scalar unranking: the same draws, group by
-    group, one cell at a time, sorted."""
+    """Whole-grid gp with the scalar unranking: the engine's own draws, the
+    groups' ranks from ``samplers._grouped_draw``, unranked one cell at a
+    time, sorted."""
     classes, groups = grid_groups(cfg)
-    stream = level_rng(seed, 0)
+    plan, _ = ModelSampler(cfg)._grid_tables
+    index, ranks = samplers_mod._grouped_draw(plan, level_rng(seed, 0))
     return sorted(
-        unrank_grid_cell(group, classes, cfg.levels, cfg.b, rank)
-        for group in groups
-        for rank in _reference_draw(group, stream)
+        unrank_grid_cell(groups[i], classes, cfg.levels, cfg.b, rank)
+        for i, rank in zip(index.tolist(), ranks.tolist())
     )
 
 

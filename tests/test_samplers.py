@@ -31,7 +31,6 @@ from kronnet import (
     sample,
 )
 from kronnet.output import dump_json, trace_to_dict, write_edgelist
-from kronnet.randvar import choose_without_replacement
 from kronnet.rng import level_rng, level_states
 from kronnet.samplers import expand_active, stream_levels
 
@@ -63,8 +62,9 @@ def test_fresh_engine_same_output(worked_cfg, strategy):
 # wherever it sweeps level 0; gp's grouped digests (plain6, loopfree, run
 # with every grid grouped, and plain12 and tied14, whose untied grids are
 # grouped as they stand and unrank 2 and 1 levels ahead of the tail table)
-# also depend on numpy's Generator.binomial and Generator.choice (README
-# "Determinism"), so a numpy release that changes those may move them.
+# also depend on numpy's Generator.standard_exponential, Generator.binomial
+# and Generator.choice (README "Determinism"), so a numpy release that
+# changes those may move them.
 PINNED_DIGESTS = {
     ("worked", "naive"): "d69cd5f26fed0a555ea5f8ead9a61c68cf405baf20e3ca897f9139662c072e47",
     ("worked", "ci"): "c04b8f6a3e58feb238912f8ff4ead6f295a0899397186952bb458e4c1be43c3a",
@@ -73,7 +73,7 @@ PINNED_DIGESTS = {
     ("plain6", "naive"): "74adb52d4a894ebd39f4162c3f8b9e2ef3ccd0cf141cc627dc35c7fff99f1a0f",
     ("plain6", "ci"): "3e20e5442695538d2fc6c44480b51b88fb6ac3ca10c6fc425523568f8447dae7",
     ("plain6", "dcsd"): "98a47ff46e39ea39eaafa10f5ca1ea6fa75187f09ea33e599bd022ac2456cd3b",
-    ("plain6", "gp"): "3ab115a614521212c4e615a633c03f161d22ffff0efcc47bce11ccab3e982f21",
+    ("plain6", "gp"): "764088309c7d45fd3f5361cdb94d31d2928fc5a0a2fc07879178e9997e5d71d2",
     ("theta3", "naive"): "ce927a5506544db732a189ac97d6a3256fd756805276ea2abd713597ab6c74cd",
     ("theta3", "ci"): "8a4732d2a2157ebfdf9a7bcd87ad6e305ddbfb5acde40a543d3a0241d55efc98",
     ("theta3", "dcsd"): "425cb4ffc727adf2231f3de8aaf0625c79c95eba1fc22f9557d1eca139793449",
@@ -89,9 +89,9 @@ PINNED_DIGESTS = {
     ("loopfree", "naive"): "86b3e76a02dbdb4a1ec197ce0de62e7eab1f64950663f9371fda4a9996bfd184",
     ("loopfree", "ci"): "be9916f2c898e0b128cefd7449e1bf072b579ae69f9686907b2af54f75b4862e",
     ("loopfree", "dcsd"): "2903058c0d1d97384f2b5870acca8bbee4a2fdfee4a2c4a18a7dabc8c2965527",
-    ("loopfree", "gp"): "7d6a83c02884877ded9be4ad7ba78007086cf7752691e8e07237e683086d5bc4",
-    ("plain12", "gp"): "29b5b947be246f6199f48d281416f1efe4f662d0654bb4d8b7851167dfd8b161",
-    ("tied14", "gp"): "754100304aa3125cb69eba7d975ca686a04e7bc502372d092b97a5a8e186e539",
+    ("loopfree", "gp"): "391c4ef536db0cb578f5d3b2275b8754a25969f83d8c962ce919a4c5e0b1049e",
+    ("plain12", "gp"): "c60e463b6ee3044b9c1bb4a1a6ad136e4dd55ae95be9231369eda27caf4b28de",
+    ("tied14", "gp"): "9949b9c176a5976b73b82bd6b43b2770867da47d2b7e5646354d7cafeead0e10",
 }
 
 _WORKED_THETA = [[0.9, 0.7], [0.5, 0.3]]
@@ -790,56 +790,132 @@ def test_final_sort_orders_cells_at_the_int64_boundary(reps, side):
     assert list(zip(rows.tolist(), cols.tolist())) == want
 
 
-@pytest.mark.usefixtures("group_every_grid")
-def test_grouped_draw_skips_placement_for_zero_counts(monkeypatch, worked_cfg):
-    # Placing nothing leaves the stream where it was, so skipping the call
-    # changes no draw.
-    for total in (5, 100, 20000, 2**40):
-        stream = np.random.default_rng(total)
-        state = stream.bit_generator.state
-        assert choose_without_replacement(total, 0, stream).size == 0
-        assert stream.bit_generator.state == state
-    zero_counts = []
+class _Recording:
+    """A level-0 generator that records each call it forwards: the method's
+    name and arguments."""
 
-    class Placing:
-        """A level-0 generator whose draw loop also places zero counts."""
+    def __init__(self, stream):
+        self.stream, self.calls = stream, []
 
-        def __init__(self, stream):
-            self.stream = stream
+    def __getattr__(self, name):
+        method = getattr(self.stream, name)
 
-        def binomial(self, size, prob):
-            count = self.stream.binomial(size, prob)
-            zero_counts.append(count == 0)
-            if count == 0:
-                self.stream.choice(size, 0, replace=False, shuffle=False)
-            return count
+        def call(*args, **kwargs):
+            self.calls.append((name, args))
+            return method(*args, **kwargs)
 
-        def choice(self, *args, **kwargs):
-            return self.stream.choice(*args, **kwargs)
+        return call
 
-    class Refusing(Placing):
-        def binomial(self, size, prob):
-            return self.stream.binomial(size, prob)
 
-        def choice(self, total, count, **kwargs):
-            if count == 0:
-                raise AssertionError("placement called for a zero count")
-            return self.stream.choice(total, count, **kwargs)
+def _grouped_reference(groups, plan, stream):
+    """The documented level-0 draw order, one group and one gap at a time:
+    (group, rank) cells of every p = 1 group, then the gap groups' rounds,
+    then one binomial call for the counted groups and a placement for each
+    nonzero count.  The gap groups' budgets and exponential scales come
+    from ``plan``; which groups take which path is decided here."""
+    cells = [(i, r) for i, (size, prob) in enumerate(groups) if size and prob == 1.0 for r in range(size)]
+    live = [(i, size, prob) for i, (size, prob) in enumerate(groups) if size and 0 < prob < 1]
+    gaps = [(i, size) for i, size, prob in live if size * prob < samplers_mod._GAP_COUNT]
+    counted = [(i, size, prob) for i, size, prob in live if size * prob >= samplers_mod._GAP_COUNT]
+    budget = dict(zip(plan.gaps.tolist(), plan.gap_budget.tolist()))
+    scale = dict(zip(plan.gaps.tolist(), plan.gap_scales.tolist()))
+    # (group, cells left, first rank left) of groups whose budget ran out
+    pending = [(i, size, 0) for i, size in gaps]
+    while pending:
+        draws = iter(stream.standard_exponential(sum(budget[i] for i, _, _ in pending)).tolist())
+        left = []
+        for i, size, base in pending:
+            pos, past = 0, False
+            for _ in range(budget[i]):
+                x = next(draws) / scale[i]
+                pos += int(x) + 1 if x < size else size + 1
+                past = past or pos > size
+                if not past:
+                    cells.append((i, base + pos - 1))
+            if not past:
+                left.append((i, size - pos, base + pos))
+        pending = left
+    if counted:
+        counts = stream.binomial(
+            np.array([size for _, size, _ in counted]), np.array([prob for _, _, prob in counted])
+        )
+        for (i, size, _), count in zip(counted, counts.tolist()):
+            if count:
+                picks = stream.choice(size, count, replace=False, shuffle=False)
+                cells += [(i, r) for r in picks.tolist()]
+    return sorted(cells)
 
+
+def test_grouped_draw_order(monkeypatch):
+    # With the split at 1 expected cell and no budget slack, the small
+    # groups below both draw counts of 0 (which place nothing) and run out
+    # of gaps (which continue in another round) on some of these seeds.
+    monkeypatch.setattr(samplers_mod, "_GAP_COUNT", 1)
+    monkeypatch.setattr(samplers_mod, "_GAP_SLACK", 0.0)
+    groups = [(10, 1.0), (3, 0.5), (6, 0.3), (200, 0.004), (40, 0.002), (10**6, 1e-9), (7, 0.0)]
+    plan = samplers_mod._draw_plan(
+        np.array([size for size, _ in groups], dtype=np.int64), np.array([p for _, p in groups])
+    )
+    assert (plan.every.tolist(), plan.gaps.tolist(), plan.counted.tolist()) == ([0], [3, 4, 5], [1, 2])
+    zero_counts = top_ups = 0
+    for seed in range(40):
+        stream = _Recording(np.random.default_rng(seed))
+        index, ranks = samplers_mod._grouped_draw(plan, stream)
+        got = sorted(zip(index.tolist(), ranks.tolist()))
+        assert got == _grouped_reference(groups, plan, np.random.default_rng(seed))
+        names = [name for name, _ in stream.calls]
+        rounds = names.count("standard_exponential")
+        assert names[:rounds] == ["standard_exponential"] * rounds
+        assert stream.calls[0][1] == (int(plan.gap_budget.sum()),)
+        assert names[rounds] == "binomial"
+        counts = np.bincount(index, minlength=len(groups))[plan.counted]
+        assert names[rounds + 1 :] == ["choice"] * int(np.count_nonzero(counts))
+        zero_counts += int((counts == 0).sum())
+        top_ups += rounds - 1
+    assert zero_counts and top_ups
+
+
+def test_grouped_gp_reaches_btpe_and_tail_shuffle(monkeypatch):
+    """Grouped gp on a plain 2**14-node model whose largest group, the
+    2**14 cells with every level at 0.96, has p = 0.96**14 = 0.565 and
+    expects 9255 cells: its count takes numpy's binomial BTPE branch with p
+    > 0.5, and its placement ``choice``'s tail shuffle (more than 10000
+    cells, a count above size // 20).  The edge count's mean and variance
+    match level 0's closed form, sum p and sum p (1 - p)."""
+    theta = np.array([[0.02, 0.96], [0.96, 0.01]])
+    cfg = make_config(theta.tolist(), 14, 14)
+    engine = ModelSampler(cfg)
+    assert engine._grid_tables is not None
     real = samplers_mod.stream_from_state
-    configs = (worked_cfg, make_config([[0.9, 0.7], [0.5, 0.3]], 6, 6))
-    runs = [(cfg, seed) for cfg in configs for seed in range(20)]
-    with monkeypatch.context() as patch:
-        patch.setattr(samplers_mod, "stream_from_state", lambda state: Placing(real(state)))
-        before = [ModelSampler(cfg).run(Strategy.GP, seed) for cfg, seed in runs]
-    assert any(zero_counts)
-    monkeypatch.setattr(samplers_mod, "stream_from_state", lambda state: Refusing(real(state)))
-    refusing = Refusing(np.random.default_rng(0))
-    assert samplers_mod._grouped_draw([(0, 1000, 1e-9)], refusing) == ([], [], [])
-    for (cfg, seed), (net_before, trace_before) in zip(runs, before):
-        net, trace = ModelSampler(cfg).run(Strategy.GP, seed)
-        np.testing.assert_array_equal(net.edges, net_before.edges)
-        assert trace == trace_before
+    streams = []
+
+    def recording(state):
+        streams.append(_Recording(real(state)))
+        return streams[-1]
+
+    monkeypatch.setattr(samplers_mod, "stream_from_state", recording)
+    reps = 200
+    counts = np.array(
+        [engine.run(Strategy.GP, replicate_seed(20261022, 0, i))[0].edge_count for i in range(reps)],
+        dtype=float,
+    )
+    btpe = tail_shuffle = 0
+    for stream in streams:
+        for name, args in stream.calls:
+            if name == "binomial":
+                sizes, probs = args
+                btpe += int(((probs > 0.5) & (sizes * (1 - probs) > 30)).sum())
+            if name == "choice" and args[0] > 10000 and args[1] > args[0] // 20:
+                tail_shuffle += 1
+    assert btpe == tail_shuffle == reps
+    mean = float(theta.sum()) ** 14
+    var = mean - float((theta**2).sum()) ** 14
+    z_mean = (counts.mean() - mean) / math.sqrt(var / reps)
+    s2 = counts.var(ddof=1)
+    m4 = float(((counts - counts.mean()) ** 4).mean())
+    z_var = (s2 - var) / math.sqrt((m4 - s2**2 * (reps - 3) / (reps - 1)) / reps)
+    assert abs(z_mean) < 4, (z_mean, counts.mean(), mean)
+    assert abs(z_var) < 4, (z_var, s2, var)
 
 
 @pytest.mark.usefixtures("group_every_grid")

@@ -16,8 +16,6 @@ from kronnet import (
     LevelTrace,
     SampledNetwork,
     Strategy,
-    binomial_draw,
-    choose_without_replacement,
     ci_rv_count,
     complexity_audit,
     degree_stats,
@@ -688,9 +686,6 @@ INT_ARGS = {
     "edge_prob row": lambda cfg, v: edge_prob(cfg, v, 0),
     "edge_prob col": lambda cfg, v: edge_prob(cfg, 0, v),
     "expected_active tied_level": lambda cfg, v: expected_active(cfg, v),
-    "binomial_draw trials": lambda cfg, v: binomial_draw(v, 0.5, np.random.default_rng(0)),
-    "choose total": lambda cfg, v: choose_without_replacement(v, 1, np.random.default_rng(0)),
-    "choose count": lambda cfg, v: choose_without_replacement(10, v, np.random.default_rng(0)),
     "network n_nodes": lambda cfg, v: SampledNetwork(v, np.empty((0, 2), dtype=np.int64)),
     "trace level": lambda cfg, v: LevelTrace(v, 3, 1),
     "trace rvs_examined": lambda cfg, v: LevelTrace(0, v, 1),
